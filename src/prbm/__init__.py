@@ -85,7 +85,6 @@ from .walkers import (
     estimate_spread_measure,
     estimate_stopping_time,
     run_jump_walker,
-    run_lattice_walker,
     sample_threshold,
 )
 
@@ -156,7 +155,6 @@ __all__ = [
     "rasterize",
     "rasterize_loop",
     "run_jump_walker",
-    "run_lattice_walker",
     "sample_threshold",
     "spectrum",
     "spread_density_halfspace",

@@ -150,20 +150,34 @@ def stopping_time_cdf(t, Lambda: float):
     return out if np.ndim(t) else float(out)
 
 
-def _eta_logw(x: float, z: float, d: int) -> float:
-    """Integrand w^2 e^{-z w} (1+w^2)^{-d/2} at w = e^x (the dw = w dx weight)."""
-    w = math.exp(x)
-    return w * w * math.exp(-z * w) * (1.0 + w * w) ** (-d / 2.0)
-
-
-def eta(z: float, d: int = 2, cfg: QuadratureConfig | None = None) -> float:
-    """Correction factor eta_d(z) = (1+z^2)^{d/2} * int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du.
+def _z_integral(z: float, d: int, epsrel: float, cfg: QuadratureConfig) -> float:
+    """I_d(z) = int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du, for eta and spread_kernel_t.
 
     For z >= 1 the z^{-d} magnitude is factored out of the integrand first;
     otherwise quad's absolute-error floor swallows the answer entirely for
-    large z. For z < 1 the integral is split at u = z to resolve the
-    near-origin structure that produces the small-z divergence.
+    large z. For z < 1, u = z w keeps the integrand O(1) however small z
+    gets, with the magnitude in the z^{2-d} prefactor; integrating in ln w
+    folds the slow 1/w stretch up to w ~ 1/z into an interval of length
+    ln(1/z), and the split at u = z resolves the near-origin structure that
+    produces the small-z divergence.
     """
+    opts = dict(epsabs=0.0, epsrel=epsrel, limit=cfg.max_subdivisions)
+    if z >= 1.0:
+        g = lambda u: u * math.exp(-u) * (1.0 + (u / z) ** 2) ** (-d / 2.0)
+        val, _ = integrate.quad(g, 0, cfg.cutoff, **opts)
+        return z ** (-d) * val
+
+    def logw(x: float) -> float:
+        # w^2 e^{-z w} (1+w^2)^{-d/2} at w = e^x, the w carrying dw = w dx
+        w = math.exp(x)
+        return w * w * math.exp(-z * w) * (1.0 + w * w) ** (-d / 2.0)
+
+    val, _ = integrate.quad(logw, -40.0, math.log(cfg.cutoff / z), points=[0.0], **opts)
+    return z ** (2.0 - d) * val
+
+
+def eta(z: float, d: int = 2, cfg: QuadratureConfig | None = None) -> float:
+    """Correction factor eta_d(z) = (1+z^2)^{d/2} * int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du."""
     cfg = cfg or _DEFAULT_CFG
     z = float(z)
     if not z > 0:
@@ -171,19 +185,7 @@ def eta(z: float, d: int = 2, cfg: QuadratureConfig | None = None) -> float:
     d = int(d)
     if d < 2:
         raise InvalidParam("d must be at least 2")
-    opts = dict(epsabs=0.0, epsrel=min(cfg.rel_tol, 1e-12), limit=cfg.max_subdivisions)
-    if z >= 1.0:
-        g = lambda u: u * math.exp(-u) * (1.0 + (u / z) ** 2) ** (-d / 2.0)
-        val, _ = integrate.quad(g, 0, cfg.cutoff, **opts)
-        return (1 + z * z) ** (d / 2.0) * z ** (-d) * val
-    # u = z w keeps the integrand O(1) however small z gets, with the
-    # magnitude in the z^{2-d} prefactor; integrating in ln w folds the
-    # slow 1/w stretch up to w ~ 1/z into an interval of length ln(1/z)
-    val, _ = integrate.quad(
-        lambda x: _eta_logw(x, z, d), -40.0, math.log(cfg.cutoff / z),
-        points=[0.0], **opts,
-    )
-    return (1 + z * z) ** (d / 2.0) * z ** (2.0 - d) * val
+    return (1 + z * z) ** (d / 2.0) * _z_integral(z, d, min(cfg.rel_tol, 1e-12), cfg)
 
 
 def spread_kernel_t(s, Lambda: float, d: int = 2, cfg: QuadratureConfig | None = None) -> float:
@@ -202,19 +204,8 @@ def spread_kernel_t(s, Lambda: float, d: int = 2, cfg: QuadratureConfig | None =
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(s, dtype=float))))
     if r == 0.0:
         return math.inf
-    z = r / lam
     pref = special.gamma(d / 2.0) / (math.pi ** (d / 2.0) * lam ** (d - 1))
-    opts = dict(epsabs=0.0, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions)
-    if z >= 1.0:
-        g = lambda u: u * math.exp(-u) * (1.0 + (u / z) ** 2) ** (-d / 2.0)
-        val, _ = integrate.quad(g, 0, cfg.cutoff, **opts)
-        return pref * z ** (-d) * val
-    # same substitution as in eta: u = z w, integrated in ln w
-    val, _ = integrate.quad(
-        lambda x: _eta_logw(x, z, d), -40.0, math.log(cfg.cutoff / z),
-        points=[0.0], **opts,
-    )
-    return pref * z ** (2.0 - d) * val
+    return pref * _z_integral(r / lam, d, cfg.rel_tol, cfg)
 
 
 def absorption_probability_disk(r: float, Lambda: float, d: int = 2, cfg: QuadratureConfig | None = None) -> float:

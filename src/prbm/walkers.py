@@ -1,13 +1,21 @@
 """Monte Carlo walkers realizing the partially reflected Brownian motion.
 
-Jump-reflected walkers in canonical domains reach the boundary in a single
-draw from the exact hitting law and then flip a reflection coin, so a
+A walker reaches the boundary by the domain's exact hitting law and then
+flips a reflection coin with epsilon = Lambda/(Lambda + a), so a jump
 trajectory is just its sequence of boundary contacts; there is no time
-discretization. Lattice walkers step site to site with per-face partial
-reflection. The ensemble estimators run vectorized chunks on disjoint
-counter blocks of one stream and merge them in fixed order, which makes
-every estimate a pure function of (seed, stream_id) regardless of thread
-count.
+discretization. Lattice walkers step site to site and flip a per-face coin.
+
+Every ensemble runs through one vectorized loop, _walk, which owns the
+reflection coin, the exits to the source and past the escape radius, the
+reflection tally and censoring at max_steps. A domain supplies only its
+start rows and one step of its hitting law: the jump to the wall of the
+half-space, the Mobius image of a uniform angle on the disk, the zonal
+inverse CDF in a per-walker frame on the ball, walk on circles in the
+annulus, and a nearest-neighbour step on a lattice. Chunks run on disjoint
+counter blocks of one stream and merge in fixed order, which makes every
+estimate a pure function of (seed, stream_id, chunk_size) regardless of
+thread count. run_jump_walker follows one canonical trajectory at a time
+and is the reference the ensembles are tested against.
 """
 
 from __future__ import annotations
@@ -23,13 +31,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ExcessiveCensoring, InvalidParam
-from .geometry import (
-    MISSING_NEIGHBOR,
-    BoundaryTag,
-    DomainKind,
-    DomainSpec,
-    LatticeDomain,
-)
+from .geometry import DomainKind, DomainSpec, LatticeDomain
 from .rng import RngStream
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "MeasureHistogram",
     "sample_threshold",
     "run_jump_walker",
-    "run_lattice_walker",
     "estimate_spread_measure",
     "estimate_stopping_time",
 ]
@@ -173,20 +174,22 @@ def sample_threshold(Lambda: float, rng: RngStream | np.random.Generator) -> flo
 
 
 # -- exact hitting laws --------------------------------------------------------
+#
+# Each law takes scalars or arrays, so single trajectories and the ensemble
+# kernels draw from one copy of it.
 
 
-def _mobius_angle(rho: float, phi: float) -> float:
+def _mobius_angle(rho: float, phi):
     """Boundary angle hit from radius rho on the axis, phi uniform on the circle.
 
     The disk automorphism w -> (w + rho)/(1 + rho w) carries the uniform
     hitting law from the center to the hitting law from rho.
     """
-    e = complex(math.cos(phi), math.sin(phi))
-    w = (e + rho) / (1.0 + rho * e)
-    return math.atan2(w.imag, w.real)
+    e = np.exp(1j * phi)
+    return np.angle((e + rho) / (1.0 + rho * e))
 
 
-def _ball_zonal_cos(rho: float, v: float) -> float:
+def _ball_zonal_cos(rho: float, v):
     """Inverse CDF of cos(polar angle) for the sphere hit from radius rho."""
     if rho < 1e-12:
         return 2.0 * v - 1.0
@@ -194,16 +197,95 @@ def _ball_zonal_cos(rho: float, v: float) -> float:
     return (1.0 + rho * rho - q ** -2) / (2.0 * rho)
 
 
-def _zonal_point(axis: np.ndarray, cos_t: float, phi: float) -> np.ndarray:
-    """Unit vector at polar angle arccos(cos_t) around axis, azimuth phi."""
-    cos_t = min(1.0, max(-1.0, cos_t))
-    sin_t = math.sqrt(1.0 - cos_t * cos_t)
+def _zonal_point(axis: np.ndarray, cos_t, phi) -> np.ndarray:
+    """Unit vector at polar angle arccos(cos_t) around axis, azimuth phi.
+
+    axis is one unit 3-vector or a stack of them, one frame per row.
+    """
+    cos_t = np.clip(cos_t, -1.0, 1.0)[..., None]
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    phi = np.asarray(phi)[..., None]
     # any vector not parallel to axis seeds the orthonormal pair
-    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    helper = np.where(np.abs(axis[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     e1 = np.cross(axis, helper)
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
     e2 = np.cross(axis, e1)
-    return cos_t * axis + sin_t * (math.cos(phi) * e1 + math.sin(phi) * e2)
+    return cos_t * axis + sin_t * (np.cos(phi) * e1 + np.sin(phi) * e2)
+
+
+# (interior?, name) of the unit disks and balls
+_ROUND = {
+    DomainKind.DISK_INTERIOR: (True, "disk"),
+    DomainKind.DISK_EXTERIOR: (False, "disk"),
+    DomainKind.BALL_INTERIOR: (True, "ball"),
+    DomainKind.BALL_EXTERIOR: (False, "ball"),
+}
+
+
+def _check_start(dom, start, params: JumpParams):
+    """Validate a start against its domain and return it normalized.
+
+    A canonical start comes back as a float vector strictly inside the
+    domain; a lattice start as "source" or a bulk-site index.
+    """
+    if isinstance(dom, LatticeDomain):
+        if abs(params.a - dom.mesh) > 1e-12 * max(params.a, dom.mesh):
+            raise InvalidParam("params.a must equal the lattice mesh")
+        if not isinstance(start, str):
+            return _resolve_site(dom, start)
+        if start != "source":
+            raise InvalidParam(f"unknown start mode {start!r}")
+        if not dom.source_mask().any():
+            raise InvalidParam("start='source' needs source faces")
+        return start
+    if not isinstance(dom, DomainSpec):
+        raise InvalidParam("dom must be a DomainSpec or LatticeDomain")
+    kind = dom.kind
+    if kind is DomainKind.LATTICE:
+        raise InvalidParam("lattice walks need a LatticeDomain")
+    try:
+        x = np.asarray(start, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParam(f"start must be a point, not {start!r}") from exc
+    d = dom.dimension
+    if x.shape != (d,):
+        raise InvalidParam(f"start must be a {d}-vector")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParam("start must be finite")
+    a = params.a
+    r = float(np.linalg.norm(x))
+    if kind is DomainKind.HALF_SPACE:
+        if not x[-1] > 0:
+            raise InvalidParam("start must lie strictly above the boundary")
+    elif kind is DomainKind.ANNULUS:
+        R = dom.outer_radius
+        if R is None:
+            raise InvalidParam("annulus spec is missing its outer radius")
+        if not 1.0 < r < R:
+            raise InvalidParam("start must lie strictly between the circles")
+        if not a < R - 1.0:
+            raise InvalidParam("jump distance must fit inside the gap")
+    else:
+        interior, body = _ROUND[kind]
+        if interior and not r < 1.0:
+            raise InvalidParam(f"start must lie strictly inside the unit {body}")
+        if not interior and not r > 1.0:
+            raise InvalidParam(f"start must lie strictly outside the unit {body}")
+        if interior and not a < 1.0:
+            raise InvalidParam(f"jump distance must stay below the {body} radius")
+    return x
+
+
+def _resolve_site(dom: LatticeDomain, start) -> int:
+    if isinstance(start, (int, np.integer)):
+        if not 0 <= start < dom.n_bulk:
+            raise InvalidParam(f"bulk site index {start} out of range")
+        return int(start)
+    key = tuple(int(c) for c in np.asarray(start).ravel())
+    idx = dom.bulk_index().get(key)
+    if idx is None:
+        raise InvalidParam(f"{key} is not a bulk site")
+    return idx
 
 
 # -- single trajectories -------------------------------------------------------
@@ -223,14 +305,14 @@ def run_jump_walker(
     contact; mode="global" draws the whole reflection budget N from the
     geometric law up front, off the same decision stream, so both modes
     produce the same fate from the same stream: the hit sequence never sees
-    which rule is in force.
+    which rule is in force. Every draw of the hit law, and every annulus
+    contact, counts as one step against max_steps.
     """
     if not isinstance(dom, DomainSpec):
         raise InvalidParam("run_jump_walker needs a canonical DomainSpec")
-    if dom.kind is DomainKind.LATTICE:
-        raise InvalidParam("lattice domains use run_lattice_walker")
     if mode not in ("local", "global"):
         raise InvalidParam(f"unknown mode {mode!r}")
+    x = _check_start(dom, start, params)
 
     pos = stream.substream(0).generator()
     dec = stream.substream(1).generator()
@@ -255,11 +337,6 @@ def run_jump_walker(
 
     if kind is DomainKind.HALF_SPACE:
         d = dom.dimension
-        x = np.asarray(start, dtype=float)
-        if x.shape != (d,):
-            raise InvalidParam(f"start must be a {d}-vector")
-        if not x[-1] > 0:
-            raise InvalidParam("start must lie strictly above the boundary")
         esc = params.escape_cap()
         lateral = x[:-1].copy()
         height = float(x[-1])
@@ -280,20 +357,11 @@ def run_jump_walker(
 
     if kind in (DomainKind.DISK_INTERIOR, DomainKind.DISK_EXTERIOR):
         interior = kind is DomainKind.DISK_INTERIOR
-        x = np.asarray(start, dtype=float)
-        if x.shape != (2,):
-            raise InvalidParam("start must be a 2-vector")
         r = float(np.hypot(x[0], x[1]))
-        if interior and not r < 1.0:
-            raise InvalidParam("start must lie strictly inside the unit disk")
-        if not interior and not r > 1.0:
-            raise InvalidParam("start must lie strictly outside the unit disk")
-        if interior and not a < 1.0:
-            raise InvalidParam("jump distance must stay below the disk radius")
         ang = math.atan2(x[1], x[0])
         while steps < params.max_steps:
             rho = r if interior else 1.0 / r
-            theta = ang + _mobius_angle(rho, float(pos.uniform(0.0, _TWO_PI)))
+            theta = ang + float(_mobius_angle(rho, pos.uniform(0.0, _TWO_PI)))
             steps += 1
             hits += 1
             if contact_absorbs():
@@ -306,16 +374,7 @@ def run_jump_walker(
 
     if kind in (DomainKind.BALL_INTERIOR, DomainKind.BALL_EXTERIOR):
         interior = kind is DomainKind.BALL_INTERIOR
-        x = np.asarray(start, dtype=float)
-        if x.shape != (3,):
-            raise InvalidParam("start must be a 3-vector")
         r = float(np.linalg.norm(x))
-        if interior and not r < 1.0:
-            raise InvalidParam("start must lie strictly inside the unit ball")
-        if not interior and not r > 1.0:
-            raise InvalidParam("start must lie strictly outside the unit ball")
-        if interior and not a < 1.0:
-            raise InvalidParam("jump distance must stay below the ball radius")
         while steps < params.max_steps:
             if not interior:
                 # transient walk: the sphere is reached with probability 1/r,
@@ -338,263 +397,232 @@ def run_jump_walker(
             r = 1.0 - a if interior else 1.0 + a
         return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
 
-    if kind is DomainKind.ANNULUS:
-        R = dom.outer_radius
-        if R is None:
-            raise InvalidParam("annulus spec is missing its outer radius")
-        x = np.asarray(start, dtype=float)
-        if x.shape != (2,):
-            raise InvalidParam("start must be a 2-vector")
-        r = float(np.hypot(x[0], x[1]))
-        if not 1.0 < r < R:
-            raise InvalidParam("start must lie strictly between the circles")
-        if not a < R - 1.0:
-            raise InvalidParam("jump distance must fit inside the gap")
-        shell = 1e-9 * (R - 1.0)
-        x = x.copy()
-        while steps < params.max_steps:
-            # walk on circles until a hair's breadth from either boundary
-            while steps < params.max_steps:
-                free = min(r - 1.0, R - r)
-                if free < shell:
-                    break
-                psi = float(pos.uniform(0.0, _TWO_PI))
-                x[0] += free * math.cos(psi)
-                x[1] += free * math.sin(psi)
-                r = float(np.hypot(x[0], x[1]))
-                steps += 1
-            if steps >= params.max_steps:
-                break
-            if R - r < r - 1.0:
-                return AbsorptionRecord(Fate.SOURCE, None, refl, a * hits, steps)
-            theta = math.atan2(x[1], x[0])
-            hits += 1
-            if contact_absorbs():
-                point = (math.cos(theta), math.sin(theta))
-                return AbsorptionRecord(Fate.WORKING, point, refl, a * hits, steps)
-            refl += 1
-            r = 1.0 + a
-            x = np.array([r * math.cos(theta), r * math.sin(theta)])
-        return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
-
-    raise InvalidParam(f"unsupported domain kind {kind}")
-
-
-def run_lattice_walker(
-    dom: LatticeDomain,
-    start,
-    Lambda: float,
-    rng: RngStream | np.random.Generator,
-    max_steps: int = 10_000_000,
-) -> AbsorptionRecord:
-    """One lattice trajectory with partial reflections.
-
-    A step picks one of the 2d directions uniformly. Crossing a working face
-    f absorbs with probability 1 - eps_f, eps_f = Lambda/(Lambda + a w_f);
-    the face weight scales local absorption exactly as it scales the face's
-    surface measure, so the walk realizes the measure-weighted spreading
-    operator. Source faces absorb unconditionally, missing neighbours
-    reflect in place. start is a bulk-site index or integer coordinate tuple.
-    """
-    if Lambda < 0:
-        raise InvalidParam("Lambda must be nonnegative")
-    site = _resolve_site(dom, start)
-    gen = _as_generator(rng)
-    table = dom.neighbor_table()
-    nb = dom.n_bulk
-    two_d = 2 * dom.dimension
-    a = dom.mesh
-    eps_face = np.zeros(dom.n_faces) if Lambda == 0 else Lambda / (Lambda + a * dom.face_weight)
-    tag = dom.face_tag
-    steps = 0
-    hits = 0
-    refl = 0
-    while steps < max_steps:
-        k = int(gen.integers(0, two_d))
-        code = int(table[site, k])
+    # annulus: walk on circles until a hair's breadth from either boundary
+    R = dom.outer_radius
+    shell = 1e-9 * (R - 1.0)
+    r = float(np.hypot(x[0], x[1]))
+    while steps < params.max_steps:
+        free = min(r - 1.0, R - r)
         steps += 1
-        if code == MISSING_NEIGHBOR:
+        if free >= shell:
+            psi = float(pos.uniform(0.0, _TWO_PI))
+            x = x + free * np.array([math.cos(psi), math.sin(psi)])
+            r = float(np.hypot(x[0], x[1]))
             continue
-        if code < nb:
-            site = code
-            continue
-        f = code - nb
-        if tag[f] == BoundaryTag.SOURCE:
+        if R - r < r - 1.0:
             return AbsorptionRecord(Fate.SOURCE, None, refl, a * hits, steps)
+        theta = math.atan2(x[1], x[0])
         hits += 1
-        if float(gen.random()) < eps_face[f]:
-            refl += 1
-            continue
-        mid = 0.5 * a * (dom.face_exterior[f] + dom.face_inward[f] + 1.0)
-        return AbsorptionRecord(Fate.WORKING, tuple(mid), refl, a * hits, steps)
+        if contact_absorbs():
+            point = (math.cos(theta), math.sin(theta))
+            return AbsorptionRecord(Fate.WORKING, point, refl, a * hits, steps)
+        refl += 1
+        r = 1.0 + a
+        x = np.array([r * math.cos(theta), r * math.sin(theta)])
     return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
 
 
-def _resolve_site(dom: LatticeDomain, start) -> int:
-    if isinstance(start, (int, np.integer)):
-        if not 0 <= start < dom.n_bulk:
-            raise InvalidParam(f"bulk site index {start} out of range")
-        return int(start)
-    key = tuple(int(c) for c in np.asarray(start).ravel())
-    idx = dom.bulk_index().get(key)
-    if idx is None:
-        raise InvalidParam(f"{key} is not a bulk site")
-    return idx
-
-
 # -- vectorized ensembles ------------------------------------------------------
+#
+# A kernel is (edges, n_bins, init, hit, to_bin). init(gen, n) returns the
+# start rows of n walkers. hit(gen, rows, first) advances every live walker
+# by one step of the domain's exact law and returns
+#   rows     the walkers' rows after the step, as if every contact reflected;
+#   where    the raw contact coordinate, one row per walker;
+#   eps      the reflection probability at the contact, scalar or per walker;
+#   contact  mask of walkers on the working boundary (None: every walker);
+#   source   mask of walkers that left through the source (None: none);
+#   far      mask of walkers past the escape radius (None: none).
+# to_bin(where) maps the coordinates of absorbed walkers to histogram bins.
+# first is true on the first step only, when every walker is still at its
+# start height or radius; afterwards it sits at distance a off the boundary.
 
 
-def _bin_line(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Histogram with a trailing overflow bin for everything off the window."""
-    nb = len(edges) - 1
-    out = (coords < edges[0]) | (coords > edges[-1])
-    idx = np.clip(np.searchsorted(edges, coords, side="right") - 1, 0, nb - 1)
-    return np.bincount(np.where(out, nb, idx), minlength=nb + 1)
+def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to):
+    """Run n walkers of one kernel to absorption, exit or censoring.
 
-
-def _halfspace_chunk(gen, n, dom, start, params, edges, count_to):
-    d = dom.dimension
-    eps = params.epsilon
-    esc = params.escape_cap()
-    nb = len(edges) - 1
-    counts = np.zeros(nb + 1, dtype=np.int64)
-    lat = np.tile(np.asarray(start[:-1], dtype=float), (n, 1))
-    height = float(start[-1])
+    Returns (counts, source, censored, total_reflections, reflection_counts).
+    """
+    rows = init(gen, n)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    source = 0
     censored = 0
     total_refl = 0
     nrefl = np.zeros(n, dtype=np.int64) if count_to is not None else None
     refl_counts = np.zeros(count_to + 2, dtype=np.int64) if count_to is not None else None
-    for _ in range(params.max_steps):
-        m = lat.shape[0]
+    for step in range(max_steps):
+        m = len(rows)
         if m == 0:
             break
-        z = gen.standard_normal((m, d - 1))
-        w = gen.standard_normal(m)
-        s = lat + height * z / np.abs(w)[:, None]
-        u = gen.random(m)
-        absorbed = u >= eps
-        coord = s[:, 0] if d == 2 else np.linalg.norm(s, axis=1)
-        counts += _bin_line(coord[absorbed], edges)
-        if count_to is not None:
-            refl_counts += np.bincount(
-                np.minimum(nrefl[absorbed], count_to + 1), minlength=count_to + 2
-            )
-        total_refl += int(m - absorbed.sum())
+        rows, where, eps, contact, src, far = hit(gen, rows, step == 0)
+        absorbed = gen.random(m) >= eps
+        if contact is not None:
+            absorbed &= contact
         keep = ~absorbed
-        runaway = keep & (np.linalg.norm(s, axis=1) > esc)
-        censored += int(runaway.sum())
-        keep &= ~runaway
-        lat = s[keep]
-        if count_to is not None:
-            nrefl = nrefl[keep] + 1
-        height = params.a
-    censored += lat.shape[0]
-    return counts, 0, censored, total_refl, refl_counts
-
-
-def _disk_chunk(gen, n, dom, start, params, edges, count_to):
-    interior = dom.kind is DomainKind.DISK_INTERIOR
-    x = np.asarray(start, dtype=float)
-    r = float(np.hypot(x[0], x[1]))
-    eps = params.epsilon
-    nb = len(edges) - 1
-    counts = np.zeros(nb, dtype=np.int64)
-    ang = np.full(n, math.atan2(x[1], x[0]))
-    r_next = 1.0 - params.a if interior else 1.0 + params.a
-    total_refl = 0
-    nrefl = np.zeros(n, dtype=np.int64) if count_to is not None else None
-    refl_counts = np.zeros(count_to + 2, dtype=np.int64) if count_to is not None else None
-    for _ in range(params.max_steps):
-        m = ang.shape[0]
-        if m == 0:
-            break
-        rho = r if interior else 1.0 / r
-        e = np.exp(1j * gen.random(m) * _TWO_PI)
-        theta = ang + np.angle((e + rho) / (1.0 + rho * e))
-        u = gen.random(m)
-        absorbed = u >= eps
-        c = np.mod(theta[absorbed], _TWO_PI)
-        counts += np.bincount(
-            np.minimum((c / _TWO_PI * nb).astype(np.int64), nb - 1), minlength=nb
-        )
-        if count_to is not None:
-            refl_counts += np.bincount(
-                np.minimum(nrefl[absorbed], count_to + 1), minlength=count_to + 2
-            )
-        total_refl += int(m - absorbed.sum())
-        ang = theta[~absorbed]
-        if count_to is not None:
-            nrefl = nrefl[~absorbed] + 1
-        r = r_next
-    censored = ang.shape[0]
-    return counts, 0, censored, total_refl, refl_counts
-
-
-def _lattice_chunk(gen, n, dom, start, Lambda, max_steps, count_to, cache):
-    table, tag, eps_face, wpos, launch, n_working = cache
-    nb = dom.n_bulk
-    two_d = 2 * dom.dimension
-    if isinstance(start, str):
-        sites = launch[gen.integers(0, len(launch), size=n)]
-    else:
-        sites = np.full(n, _resolve_site(dom, start), dtype=np.int64)
-    counts = np.zeros(n_working, dtype=np.int64)
-    source = 0
-    total_refl = 0
-    nrefl = np.zeros(n, dtype=np.int64) if count_to is not None else None
-    refl_counts = np.zeros(count_to + 2, dtype=np.int64) if count_to is not None else None
-    for _ in range(max_steps):
-        m = sites.shape[0]
-        if m == 0:
-            break
-        k = gen.integers(0, two_d, size=m)
-        u = gen.random(m)
-        code = table[sites, k]
-        facehit = code >= nb
-        fa = np.where(facehit, code - nb, 0)
-        is_src = facehit & (tag[fa] == BoundaryTag.SOURCE)
-        is_wrk = facehit & ~is_src
-        absorbed = is_wrk & (u >= eps_face[fa])
-        reflected = is_wrk & ~absorbed
-        source += int(is_src.sum())
-        counts += np.bincount(wpos[fa[absorbed]], minlength=n_working)
+        reflected = keep if contact is None else contact & keep
+        counts += np.bincount(to_bin(where[absorbed]), minlength=n_bins)
         total_refl += int(reflected.sum())
-        bulkmove = (code >= 0) & ~facehit
-        sites = np.where(bulkmove, code, sites)
-        keep = ~(absorbed | is_src)
         if count_to is not None:
             refl_counts += np.bincount(
                 np.minimum(nrefl[absorbed], count_to + 1), minlength=count_to + 2
             )
+        if src is not None:
+            source += int(src.sum())
+            keep = keep & ~src
+        if far is not None:
+            far = far & keep
+            censored += int(far.sum())
+            keep = keep & ~far
+        if count_to is not None:
             nrefl = (nrefl + reflected)[keep]
-        sites = sites[keep]
-    censored = sites.shape[0]
+        rows = rows[keep]
+    censored += len(rows)
     return counts, source, censored, total_refl, refl_counts
 
 
-def _scalar_chunk_runner(dom, start, params, rng, offset, n, edges, kind):
-    """Fallback for domains without a vectorized path: one walker at a time."""
-    nb = len(edges) - 1
-    counts = np.zeros(nb, dtype=np.int64)
-    source = 0
-    censored = 0
-    total_refl = 0
-    for i in range(n):
-        rec = run_jump_walker(dom, start, params, rng.substream(offset + 2 * i))
-        total_refl += rec.n_reflections
-        if rec.fate is Fate.SOURCE:
-            source += 1
-        elif rec.fate is Fate.CENSORED:
-            censored += 1
-        else:
-            if kind is DomainKind.ANNULUS:
-                c = math.atan2(rec.point[1], rec.point[0]) % _TWO_PI
-            else:
-                c = rec.point[2]  # ball: cosine of the polar angle
-            j = min(int((c - edges[0]) / (edges[-1] - edges[0]) * nb), nb - 1)
-            counts[max(j, 0)] += 1
-    return counts, source, censored, total_refl, None
+def _angle_bins(bins: int):
+    """Edges and binning of uniform bins in the contact angle."""
+
+    def to_bin(theta):
+        c = np.mod(theta, _TWO_PI)
+        return np.minimum((c / _TWO_PI * bins).astype(np.int64), bins - 1)
+
+    return np.linspace(0.0, _TWO_PI, bins + 1), to_bin
+
+
+def _halfspace_kernel(dom, x, params, bins, window):
+    d = dom.dimension
+    if window is None:
+        window = 10.0 * max(params.Lambda, params.a)
+    edges = np.linspace(-window if d == 2 else 0.0, window, bins + 1)
+    eps, esc, a, h0 = params.epsilon, params.escape_cap(), params.a, float(x[-1])
+    # the plane keeps its lateral coordinate in a flat row: numpy compacts
+    # 1-D arrays many times faster than (m, 1) ones
+    shape = () if d == 2 else (d - 1,)
+
+    def init(gen, n):
+        return np.tile(x[:-1], n).reshape((n,) + shape)
+
+    def hit(gen, lat, first):
+        z = gen.standard_normal((len(lat), d - 1))
+        w = gen.standard_normal(len(lat))
+        s = lat + ((h0 if first else a) * z / np.abs(w)[:, None]).reshape(lat.shape)
+        # signed abscissa in the plane, radius |s| above it
+        coord = s if d == 2 else np.linalg.norm(s, axis=1)
+        return s, coord, eps, None, None, np.abs(coord) > esc
+
+    def to_bin(coord):
+        # one trailing overflow bin takes everything off the window
+        out = (coord < edges[0]) | (coord > edges[-1])
+        idx = np.clip(np.searchsorted(edges, coord, side="right") - 1, 0, bins - 1)
+        return np.where(out, bins, idx)
+
+    return edges, bins + 1, init, hit, to_bin
+
+
+def _disk_kernel(dom, x, params, bins):
+    interior = dom.kind is DomainKind.DISK_INTERIOR
+    r0 = float(np.hypot(x[0], x[1]))
+    rho0 = r0 if interior else 1.0 / r0
+    rho = 1.0 - params.a if interior else 1.0 / (1.0 + params.a)
+    eps = params.epsilon
+    edges, to_bin = _angle_bins(bins)
+
+    def init(gen, n):
+        return np.full(n, math.atan2(x[1], x[0]))
+
+    def hit(gen, ang, first):
+        theta = ang + _mobius_angle(rho0 if first else rho, gen.random(len(ang)) * _TWO_PI)
+        return theta, theta, eps, None, None, None
+
+    return edges, bins, init, hit, to_bin
+
+
+def _ball_kernel(dom, x, params, bins):
+    interior = dom.kind is DomainKind.BALL_INTERIOR
+    r0 = float(np.linalg.norm(x))
+    axis0 = x / r0 if r0 > 0 else np.array([0.0, 0.0, 1.0])
+    r1 = 1.0 - params.a if interior else 1.0 + params.a
+    eps = params.epsilon
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+
+    def init(gen, n):
+        return np.tile(axis0, (n, 1))
+
+    def hit(gen, axis, first):
+        # each row is the walker's radial direction, the axis of its frame
+        m = len(axis)
+        r = r0 if first else r1
+        escaped = None
+        if not interior:
+            # transient walk: the sphere is reached with probability 1/r,
+            # otherwise the walker escapes to the source at infinity
+            escaped = gen.random(m) >= 1.0 / r
+        cos_t = _ball_zonal_cos(r if interior else 1.0 / r, gen.random(m))
+        s = _zonal_point(axis, cos_t, gen.uniform(0.0, _TWO_PI, m))
+        return s, s, eps, None if interior else ~escaped, escaped, None
+
+    def to_bin(s):
+        return np.clip(((s[:, 2] + 1.0) / 2.0 * bins).astype(np.int64), 0, bins - 1)
+
+    return edges, bins, init, hit, to_bin
+
+
+def _annulus_kernel(dom, x, params, bins):
+    R = dom.outer_radius
+    shell = 1e-9 * (R - 1.0)
+    a, eps = params.a, params.epsilon
+    edges, angle_bin = _angle_bins(bins)
+
+    def init(gen, n):
+        # positions as complex numbers, one flat row per walker
+        return np.full(n, complex(x[0], x[1]))
+
+    def hit(gen, p, first):
+        # walk on circles; a walker within the shell of a circle touches it
+        r = np.abs(p)
+        free = np.minimum(r - 1.0, R - r)
+        near = free < shell
+        src = near & (R - r < r - 1.0)
+        contact = near & ~src
+        nxt = p + free * np.exp(1j * gen.uniform(0.0, _TWO_PI, len(p)))
+        nxt[contact] = p[contact] * ((1.0 + a) / r[contact])
+        return nxt, p, eps, contact, src, None
+
+    return edges, bins, init, hit, lambda p: angle_bin(np.angle(p))
+
+
+def _lattice_kernel(dom, start, params):
+    nb, nf = dom.n_bulk, dom.n_faces
+    table = dom.neighbor_table()
+    two_d = 2 * dom.dimension
+    working = np.flatnonzero(dom.working_mask())
+    # per-code tables: bulk sites, then faces, then a trailing entry that
+    # MISSING_NEIGHBOR (-1) lands on, a reflecting wall that keeps the walker
+    is_bulk = np.zeros(nb + nf + 1, dtype=bool)
+    is_bulk[:nb] = True
+    is_working = np.zeros(nb + nf + 1, dtype=bool)
+    is_working[nb + working] = True
+    is_source = np.zeros(nb + nf + 1, dtype=bool)
+    is_source[nb:nb + nf] = dom.source_mask()
+    eps_of = np.zeros(nb + nf + 1)
+    if params.Lambda > 0:
+        eps_of[nb:nb + nf] = params.Lambda / (params.Lambda + dom.mesh * dom.face_weight)
+    bin_of = np.zeros(nb + nf + 1, dtype=np.int64)
+    bin_of[nb + working] = np.arange(len(working))
+    launch = dom.inward_indices()[np.flatnonzero(dom.source_mask())]
+
+    def init(gen, n):
+        if isinstance(start, str):
+            return launch[gen.integers(0, len(launch), size=n)]
+        return np.full(n, start, dtype=np.int64)
+
+    def hit(gen, sites, first):
+        code = table[sites, gen.integers(0, two_d, size=len(sites))]
+        moved = np.where(is_bulk[code], code, sites)
+        return moved, code, eps_of[code], is_working[code], is_source[code], None
+
+    return None, len(working), init, hit, lambda code: bin_of[code]
 
 
 def estimate_spread_measure(
@@ -620,86 +648,45 @@ def estimate_spread_measure(
     Binning: signed lateral coordinate over [-window, window] plus an
     overflow bin for the half-plane (radius |s| for d > 2), uniform angle
     bins for disks and the annulus, cos(polar angle) for balls, one bin per
-    working face for lattices. Chunks of chunk_size walkers each run on
-    their own counter block; PRBM_THREADS (or threads=) fans the chunks out
-    without changing any count. Raises ExcessiveCensoring when the censored
-    fraction exceeds censored_ceiling.
+    working face for lattices. Walkers reach the source on a lattice, in
+    the annulus and (with the exact 1/r escape law) outside the ball; on
+    the half-space a walker past params.escape_cap() is censored, as is
+    every walker still alive after params.max_steps steps.
+    count_reflections_to=K tallies absorbed walkers by their number of
+    reflections, 0..K plus one overflow slot, on every domain. Chunks of
+    chunk_size walkers each run on their own counter block; PRBM_THREADS
+    (or threads=) fans the chunks out without changing any count. Raises
+    ExcessiveCensoring when the censored fraction exceeds censored_ceiling.
     """
     if n_walkers < 1:
         raise InvalidParam("n_walkers must be at least 1")
     if not isinstance(rng, RngStream):
         raise InvalidParam("ensembles need an RngStream to split")
+    if bins < 1 or chunk_size < 1:
+        raise InvalidParam("bins and chunk_size must be at least 1")
+    if count_reflections_to is not None and count_reflections_to < 0:
+        raise InvalidParam("count_reflections_to must be nonnegative")
     if threads is None:
         threads = int(os.environ.get("PRBM_THREADS", "1"))
 
-    is_lattice = isinstance(dom, LatticeDomain)
-    if is_lattice:
-        if abs(params.a - dom.mesh) > 1e-12 * max(params.a, dom.mesh):
-            raise InvalidParam("params.a must equal the lattice mesh")
-        working = np.flatnonzero(dom.working_mask())
-        wpos = np.full(dom.n_faces, -1, dtype=np.int64)
-        wpos[working] = np.arange(len(working))
-        eps_face = (
-            np.zeros(dom.n_faces)
-            if params.Lambda == 0
-            else params.Lambda / (params.Lambda + dom.mesh * dom.face_weight)
-        )
-        launch = dom.inward_indices()[np.flatnonzero(dom.source_mask())]
-        if isinstance(start, str):
-            if start != "source":
-                raise InvalidParam(f"unknown start mode {start!r}")
-            if launch.size == 0:
-                raise InvalidParam("start='source' needs source faces")
-        cache = (dom.neighbor_table(), dom.face_tag, eps_face, wpos, launch, len(working))
-        edges = None
-
-        def run_chunk(ci: int, cn: int):
-            return _lattice_chunk(
-                rng.generator(block=ci), cn, dom, start, params.Lambda,
-                params.max_steps, count_reflections_to, cache,
-            )
-
+    start = _check_start(dom, start, params)
+    if isinstance(dom, LatticeDomain):
+        kernel = _lattice_kernel(dom, start, params)
+    elif dom.kind is DomainKind.HALF_SPACE:
+        kernel = _halfspace_kernel(dom, start, params, bins, window)
+    elif dom.kind is DomainKind.ANNULUS:
+        kernel = _annulus_kernel(dom, start, params, bins)
+    elif dom.kind in (DomainKind.DISK_INTERIOR, DomainKind.DISK_EXTERIOR):
+        kernel = _disk_kernel(dom, start, params, bins)
     else:
-        if not isinstance(dom, DomainSpec):
-            raise InvalidParam("dom must be a DomainSpec or LatticeDomain")
-        kind = dom.kind
-        if kind is DomainKind.HALF_SPACE:
-            if window is None:
-                window = 10.0 * max(params.Lambda, params.a)
-            lo = -window if dom.dimension == 2 else 0.0
-            edges = np.linspace(lo, window, bins + 1)
+        kernel = _ball_kernel(dom, start, params, bins)
+    edges, n_bins, init, hit, to_bin = kernel
 
-            def run_chunk(ci: int, cn: int):
-                return _halfspace_chunk(
-                    rng.generator(block=ci), cn, dom, start, params, edges,
-                    count_reflections_to,
-                )
-
-        elif kind in (DomainKind.DISK_INTERIOR, DomainKind.DISK_EXTERIOR):
-            edges = np.linspace(0.0, _TWO_PI, bins + 1)
-
-            def run_chunk(ci: int, cn: int):
-                return _disk_chunk(
-                    rng.generator(block=ci), cn, dom, start, params, edges,
-                    count_reflections_to,
-                )
-
-        elif kind in (DomainKind.BALL_INTERIOR, DomainKind.BALL_EXTERIOR, DomainKind.ANNULUS):
-            if count_reflections_to is not None:
-                raise InvalidParam("reflection counting is not wired into the scalar path")
-            edges = (
-                np.linspace(0.0, _TWO_PI, bins + 1)
-                if kind is DomainKind.ANNULUS
-                else np.linspace(-1.0, 1.0, bins + 1)
-            )
-            # substream pairs per walker; chunks claim disjoint offset ranges
-            def run_chunk(ci: int, cn: int):
-                return _scalar_chunk_runner(
-                    dom, start, params, rng, 2 + 2 * ci * chunk_size, cn, edges, kind
-                )
-
-        else:
-            raise InvalidParam(f"unsupported domain kind {kind}")
+    def run_chunk(ci: int, cn: int):
+        return _walk(
+            rng.generator(block=ci), cn, init, hit, to_bin, n_bins,
+            params.max_steps, count_reflections_to,
+        )
 
     n_chunks = (n_walkers + chunk_size - 1) // chunk_size
     sizes = [min(chunk_size, n_walkers - ci * chunk_size) for ci in range(n_chunks)]

@@ -184,17 +184,26 @@ def test_annulus_splits_by_log_radius():
     assert abs((1 - hist.source_fraction) - p_inner) < 4.0 * sigma
 
 
-def test_lattice_reflections_are_geometric():
-    """Uniform-weight faces make the reflection count exactly geometric."""
-    dom = lattice_channel(4, 0.1, width=2, source_top=False)
+@pytest.mark.parametrize("where", ["lattice", "ball_interior"])
+def test_lattice_reflections_are_geometric(where):
+    """Uniform-weight faces make the reflection count exactly geometric.
+
+    So does the ball: every walker ends on its sphere, flipping the same
+    coin at every contact.
+    """
+    if where == "lattice":
+        dom, start = lattice_channel(4, 0.1, width=2, source_top=False), 0
+    else:
+        dom, start = make_canonical("ball_interior"), (0.0, 0.0, 0.5)
     hist = wk.estimate_spread_measure(
-        dom, 0, wk.JumpParams(Lambda=0.9, a=0.1), 250_000, RngStream(9),
+        dom, start, wk.JumpParams(Lambda=0.9, a=0.1), 250_000, RngStream(9),
         chunk_size=250_000, count_reflections_to=25,
     )
     eps = 0.9 / (0.9 + 0.1)
     k = np.arange(26)
     pk = (1 - eps) * eps**k
     n = hist.working_absorbed
+    assert n == hist.total
     z = (hist.reflection_counts[:26] - pk * n) / np.sqrt(pk * (1 - pk) * n)
     assert np.max(np.abs(z)) < 4.0
     # overflow slot carries the rest of the tail
@@ -203,20 +212,31 @@ def test_lattice_reflections_are_geometric():
     assert hist.mean_reflections == pytest.approx(eps / (1 - eps), rel=0.02)
 
 
-def test_estimate_deterministic_and_thread_invariant():
-    dom = lattice_channel(10, 0.05)
+@pytest.mark.parametrize("where", ["lattice", "annulus", "ball_exterior"])
+def test_estimate_deterministic_and_thread_invariant(where):
+    """The kernels whose walkers can leave through a source."""
+    dom, start = {
+        "lattice": (lattice_channel(10, 0.05), "source"),
+        "annulus": (make_canonical("annulus", outer_radius=3.0), (1.5, 0.0)),
+        "ball_exterior": (make_canonical("ball_exterior"), (0.0, 0.0, 2.0)),
+    }[where]
     p = wk.JumpParams(Lambda=0.3, a=0.05)
     runs = [
         wk.estimate_spread_measure(
-            dom, "source", p, 60_000, RngStream(4),
-            chunk_size=20_000, threads=t, censored_ceiling=1.0,
+            dom, start, p, 60_000, RngStream(4),
+            chunk_size=20_000, threads=t, censored_ceiling=1.0, count_reflections_to=10,
         )
         for t in (1, 3, 1)
     ]
+    assert runs[0].source_absorbed > 0
+    # every absorbed walker is tallied by its reflection number, on every kernel
+    assert runs[0].reflection_counts.sum() == runs[0].working_absorbed
     for other in runs[1:]:
         assert np.array_equal(runs[0].counts, other.counts)
+        assert np.array_equal(runs[0].reflection_counts, other.reflection_counts)
         assert runs[0].source_absorbed == other.source_absorbed
         assert runs[0].censored == other.censored
+        assert runs[0].total_reflections == other.total_reflections
 
 
 def test_estimate_guards():
@@ -232,6 +252,19 @@ def test_estimate_guards():
         wk.estimate_spread_measure(dom, "source", wk.JumpParams(Lambda=0.2, a=0.05), 10, RngStream(0))
     with pytest.raises(InvalidParam):
         wk.estimate_spread_measure(object(), (0.0, 0.5), p, 10, RngStream(0))
+    # canonical starts get the checks run_jump_walker makes
+    hp = make_canonical("half_space", dimension=2)
+    disk = make_canonical("disk_interior")
+    for bad_dom, start, params in [
+        (disk, (1.5, 0.0), p),
+        (hp, (0.0, -1.0), p),
+        (hp, (0.0, 0.0, 1.0), p),
+        (hp, "source", p),
+        (disk, (0.2, 0.0), wk.JumpParams(Lambda=0.2, a=1.5)),
+        (make_canonical("annulus", outer_radius=3.0), (5.0, 0.0), p),
+    ]:
+        with pytest.raises(InvalidParam):
+            wk.estimate_spread_measure(bad_dom, start, params, 10, RngStream(0))
 
 
 def test_excessive_censoring_raises():
