@@ -118,14 +118,21 @@ def _bulk_system(dom: LatticeDomain):
     absorbing = np.zeros(nb, dtype=bool)
     inward = dom.inward_indices()
     absorbing[inward] = True
-    n_comp, labels = sparse.csgraph.connected_components(P, directed=False)
-    for c in range(n_comp):
-        members = labels == c
-        if not absorbing[members].any():
-            raise SingularSystem(
-                f"bulk component of {int(members.sum())} sites has no absorbing face"
-            )
-    return (sparse.eye(nb, format="csc") - P.tocsc()), inward, table
+    _, labels = sparse.csgraph.connected_components(P, directed=False)
+    sizes = np.bincount(labels)
+    dry = np.flatnonzero(np.bincount(labels[absorbing], minlength=len(sizes)) == 0)
+    if len(dry):
+        raise SingularSystem(f"bulk component of {int(sizes[dry[0]])} sites has no absorbing face")
+    return (sparse.eye(nb, format="csc") - P.tocsc()), inward
+
+
+def _factor(dom: LatticeDomain):
+    """Sparse LU of the bulk system, with each face's inward bulk index."""
+    system, inward = _bulk_system(dom)
+    try:
+        return spla.splu(system), inward
+    except RuntimeError as exc:
+        raise SingularSystem(f"bulk system factorization failed: {exc}") from exc
 
 
 def build_Q(dom: LatticeDomain, chunk: int = 64) -> SelfTransportMatrix:
@@ -143,11 +150,7 @@ def build_Q(dom: LatticeDomain, chunk: int = 64) -> SelfTransportMatrix:
     working = np.flatnonzero(dom.working_mask())
     if len(working) == 0:
         raise InvalidParam("domain has no working faces")
-    system, inward, _ = _bulk_system(dom)
-    try:
-        lu = spla.splu(system)
-    except RuntimeError as exc:
-        raise SingularSystem(f"bulk system factorization failed: {exc}") from exc
+    lu, inward = _factor(dom)
     nb = dom.n_bulk
     two_d = 2 * dom.dimension
     w_in = inward[working]
@@ -220,11 +223,7 @@ def hitting_distribution(dom: LatticeDomain) -> FluxVector:
     """
     if not dom.source_mask().any():
         raise InvalidParam("hitting distribution needs a source")
-    system, inward, _ = _bulk_system(dom)
-    try:
-        lu = spla.splu(system)
-    except RuntimeError as exc:
-        raise SingularSystem(f"bulk system factorization failed: {exc}") from exc
+    lu, inward = _factor(dom)
     working = np.flatnonzero(dom.working_mask())
     source = np.flatnonzero(dom.source_mask())
     start = np.zeros(dom.n_bulk)

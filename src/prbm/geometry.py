@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse
 
@@ -160,6 +162,7 @@ class LatticeDomain:
     face_arclength: np.ndarray | None = None  # (nf,) coordinate along the source polyline
     _bulk_index: dict[tuple[int, ...], int] | None = field(default=None, repr=False)
     _neighbors: np.ndarray | None = field(default=None, repr=False)
+    _lookup: _SiteIndex | None = field(default=None, repr=False)
 
     # -- basic views ---------------------------------------------------------
 
@@ -195,17 +198,24 @@ class LatticeDomain:
 
     def bulk_index(self) -> dict[tuple[int, ...], int]:
         if self._bulk_index is None:
-            self._bulk_index = {
-                tuple(int(c) for c in site): i for i, site in enumerate(self.bulk_sites)
-            }
+            self._bulk_index = dict(zip(map(tuple, self.bulk_sites.tolist()), range(self.n_bulk)))
         return self._bulk_index
+
+    def _index(self) -> _SiteIndex:
+        if self._lookup is None:
+            self._lookup = _SiteIndex(self.bulk_sites)
+        return self._lookup
+
+    def site_index(self, sites) -> np.ndarray:
+        """Bulk index of each site (rows of d integer coordinates), -1 off the bulk."""
+        return self._index()(sites)
 
     def inward_indices(self) -> np.ndarray:
         """Bulk index of each face's inward neighbour."""
-        index = self.bulk_index()
-        return np.array(
-            [index[tuple(int(c) for c in s)] for s in self.face_inward], dtype=np.int64
-        )
+        index = self.site_index(self.face_inward)
+        if np.any(index < 0):
+            raise DegenerateGeometry("face inward neighbour is not a bulk site")
+        return index
 
     def neighbor_table(self) -> np.ndarray:
         """(n_bulk, 2d) table of neighbour codes for walks and solves.
@@ -213,32 +223,23 @@ class LatticeDomain:
         Entry values: 0 <= v < n_bulk is a bulk neighbour; n_bulk <= v is the
         boundary face v - n_bulk; MISSING_NEIGHBOR marks a reflecting wall
         (possible only in hand-built domains; rasterize seals the region).
+        Columns follow _axis_offsets: +x, -x, +y, -y, ...
         """
         if self._neighbors is not None:
             return self._neighbors
-        d = self.dimension
-        nb = self.n_bulk
-        index = self.bulk_index()
-        face_lookup: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for f in range(self.n_faces):
-            key = (
-                tuple(int(c) for c in self.face_inward[f]),
-                tuple(int(c) for c in self.face_exterior[f]),
-            )
-            face_lookup[key] = f
-        table = np.full((nb, 2 * d), MISSING_NEIGHBOR, dtype=np.int64)
-        offsets = _axis_offsets(d)
-        for i, site in enumerate(self.bulk_sites):
-            s = tuple(int(c) for c in site)
-            for k, off in enumerate(offsets):
-                t = tuple(s[j] + off[j] for j in range(d))
-                j = index.get(t)
-                if j is not None:
-                    table[i, k] = j
-                else:
-                    f = face_lookup.get((s, t))
-                    if f is not None:
-                        table[i, k] = nb + f
+        nb, two_d = self.n_bulk, 2 * self.dimension
+        # a missing site indexes as -1, which is MISSING_NEIGHBOR
+        _, table = _site_neighbors(self.bulk_sites, self.site_index)
+        # a face fills its inward site's slot in its direction unless a bulk
+        # neighbour holds it; of faces sharing a slot the last one wins
+        step = self.face_exterior - self.face_inward
+        owner = self.site_index(self.face_inward)
+        f = np.flatnonzero((np.abs(step).sum(axis=1) == 1) & (owner >= 0))
+        axis = np.abs(step[f]).argmax(axis=1)
+        slot = owner[f] * two_d + 2 * axis + (step[f, axis] < 0)
+        slot, last = np.unique(slot[::-1], return_index=True)
+        free = table.flat[slot] == MISSING_NEIGHBOR
+        np.put(table, slot[free], nb + f[::-1][last[free]])
         self._neighbors = table
         return table
 
@@ -252,8 +253,7 @@ class LatticeDomain:
             raise InvalidParam("dimension must be at least 2")
         if self.n_bulk == 0:
             raise DegenerateGeometry("no bulk sites")
-        index = self.bulk_index()
-        if len(index) != self.n_bulk:
+        if self._index().n_distinct != self.n_bulk:
             raise DegenerateGeometry("duplicate bulk sites")
         tags = set(int(t) for t in np.unique(self.face_tag))
         if not tags <= {int(BoundaryTag.WORKING), int(BoundaryTag.SOURCE)}:
@@ -261,12 +261,10 @@ class LatticeDomain:
         diff = np.abs(self.face_exterior - self.face_inward).sum(axis=1)
         if self.n_faces and not np.all(diff == 1):
             raise DegenerateGeometry("each face must join an adjacent site pair")
-        for s in self.face_inward:
-            if tuple(int(c) for c in s) not in index:
-                raise DegenerateGeometry("face inward neighbour is not a bulk site")
-        for s in self.face_exterior:
-            if tuple(int(c) for c in s) in index:
-                raise DegenerateGeometry("face exterior site lies in the bulk")
+        if np.any(self.site_index(self.face_inward) < 0):
+            raise DegenerateGeometry("face inward neighbour is not a bulk site")
+        if np.any(self.site_index(self.face_exterior) >= 0):
+            raise DegenerateGeometry("face exterior site lies in the bulk")
         if self.n_faces and not (
             np.all(self.face_weight > 0) and np.all(self.face_weight <= 1.0 + 1e-12)
         ):
@@ -277,16 +275,10 @@ class LatticeDomain:
     def _connected(self) -> bool:
         table = self.neighbor_table()
         nb = self.n_bulk
-        seen = np.zeros(nb, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            i = stack.pop()
-            for v in table[i]:
-                if 0 <= v < nb and not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
+        r, k = np.nonzero((table >= 0) & (table < nb))
+        adjacency = sparse.coo_matrix((np.ones(len(r)), (r, table[r, k])), shape=(nb, nb))
+        n_comp, _ = connected_components(adjacency, directed=False)
+        return n_comp == 1
 
     # -- serialization -------------------------------------------------------
 
@@ -322,14 +314,120 @@ class LatticeDomain:
         return dom
 
 
-def _axis_offsets(d: int) -> list[tuple[int, ...]]:
-    offsets = []
-    for axis in range(d):
-        for sign in (1, -1):
-            off = [0] * d
-            off[axis] = sign
-            offsets.append(tuple(off))
+def _axis_offsets(d: int) -> np.ndarray:
+    """(2d, d) unit steps in neighbour-table order: +x, -x, +y, -y, ..."""
+    offsets = np.zeros((2 * d, d), dtype=np.int64)
+    offsets[0::2][np.arange(d), np.arange(d)] = 1
+    offsets[1::2][np.arange(d), np.arange(d)] = -1
     return offsets
+
+
+class _SiteIndex:
+    """Bulk index of integer lattice sites, -1 for sites off the set.
+
+    Coordinates are ranked axis by axis against the sorted distinct values
+    of the set, and each partial key is re-ranked against the distinct
+    partial keys of the set, so keys stay below n_sites^2 however far apart
+    the sites lie; no bounding-box grid is allocated. Lookups are
+    searchsorted calls on those sorted keys.
+    """
+
+    def __init__(self, sites: np.ndarray) -> None:
+        sites = np.asarray(sites, dtype=np.int64)
+        self.dimension = sites.shape[1]
+        self._levels = []
+        key = np.zeros(len(sites), dtype=np.int64)
+        for axis in range(self.dimension):
+            values = np.unique(sites[:, axis])
+            combined = key * len(values) + np.searchsorted(values, sites[:, axis])
+            keys = np.unique(combined)
+            key = np.searchsorted(keys, combined)
+            self._levels.append((values, keys))
+        self.n_distinct = len(keys)
+        # a duplicated site maps to its last row, as a dict built in order would
+        self._owner = np.empty(len(keys), dtype=np.int64)
+        self._owner[key] = np.arange(len(sites))
+
+    def __call__(self, sites) -> np.ndarray:
+        q = np.asarray(sites, dtype=np.int64).reshape(-1, self.dimension)
+        if not self.n_distinct:
+            return np.full(len(q), -1, dtype=np.int64)
+        key = np.zeros(len(q), dtype=np.int64)
+        found = np.ones(len(q), dtype=bool)
+        for axis, (values, keys) in enumerate(self._levels):
+            rank = np.searchsorted(values, q[:, axis]).clip(max=len(values) - 1)
+            found &= values[rank] == q[:, axis]
+            combined = key * len(values) + rank
+            key = np.searchsorted(keys, combined).clip(max=len(keys) - 1)
+            found &= keys[key] == combined
+        return np.where(found, self._owner[key], -1)
+
+
+def _site_neighbors(sites: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2d, d) neighbour sites in _axis_offsets order and their (n, 2d) indices."""
+    targets = sites[:, None, :] + _axis_offsets(sites.shape[1])
+    return targets, index(targets).reshape(targets.shape[:2])
+
+
+def _boundary_faces(bulk: np.ndarray, index, keep=None) -> tuple[np.ndarray, np.ndarray]:
+    """Faces (inward, exterior) of a bulk set whose index is given.
+
+    One face per bulk site and axis step that leaves the set, bulk-site-major
+    and in _axis_offsets order within a site. keep(exterior) -> bool mask
+    drops faces; a side wall with no faces reflects.
+    """
+    targets, nbr = _site_neighbors(bulk, index)
+    s, k = np.nonzero(nbr < 0)
+    inward, exterior = bulk[s], targets[s, k]
+    if keep is not None:
+        kept = keep(exterior)
+        inward, exterior = inward[kept], exterior[kept]
+    return inward, exterior
+
+
+def _face_geometry(inward: np.ndarray, exterior: np.ndarray, mesh: float, curve: np.ndarray):
+    """Distance, arclength and weight of each face from its nearest curve segment.
+
+    The weight is the alignment |n_face . n_segment|, clipped below at
+    _MIN_WEIGHT.
+    """
+    mids = 0.5 * mesh * (inward + exterior + 1.0)
+    dist, arc, seg_normal = _nearest_on_polyline(mids, curve)
+    face_normal = (exterior - inward).astype(float)
+    weight = np.clip(np.abs((face_normal * seg_normal).sum(axis=1)), _MIN_WEIGHT, 1.0)
+    return dist, arc, weight
+
+
+def _grid_sites(lo, hi) -> np.ndarray:
+    """Sites of the 2D box lo <= site < hi, x-major."""
+    ii, jj = np.meshgrid(np.arange(lo[0], hi[0]), np.arange(lo[1], hi[1]), indexing="ij")
+    return np.column_stack((ii.ravel(), jj.ravel())).astype(np.int64)
+
+
+def _sites_inside(loops: list[np.ndarray], lo, hi, mesh: float) -> np.ndarray:
+    """Sites of the box lo <= site < hi whose cell centers the loops enclose."""
+    sites = _grid_sites(lo, hi)
+    return sites[_inside_even_odd((sites + 0.5) * mesh, loops)]
+
+
+def _assemble(mesh, bulk, index, inward, exterior, tag, weight, arc=None) -> LatticeDomain:
+    """Validated 2D domain; with arclengths, faces sort by (tag, arclength)."""
+    if arc is not None:
+        order = np.lexsort((arc, tag))
+        inward, exterior, tag, weight, arc = (x[order] for x in (inward, exterior, tag, weight, arc))
+    dom = LatticeDomain(
+        mesh=float(mesh),
+        dimension=2,
+        bulk_sites=bulk,
+        face_exterior=exterior,
+        face_inward=inward,
+        face_tag=tag.astype(np.uint8),
+        face_weight=weight,
+        face_arclength=arc,
+        _lookup=index,
+    )
+    dom.validate()
+    return dom
 
 
 def boundary_measure(domain: LatticeDomain) -> np.ndarray:
@@ -387,15 +485,14 @@ def _segments(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _self_intersects(poly: np.ndarray) -> bool:
-    """O(n^2) proper-crossing test; skipped for very fine polylines."""
+    """O(n^2) proper-crossing test."""
     a, b = _segments(poly)
     n = len(a)
-    if n > 3000:
-        return False
+    closed = _is_closed(poly)
     d = b - a
     for i in range(n):
         js = np.arange(i + 2, n)
-        if _is_closed(poly) and i == 0 and len(js):
+        if closed and i == 0 and len(js):
             js = js[:-1]
         if not len(js):
             continue
@@ -493,58 +590,40 @@ def rasterize(
     else:
         raise DegenerateGeometry("polylines must be both closed or both open")
 
-    allpts = np.vstack([work, src])
+    return _rasterize(loops, [work, src], mesh, "polylines enclose no lattice sites at this mesh")
+
+
+def _rasterize(loops, curves, mesh: float, empty: str, tag: BoundaryTag = BoundaryTag.WORKING) -> LatticeDomain:
+    """Bulk sites inside the loops and their faces, tagged by the curves.
+
+    With one curve every face gets tag; with a (working, source) pair each
+    face takes the tag of the nearer curve, ties going to working. Weights
+    and arclengths come from the curve that tags the face.
+    """
+    allpts = np.vstack(curves)
     lo = np.floor(allpts.min(axis=0) / mesh).astype(int) - 2
     hi = np.ceil(allpts.max(axis=0) / mesh).astype(int) + 2
     extent = (allpts.max(axis=0) - allpts.min(axis=0)).min()
     if mesh > extent / 4:
         raise MeshTooCoarse(f"mesh {mesh} exceeds a quarter of the region extent {extent}")
-
-    ii, jj = np.meshgrid(np.arange(lo[0], hi[0]), np.arange(lo[1], hi[1]), indexing="ij")
-    sites = np.column_stack((ii.ravel(), jj.ravel())).astype(np.int64)
-    centers = (sites + 0.5) * mesh
-    inside = _inside_even_odd(centers, loops)
-    bulk = sites[inside]
+    bulk = _sites_inside(loops, lo, hi, mesh)
     if len(bulk) == 0:
-        raise DegenerateGeometry("polylines enclose no lattice sites at this mesh")
-
-    inset = {tuple(map(int, s)) for s in bulk}
-    f_ext, f_in = [], []
-    for s in bulk:
-        st = (int(s[0]), int(s[1]))
-        for off in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            t = (st[0] + off[0], st[1] + off[1])
-            if t not in inset:
-                f_in.append(st)
-                f_ext.append(t)
-    face_inward = np.asarray(f_in, dtype=np.int64)
-    face_exterior = np.asarray(f_ext, dtype=np.int64)
-    mids = 0.5 * mesh * (face_inward + face_exterior + 1.0)
-
-    dist_w, arc_w, norm_w = _nearest_on_polyline(mids, work)
-    dist_s, arc_s, norm_s = _nearest_on_polyline(mids, src)
-    tag = np.where(dist_w <= dist_s, BoundaryTag.WORKING, BoundaryTag.SOURCE).astype(np.uint8)
-    arc = np.where(tag == BoundaryTag.WORKING, arc_w, arc_s)
-    seg_normal = np.where((tag == BoundaryTag.WORKING)[:, None], norm_w, norm_s)
-    face_normal = (face_exterior - face_inward).astype(float)
-    weight = np.abs((face_normal * seg_normal).sum(axis=1))
-    weight = np.clip(weight, _MIN_WEIGHT, 1.0)
-
-    order = np.lexsort((arc, tag))
-    dom = LatticeDomain(
-        mesh=float(mesh),
-        dimension=2,
-        bulk_sites=bulk,
-        face_exterior=face_exterior[order],
-        face_inward=face_inward[order],
-        face_tag=tag[order],
-        face_weight=weight[order],
-        face_arclength=arc[order],
-    )
-    if not dom.working_mask().any() or not dom.source_mask().any():
-        raise MeshTooCoarse("rasterization left no working or no source faces")
-    dom.validate()
-    return dom
+        raise DegenerateGeometry(empty)
+    index = _SiteIndex(bulk)
+    inward, exterior = _boundary_faces(bulk, index)
+    if len(curves) == 1:
+        _, arc, weight = _face_geometry(inward, exterior, mesh, curves[0])
+        tags = np.full(len(arc), int(tag))
+    else:
+        dist_w, arc_w, weight_w = _face_geometry(inward, exterior, mesh, curves[0])
+        dist_s, arc_s, weight_s = _face_geometry(inward, exterior, mesh, curves[1])
+        working = dist_w <= dist_s
+        if working.all() or not working.any():
+            raise MeshTooCoarse("rasterization left no working or no source faces")
+        tags = np.where(working, BoundaryTag.WORKING, BoundaryTag.SOURCE)
+        arc = np.where(working, arc_w, arc_s)
+        weight = np.where(working, weight_w, weight_s)
+    return _assemble(mesh, bulk, index, inward, exterior, tags, weight, arc)
 
 
 def _join_open(work: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -580,36 +659,14 @@ def lattice_box(
     sides = {"left", "right", "bottom", "top"}
     if source_side is not None and source_side not in sides:
         raise InvalidParam(f"source_side must be one of {sorted(sides)}")
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    bulk = np.column_stack((ii.ravel(), jj.ravel())).astype(np.int64)
-    f_in, f_ext, tags = [], [], []
-    def side_of(t):
-        if t[1] < 0:
-            return "bottom"
-        if t[1] >= ny:
-            return "top"
-        return "left" if t[0] < 0 else "right"
-    inset = {tuple(map(int, s)) for s in bulk}
-    for s in bulk:
-        st = (int(s[0]), int(s[1]))
-        for off in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            t = (st[0] + off[0], st[1] + off[1])
-            if t not in inset:
-                f_in.append(st)
-                f_ext.append(t)
-                tags.append(BoundaryTag.SOURCE if side_of(t) == source_side else BoundaryTag.WORKING)
-    nf = len(f_in)
-    dom = LatticeDomain(
-        mesh=float(mesh),
-        dimension=2,
-        bulk_sites=bulk,
-        face_exterior=np.asarray(f_ext, dtype=np.int64),
-        face_inward=np.asarray(f_in, dtype=np.int64),
-        face_tag=np.asarray(tags, dtype=np.uint8),
-        face_weight=np.ones(nf),
-    )
-    dom.validate()
-    return dom
+    bulk = _grid_sites((0, 0), (nx, ny))
+    index = _SiteIndex(bulk)
+    inward, exterior = _boundary_faces(bulk, index)
+    x, y = exterior.T
+    on_side = {"left": x < 0, "right": x >= nx, "bottom": y < 0, "top": y >= ny}
+    source = on_side[source_side] if source_side is not None else np.zeros(len(x), dtype=bool)
+    tags = np.where(source, BoundaryTag.SOURCE, BoundaryTag.WORKING)
+    return _assemble(mesh, bulk, index, inward, exterior, tags, np.ones(len(tags)))
 
 
 def rasterize_loop(polyline, mesh: float, tag: BoundaryTag = BoundaryTag.WORKING) -> LatticeDomain:
@@ -625,45 +682,7 @@ def rasterize_loop(polyline, mesh: float, tag: BoundaryTag = BoundaryTag.WORKING
         raise InvalidParam("rasterize_loop needs a closed polyline")
     if _self_intersects(poly):
         raise DegenerateGeometry("polyline self-intersects")
-    lo = np.floor(poly.min(axis=0) / mesh).astype(int) - 2
-    hi = np.ceil(poly.max(axis=0) / mesh).astype(int) + 2
-    extent = (poly.max(axis=0) - poly.min(axis=0)).min()
-    if mesh > extent / 4:
-        raise MeshTooCoarse(f"mesh {mesh} exceeds a quarter of the region extent {extent}")
-    ii, jj = np.meshgrid(np.arange(lo[0], hi[0]), np.arange(lo[1], hi[1]), indexing="ij")
-    sites = np.column_stack((ii.ravel(), jj.ravel())).astype(np.int64)
-    centers = (sites + 0.5) * mesh
-    bulk = sites[_inside_even_odd(centers, [poly])]
-    if len(bulk) == 0:
-        raise DegenerateGeometry("polyline encloses no lattice sites at this mesh")
-    inset = {tuple(map(int, s)) for s in bulk}
-    f_ext, f_in = [], []
-    for s in bulk:
-        st = (int(s[0]), int(s[1]))
-        for off in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            t = (st[0] + off[0], st[1] + off[1])
-            if t not in inset:
-                f_in.append(st)
-                f_ext.append(t)
-    face_inward = np.asarray(f_in, dtype=np.int64)
-    face_exterior = np.asarray(f_ext, dtype=np.int64)
-    mids = 0.5 * mesh * (face_inward + face_exterior + 1.0)
-    _, arc, seg_normal = _nearest_on_polyline(mids, poly)
-    face_normal = (face_exterior - face_inward).astype(float)
-    weight = np.clip(np.abs((face_normal * seg_normal).sum(axis=1)), _MIN_WEIGHT, 1.0)
-    order = np.argsort(arc)
-    dom = LatticeDomain(
-        mesh=float(mesh),
-        dimension=2,
-        bulk_sites=bulk,
-        face_exterior=face_exterior[order],
-        face_inward=face_inward[order],
-        face_tag=np.full(len(f_in), int(tag), dtype=np.uint8),
-        face_weight=weight[order],
-        face_arclength=arc[order],
-    )
-    dom.validate()
-    return dom
+    return _rasterize([poly], [poly], mesh, "polyline encloses no lattice sites at this mesh", tag)
 
 
 def lattice_channel(
@@ -680,24 +699,9 @@ def lattice_channel(
     """
     if n_rows < 2 or width < 1:
         raise InvalidParam("channel needs n_rows >= 2 and width >= 1")
-    ii, jj = np.meshgrid(np.arange(width), np.arange(n_rows), indexing="ij")
-    bulk = np.column_stack((ii.ravel(), jj.ravel())).astype(np.int64)
-    f_in, f_ext, tags = [], [], []
-    for x in range(width):
-        f_in.append((x, 0))
-        f_ext.append((x, -1))
-        tags.append(BoundaryTag.WORKING)
-        f_in.append((x, n_rows - 1))
-        f_ext.append((x, n_rows))
-        tags.append(BoundaryTag.SOURCE if source_top else BoundaryTag.WORKING)
-    dom = LatticeDomain(
-        mesh=float(mesh),
-        dimension=2,
-        bulk_sites=bulk,
-        face_exterior=np.asarray(f_ext, dtype=np.int64),
-        face_inward=np.asarray(f_in, dtype=np.int64),
-        face_tag=np.asarray(tags, dtype=np.uint8),
-        face_weight=np.ones(len(f_in)),
-    )
-    dom.validate()
-    return dom
+    bulk = _grid_sites((0, 0), (width, n_rows))
+    index = _SiteIndex(bulk)
+    inward, exterior = _boundary_faces(bulk, index, keep=lambda t: (t[:, 0] >= 0) & (t[:, 0] < width))
+    source = (exterior[:, 1] >= n_rows) & source_top
+    tags = np.where(source, BoundaryTag.SOURCE, BoundaryTag.WORKING)
+    return _assemble(mesh, bulk, index, inward, exterior, tags, np.ones(len(tags)))

@@ -17,11 +17,13 @@ import numpy as np
 from . import dtn
 from .errors import DegenerateGeometry, InvalidParam, PerimeterTooSmall
 from .geometry import (
-    _MIN_WEIGHT,
     BoundaryTag,
     LatticeDomain,
-    _inside_even_odd,
-    _nearest_on_polyline,
+    _assemble,
+    _boundary_faces,
+    _face_geometry,
+    _SiteIndex,
+    _sites_inside,
     load_polyline,
 )
 
@@ -125,55 +127,20 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float) -> L
     loop = np.vstack(
         (profile, [[x1, source_height], [x0, source_height]], profile[:1])
     )
-    ii, jj = np.meshgrid(
-        np.arange(i_lo, i_hi), np.arange(j_lo, j_top), indexing="ij"
-    )
-    sites = np.column_stack((ii.ravel(), jj.ravel())).astype(np.int64)
-    centers = (sites + 0.5) * mesh
-    bulk = sites[_inside_even_odd(centers, [loop])]
+    bulk = _sites_inside([loop], (i_lo, j_lo), (i_hi, j_top), mesh)
     if len(bulk) == 0:
         raise DegenerateGeometry("no bulk sites between the curve and the source")
-    inset = {tuple(map(int, s)) for s in bulk}
-    f_in, f_ext, tags = [], [], []
-    for s in bulk:
-        st = (int(s[0]), int(s[1]))
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            t = (st[0] + dx, st[1] + dy)
-            if t in inset:
-                continue
-            if t[0] < i_lo or t[0] >= i_hi:
-                continue  # reflecting side wall: no face at all
-            f_in.append(st)
-            f_ext.append(t)
-            tags.append(BoundaryTag.SOURCE if t[1] >= j_top else BoundaryTag.WORKING)
-    face_inward = np.asarray(f_in, dtype=np.int64)
-    face_exterior = np.asarray(f_ext, dtype=np.int64)
-    tags = np.asarray(tags, dtype=np.uint8)
+    index = _SiteIndex(bulk)
+    # reflecting side walls get no faces at all
+    inward, exterior = _boundary_faces(bulk, index, keep=lambda t: (t[:, 0] >= i_lo) & (t[:, 0] < i_hi))
+    tags = np.where(exterior[:, 1] >= j_top, BoundaryTag.SOURCE, BoundaryTag.WORKING)
     weight = np.ones(len(tags))
     arc = np.zeros(len(tags))
     working = tags == BoundaryTag.WORKING
     if not working.any():
         raise DegenerateGeometry("the curve produced no working faces")
-    mids = 0.5 * mesh * (face_inward[working] + face_exterior[working] + 1.0)
-    _, arc_w, seg_normal = _nearest_on_polyline(mids, profile)
-    face_normal = (face_exterior[working] - face_inward[working]).astype(float)
-    weight[working] = np.clip(
-        np.abs((face_normal * seg_normal).sum(axis=1)), _MIN_WEIGHT, 1.0
-    )
-    arc[working] = arc_w
-    order = np.lexsort((arc, tags))
-    dom = LatticeDomain(
-        mesh=float(mesh),
-        dimension=2,
-        bulk_sites=bulk,
-        face_exterior=face_exterior[order],
-        face_inward=face_inward[order],
-        face_tag=tags[order],
-        face_weight=weight[order],
-        face_arclength=arc[order],
-    )
-    dom.validate()
-    return dom
+    _, arc[working], weight[working] = _face_geometry(inward[working], exterior[working], mesh, profile)
+    return _assemble(mesh, bulk, index, inward, exterior, tags, weight, arc)
 
 
 def _total_flux(dom: LatticeDomain, Lambda: float, D: float) -> float:

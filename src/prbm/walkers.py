@@ -282,10 +282,10 @@ def _resolve_site(dom: LatticeDomain, start) -> int:
             raise InvalidParam(f"bulk site index {start} out of range")
         return int(start)
     key = tuple(int(c) for c in np.asarray(start).ravel())
-    idx = dom.bulk_index().get(key)
-    if idx is None:
+    idx = dom.site_index(key)[0] if len(key) == dom.dimension else -1
+    if idx < 0:
         raise InvalidParam(f"{key} is not a bulk site")
-    return idx
+    return int(idx)
 
 
 # -- single trajectories -------------------------------------------------------
@@ -667,7 +667,13 @@ def estimate_spread_measure(
     if count_reflections_to is not None and count_reflections_to < 0:
         raise InvalidParam("count_reflections_to must be nonnegative")
     if threads is None:
-        threads = int(os.environ.get("PRBM_THREADS", "1"))
+        raw = os.environ.get("PRBM_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise InvalidParam(f"PRBM_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise InvalidParam("threads must be at least 1")
 
     start = _check_start(dom, start, params)
     if isinstance(dom, LatticeDomain):

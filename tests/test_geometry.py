@@ -184,8 +184,20 @@ def test_rasterize_annulus_tags_by_nearest_curve(annulus128):
     assert np.all(np.diff(arc[~w]) >= 0)
 
 
-def test_rasterize_rejects_self_intersection():
-    bowtie = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+_BOWTIE = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+
+
+def _densified(poly, pieces):
+    """Each segment split into pieces equal parts (odd, so the crossing stays mid-segment)."""
+    t = np.arange(pieces)[:, None] / pieces
+    inner = (poly[:-1, None, :] * (1 - t) + poly[1:, None, :] * t).reshape(-1, 2)
+    return np.vstack([inner, poly[-1:]])
+
+
+@pytest.mark.parametrize(
+    "bowtie", [_BOWTIE, _densified(_BOWTIE, 801)], ids=["bowtie", "dense_bowtie"]
+)
+def test_rasterize_rejects_self_intersection(bowtie):
     with pytest.raises(DegenerateGeometry):
         geo.rasterize_loop(bowtie, 0.05)
 
@@ -263,3 +275,79 @@ def test_boundary_points_and_measure(box16):
     assert len(pts) == box16.n_faces
     assert all(len(p.position) == 2 for p in pts)
     assert np.allclose(geo.boundary_measure(box16), box16.measures())
+
+
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(st.integers(-7, 7), st.integers(-7, 7)), min_size=1, max_size=200, unique=True
+    ),
+    jump=st.sampled_from([0, 1_000_003, 2**40]),
+    wall=st.one_of(st.none(), st.integers(-7, 7)),
+)
+def test_face_builder_matches_set_enumeration(cells, jump, wall):
+    """Faces, face order, neighbour table and connectivity against plain sets.
+
+    Cells with y >= 0 move jump columns right, so the bulk can hold sites far
+    apart; exterior sites left of wall get no face, as at a reflecting side
+    wall. The reference is the corridor fixture's loop plus a BFS.
+    """
+    bulk = np.array([(x + jump if y >= 0 else x, y) for x, y in cells], dtype=np.int64)
+    sites = [tuple(map(int, s)) for s in bulk]
+    inset = set(sites)
+    f_in, f_ext = [], []
+    for s in sites:
+        for dx, dy in _STEPS:
+            t = (s[0] + dx, s[1] + dy)
+            if t not in inset and (wall is None or t[0] >= wall):
+                f_in.append(s)
+                f_ext.append(t)
+    keep = None if wall is None else (lambda t: t[:, 0] >= wall)
+    inward, exterior = geo._boundary_faces(bulk, geo._SiteIndex(bulk), keep=keep)
+    assert inward.tolist() == [list(s) for s in f_in]
+    assert exterior.tolist() == [list(t) for t in f_ext]
+
+    dom = geo.LatticeDomain(
+        mesh=1.0,
+        dimension=2,
+        bulk_sites=bulk,
+        face_exterior=exterior.reshape(-1, 2),
+        face_inward=inward.reshape(-1, 2),
+        face_tag=np.zeros(len(f_in), dtype=np.uint8),
+        face_weight=np.ones(len(f_in)),
+    )
+    nb = len(sites)
+    position = {s: i for i, s in enumerate(sites)}
+    face_of = {pair: f for f, pair in enumerate(zip(f_in, f_ext))}
+    expected = []
+    for s in sites:
+        row = []
+        for dx, dy in _STEPS:
+            t = (s[0] + dx, s[1] + dy)
+            if t in position:
+                row.append(position[t])
+            elif (s, t) in face_of:
+                row.append(nb + face_of[(s, t)])
+            else:
+                row.append(geo.MISSING_NEIGHBOR)
+        expected.append(row)
+    assert dom.neighbor_table().tolist() == expected
+    assert dom.inward_indices().tolist() == [position[s] for s in f_in]
+    assert dom.site_index(f_ext).tolist() == [-1] * len(f_ext)
+
+    seen, queue = {sites[0]}, [sites[0]]
+    while queue:
+        x, y = queue.pop()
+        for dx, dy in _STEPS:
+            t = (x + dx, y + dy)
+            if t in inset and t not in seen:
+                seen.add(t)
+                queue.append(t)
+    if len(seen) == nb:
+        dom.validate()
+    else:
+        with pytest.raises(MeshTooCoarse):
+            dom.validate()

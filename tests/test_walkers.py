@@ -239,7 +239,7 @@ def test_estimate_deterministic_and_thread_invariant(where):
         assert runs[0].total_reflections == other.total_reflections
 
 
-def test_estimate_guards():
+def test_estimate_guards(monkeypatch):
     dom = lattice_channel(6, 0.1)
     p = wk.JumpParams(Lambda=0.2, a=0.1)
     with pytest.raises(InvalidParam):
@@ -265,6 +265,12 @@ def test_estimate_guards():
     ]:
         with pytest.raises(InvalidParam):
             wk.estimate_spread_measure(bad_dom, start, params, 10, RngStream(0))
+    # a thread count below 1 or a malformed PRBM_THREADS is refused, not ignored
+    with pytest.raises(InvalidParam):
+        wk.estimate_spread_measure(dom, "source", p, 10, RngStream(0), threads=0)
+    monkeypatch.setenv("PRBM_THREADS", "abc")
+    with pytest.raises(InvalidParam):
+        wk.estimate_spread_measure(dom, "source", p, 10, RngStream(0))
 
 
 def test_excessive_censoring_raises():
