@@ -22,6 +22,7 @@ true arclength instead of the inflated staircase length.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse
 
@@ -56,6 +58,10 @@ __all__ = [
 MISSING_NEIGHBOR = -1
 
 _MIN_WEIGHT = 0.05
+
+#: Candidate pairs (segment-segment, point-segment) evaluated at once; bounds
+#: the temporaries of the crossing test and the nearest-segment search.
+_PAIR_BLOCK = 1 << 20
 
 
 class DomainKind(enum.Enum):
@@ -404,10 +410,53 @@ def _grid_sites(lo, hi) -> np.ndarray:
     return np.column_stack((ii.ravel(), jj.ravel())).astype(np.int64)
 
 
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and value of every integer in the ranges [start, start + count)."""
+    owner = np.repeat(np.arange(len(count)), count)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    return owner, start[owner] + offset
+
+
+def _blocks(count: np.ndarray):
+    """Consecutive item slices [start, stop) of at most _PAIR_BLOCK counted pairs, or of one item."""
+    total = np.cumsum(count)
+    start = 0
+    while start < len(count):
+        base = total[start] - count[start]
+        stop = max(int(np.searchsorted(total, base + _PAIR_BLOCK, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
 def _sites_inside(loops: list[np.ndarray], lo, hi, mesh: float) -> np.ndarray:
-    """Sites of the box lo <= site < hi whose cell centers the loops enclose."""
-    sites = _grid_sites(lo, hi)
-    return sites[_inside_even_odd((sites + 0.5) * mesh, loops)]
+    """Sites of the box lo <= site < hi whose cell centers the loops enclose, x-major.
+
+    Even-odd scanline fill. A segment (x0, y0)-(x1, y1) crosses the row of
+    cell centers at height Y when (y0 <= Y) != (y1 <= Y), at
+    xc = x0 + (Y - y0) * (x1 - x0) / (y1 - y0), and a center (X, Y) is
+    inside when an odd number of crossings of all loops have X < xc. The
+    row heights and column abscissae are sorted, so the rows a segment
+    straddles and the columns left of a crossing are searchsorted ranges
+    decided by exactly those comparisons: the cost is the number of
+    crossings plus the box, not points times segments.
+    """
+    X = (np.arange(lo[0], hi[0]) + 0.5) * mesh
+    Y = (np.arange(lo[1], hi[1]) + 0.5) * mesh
+    a = np.vstack([loop[:-1] for loop in loops])
+    b = np.vstack([loop[1:] for loop in loops])
+    # y <= Y holds from row searchsorted(Y, y) on
+    k0, k1 = np.searchsorted(Y, a[:, 1]), np.searchsorted(Y, b[:, 1])
+    seg, row = _expand(np.minimum(k0, k1), np.abs(k1 - k0))
+    x0, y0 = a[seg, 0], a[seg, 1]
+    x1, y1 = b[seg, 0], b[seg, 1]
+    xc = x0 + (Y[row] - y0) * (x1 - x0) / (y1 - y0)
+    # a crossing flips the parity of the columns before searchsorted(X, xc)
+    width = len(X) + 1
+    flips = np.bincount(row * width + np.searchsorted(X, xc), minlength=len(Y) * width)
+    flips = (flips.reshape(len(Y), width) & 1).astype(bool)
+    inside = np.logical_xor.accumulate(flips[:, ::-1], axis=1)[:, -2::-1]
+    i, j = np.nonzero(inside.T)
+    return np.column_stack((i + lo[0], j + lo[1])).astype(np.int64)
 
 
 def _assemble(mesh, bulk, index, inward, exterior, tag, weight, arc=None) -> LatticeDomain:
@@ -484,75 +533,94 @@ def _segments(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return poly[:-1], poly[1:]
 
 
-def _self_intersects(poly: np.ndarray) -> bool:
-    """O(n^2) proper-crossing test."""
-    a, b = _segments(poly)
-    n = len(a)
-    closed = _is_closed(poly)
+def _crossing_pairs(a: np.ndarray, b: np.ndarray, skip) -> bool:
+    """Whether two segments (a[i], b[i]) and (a[j], b[j]), i < j, cross properly.
+
+    Candidates are the pairs whose bounding boxes overlap, found by a sweep
+    over the segments in order of their left ends and taken in blocks of at
+    most _PAIR_BLOCK x-overlapping pairs; skip(i, j) drops pairs allowed to
+    touch. A pair crosses when its lines meet at parameters t and u strictly
+    inside both segments, more than 1e-12 from the ends; a pair whose
+    direction cross product is at most 1e-30 in size never crosses.
+    """
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     d = b - a
-    for i in range(n):
-        js = np.arange(i + 2, n)
-        if closed and i == 0 and len(js):
-            js = js[:-1]
-        if not len(js):
-            continue
-        denom = d[i, 0] * d[js, 1] - d[i, 1] * d[js, 0]
+    order = np.argsort(lo[:, 0], kind="stable")
+    # later segments in the sweep that start left of this one's right end
+    after = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    count = after - np.arange(len(order)) - 1
+    eps = 1e-12
+    for start, stop in _blocks(count):
+        k, m = _expand(np.arange(start + 1, stop + 1), count[start:stop])
+        p, q = order[start + k], order[m]
+        i, j = np.minimum(p, q), np.maximum(p, q)
+        keep = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]) & ~skip(i, j)
+        i, j = i[keep], j[keep]
+        denom = d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]
         ok = np.abs(denom) > 1e-30
-        r = a[js] - a[i]
-        t = np.where(ok, (r[:, 0] * d[js, 1] - r[:, 1] * d[js, 0]) / np.where(ok, denom, 1.0), -1.0)
-        u = np.where(ok, (r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]) / np.where(ok, denom, 1.0), -1.0)
-        eps = 1e-12
+        i, j, denom = i[ok], j[ok], denom[ok]
+        r = a[j] - a[i]
+        t = (r[:, 0] * d[j, 1] - r[:, 1] * d[j, 0]) / denom
+        u = (r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]) / denom
         if np.any((t > eps) & (t < 1 - eps) & (u > eps) & (u < 1 - eps)):
             return True
     return False
 
 
-def _inside_even_odd(points: np.ndarray, loops: list[np.ndarray]) -> np.ndarray:
-    """Even-odd point-in-region test against one or more closed loops."""
-    inside = np.zeros(len(points), dtype=bool)
-    px, py = points[:, 0], points[:, 1]
-    for loop in loops:
-        a, b = _segments(loop)
-        chunk = max(1, int(4e6 // max(len(a), 1)))
-        for lo in range(0, len(points), chunk):
-            hi = min(lo + chunk, len(points))
-            X, Y = px[lo:hi, None], py[lo:hi, None]
-            y0, y1 = a[None, :, 1], b[None, :, 1]
-            x0, x1 = a[None, :, 0], b[None, :, 0]
-            straddle = (y0 <= Y) != (y1 <= Y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xc = x0 + (Y - y0) * (x1 - x0) / (y1 - y0)
-            hits = straddle & (X < xc)
-            inside[lo:hi] ^= (hits.sum(axis=1) % 2).astype(bool)
-    return inside
+def _self_intersects(poly: np.ndarray) -> bool:
+    """Proper crossing of two non-adjacent segments (first and last adjoin when closed)."""
+    a, b = _segments(poly)
+    last = len(a) - 1
+    closed = _is_closed(poly)
+    return _crossing_pairs(a, b, lambda i, j: (j - i < 2) | (closed & (i == 0) & (j == last)))
+
+
+def _polylines_cross(p: np.ndarray, q: np.ndarray) -> bool:
+    """Proper crossing of a segment of p with a segment of q."""
+    (ap, bp), (aq, bq) = _segments(p), _segments(q)
+    n = len(ap)
+    return _crossing_pairs(np.vstack((ap, aq)), np.vstack((bp, bq)), lambda i, j: (i < n) == (j < n))
 
 
 def _nearest_on_polyline(points: np.ndarray, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distance, arclength coordinate, and segment normal at the nearest point."""
+    """Distance, arclength coordinate, and segment normal at the nearest point.
+
+    Zero-length segments are skipped. A point's distance to its nearest
+    segment midpoint bounds its distance to the curve, so only segments
+    whose midpoints lie within that bound plus the largest half-length can
+    be nearer; those candidates come from a cKDTree ball query, with a
+    slack above the rounding of the distances, and of equally near
+    segments the lowest index wins.
+    """
     a, b = _segments(poly)
     d = b - a
     seg_len = np.hypot(d[:, 0], d[:, 1])
     keep = seg_len > 0
     a, b, d, seg_len = a[keep], b[keep], d[keep], seg_len[keep]
     cum = np.concatenate(([0.0], np.cumsum(seg_len)))
-    best_d2 = np.full(len(points), np.inf)
-    best_arc = np.zeros(len(points))
-    best_seg = np.zeros(len(points), dtype=np.int64)
-    chunk = max(1, int(4e6 // max(len(a), 1)))
-    for lo in range(0, len(points), chunk):
-        hi = min(lo + chunk, len(points))
-        r = points[lo:hi, None, :] - a[None, :, :]
-        t = np.clip((r * d[None]).sum(axis=2) / (seg_len**2)[None, :], 0.0, 1.0)
-        closest = a[None] + t[:, :, None] * d[None]
-        d2 = ((points[lo:hi, None, :] - closest) ** 2).sum(axis=2)
-        j = np.argmin(d2, axis=1)
-        rows = np.arange(hi - lo)
-        best_d2[lo:hi] = d2[rows, j]
-        best_arc[lo:hi] = cum[j] + t[rows, j] * seg_len[j]
-        best_seg[lo:hi] = j
-    tang = d / seg_len[:, None]
-    normals = np.column_stack((-tang[:, 1], tang[:, 0]))
-    return np.sqrt(best_d2), best_arc, normals[best_seg]
+    tree = cKDTree(0.5 * (a + b))
+    bound, _ = tree.query(points)
+    scale = max(np.abs(points).max(initial=0.0), np.abs(poly).max())
+    radius = (bound + 0.5 * seg_len.max()) * (1.0 + 1e-9) + 1e-12 * scale
+    count = tree.query_ball_point(points, radius, return_length=True)
+    best_d2 = np.empty(len(points))
+    best_arc = np.empty(len(points))
+    best_seg = np.empty(len(points), dtype=np.int64)
+    for start, stop in _blocks(count):
+        near = tree.query_ball_point(points[start:stop], radius[start:stop])
+        j = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64)
+        p = np.repeat(np.arange(start, stop), count[start:stop])
+        r = points[p] - a[j]
+        t = np.clip((r * d[j]).sum(axis=1) / seg_len[j] ** 2, 0.0, 1.0)
+        closest = a[j] + t[:, None] * d[j]
+        d2 = ((points[p] - closest) ** 2).sum(axis=1)
+        # every point has a candidate, the segment of its nearest midpoint
+        first = np.lexsort((j, d2, p))[np.cumsum(count[start:stop]) - count[start:stop]]
+        best_d2[start:stop] = d2[first]
+        best_arc[start:stop] = cum[j[first]] + t[first] * seg_len[j[first]]
+        best_seg[start:stop] = j[first]
+    tang = d[best_seg] / seg_len[best_seg, None]
+    return np.sqrt(best_d2), best_arc, np.column_stack((-tang[:, 1], tang[:, 0]))
 
 
 # -- rasterization -----------------------------------------------------------
@@ -581,6 +649,8 @@ def rasterize(
             raise DegenerateGeometry(f"{label} polyline self-intersects")
 
     if _is_closed(work) and _is_closed(src):
+        if _polylines_cross(work, src):
+            raise DegenerateGeometry("working and source polylines cross")
         loops = [work, src]
     elif not _is_closed(work) and not _is_closed(src):
         ring = _join_open(work, src)

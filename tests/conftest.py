@@ -1,8 +1,9 @@
 """Shared lattice fixtures.
 
-The rasterized disk and annulus are expensive to build and factor, and
-several test modules probe the same operators, so the domains and their
-self-transport matrices are session-scoped.
+Rasterizing the disk and the annulus takes about a second; factoring them
+into self-transport matrices is what is expensive, and several test modules
+probe the same operators, so the domains and their matrices are
+session-scoped.
 """
 
 import numpy as np

@@ -202,6 +202,214 @@ def test_rasterize_rejects_self_intersection(bowtie):
         geo.rasterize_loop(bowtie, 0.05)
 
 
+def test_rasterize_rejects_crossing_loops():
+    """Two closed loops must nest; crossing ones no longer fill their symmetric difference."""
+    unit = geo.circle_polyline(1.0, 512)
+    with pytest.raises(DegenerateGeometry, match="working and source polylines cross"):
+        geo.rasterize(unit, geo.circle_polyline(1.0, 512, center=(1.0, 0.0)), 1.0 / 32.0)
+    outer = geo.circle_polyline(3.0, 512)
+    for work, src in ((unit, outer), (outer, unit)):
+        dom = geo.rasterize(work, src, 1.0 / 8.0)
+        assert dom.working_mask().any() and dom.source_mask().any()
+
+
+def test_rasterize_accepts_dense_circle():
+    circle = geo.circle_polyline(1.0, 30000)
+    assert not geo._self_intersects(circle)
+    dom = geo.rasterize_loop(circle, 1.0 / 16.0)
+    assert abs(dom.measures().sum() - 2.0 * math.pi) < 0.05
+
+
+# -- brute-force oracles for the rasterization kernels -------------------------
+
+
+def _inside_even_odd(points, loops):
+    """Even-odd point-in-region test, every point against every segment."""
+    inside = np.zeros(len(points), dtype=bool)
+    X, Y = points[:, :1], points[:, 1:]
+    for loop in loops:
+        x0, y0 = loop[None, :-1, 0], loop[None, :-1, 1]
+        x1, y1 = loop[None, 1:, 0], loop[None, 1:, 1]
+        straddle = (y0 <= Y) != (y1 <= Y)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xc = x0 + (Y - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= ((straddle & (X < xc)).sum(axis=1) % 2).astype(bool)
+    return inside
+
+
+def _proper_cross(a, b, i, js):
+    """Proper-crossing verdicts of segment i against segments js."""
+    d = b - a
+    denom = d[i, 0] * d[js, 1] - d[i, 1] * d[js, 0]
+    ok = np.abs(denom) > 1e-30
+    r = a[js] - a[i]
+    t = np.where(ok, (r[:, 0] * d[js, 1] - r[:, 1] * d[js, 0]) / np.where(ok, denom, 1.0), -1.0)
+    u = np.where(ok, (r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]) / np.where(ok, denom, 1.0), -1.0)
+    eps = 1e-12
+    return (t > eps) & (t < 1 - eps) & (u > eps) & (u < 1 - eps)
+
+
+def _self_intersects(poly):
+    """Every non-adjacent segment pair, O(n^2)."""
+    a, b = poly[:-1], poly[1:]
+    n = len(a)
+    closed = bool(np.allclose(poly[0], poly[-1]))
+    for i in range(n):
+        js = np.arange(i + 2, n)
+        if closed and i == 0 and len(js):
+            js = js[:-1]
+        if len(js) and _proper_cross(a, b, i, js).any():
+            return True
+    return False
+
+
+def _polylines_cross(p, q):
+    """Every segment of p against every segment of q."""
+    a, b = np.vstack((p[:-1], q[:-1])), np.vstack((p[1:], q[1:]))
+    n, m = len(p) - 1, len(a)
+    return any(_proper_cross(a, b, i, np.arange(n, m)).any() for i in range(n))
+
+
+def _nearest_on_polyline(points, poly):
+    """Distance, arclength and normal of the nearest of all segments."""
+    a, b = poly[:-1], poly[1:]
+    d = b - a
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    keep = seg_len > 0
+    a, d, seg_len = a[keep], d[keep], seg_len[keep]
+    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
+    r = points[:, None, :] - a[None, :, :]
+    t = np.clip((r * d[None]).sum(axis=2) / (seg_len**2)[None, :], 0.0, 1.0)
+    closest = a[None] + t[:, :, None] * d[None]
+    d2 = ((points[:, None, :] - closest) ** 2).sum(axis=2)
+    j = np.argmin(d2, axis=1)
+    rows = np.arange(len(points))
+    tang = d / seg_len[:, None]
+    normals = np.column_stack((-tang[:, 1], tang[:, 0]))
+    return np.sqrt(d2[rows, j]), cum[j] + t[rows, j] * seg_len[j], normals[j]
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.tobytes()
+
+
+@st.composite
+def _star_loops(draw):
+    """A star-shaped polygon, or a ring of two, with vertices and edges on center rows.
+
+    Some vertices snap to cell-center rows (j + 0.5) * mesh or columns, and
+    some edges become horizontal along a center row, so the fill meets
+    every tie of its predicates.
+    """
+    mesh = draw(st.sampled_from([0.25, 0.1, 1.0 / 8.0, 0.3]))
+    n = draw(st.integers(3, 24))
+    angles = np.sort(draw(st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=n, max_size=n, unique=True)))
+    radii = np.array(draw(st.lists(st.floats(0.6, 3.0), min_size=n, max_size=n)))
+    cx, cy = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    snap = lambda v: (np.round(v / mesh - 0.5) + 0.5) * mesh
+    loops = []
+    for scale in [1.0] + ([draw(st.floats(0.2, 0.5))] if draw(st.booleans()) else []):
+        pts = np.column_stack((cx + scale * radii * np.cos(angles), cy + scale * radii * np.sin(angles)))
+        rows = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        cols = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        pts[rows, 1] = snap(pts[rows, 1])
+        pts[cols, 0] = snap(pts[cols, 0])
+        for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            pts[(k + 1) % n, 1] = pts[k, 1] = snap(pts[k, 1])
+        loops.append(np.vstack((pts, pts[:1])))
+    return loops, mesh
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_star_loops())
+def test_scanline_fill_matches_brute_force(case):
+    loops, mesh = case
+    pts = np.vstack(loops)
+    lo = np.floor(pts.min(axis=0) / mesh).astype(int) - 2
+    hi = np.ceil(pts.max(axis=0) / mesh).astype(int) + 2
+    grid = geo._grid_sites(lo, hi)
+    expected = grid[_inside_even_odd((grid + 0.5) * mesh, loops)]
+    assert _bits(geo._sites_inside(loops, lo, hi, mesh)) == _bits(expected)
+
+
+@st.composite
+def _tangled_polylines(draw):
+    """Polylines on a coarse grid with some vertices nudged off it.
+
+    Grid vertices give shared vertices, collinear overlaps and endpoint
+    touches; nudges of 1e-9 to 1e-15 give near-parallel and near-touching
+    segments.
+    """
+    n = draw(st.integers(2, 30))
+    pts = np.array(draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=n, max_size=n)), dtype=float)
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        pts[k] += draw(st.sampled_from([1e-9, -1e-12, 3e-15])) * np.array(draw(st.sampled_from([(1, 0), (0, 1), (1, 1)])))
+    if draw(st.booleans()):
+        pts = np.vstack((pts, pts[:1]))
+    return pts
+
+
+@settings(max_examples=400, deadline=None)
+@given(poly=_tangled_polylines(), other=_tangled_polylines())
+def test_crossing_test_matches_brute_force(poly, other):
+    assert geo._self_intersects(poly) == _self_intersects(poly)
+    assert geo._polylines_cross(poly, other) == _polylines_cross(poly, other)
+
+
+def test_crossing_test_ignores_disjoint_near_collinear_segments():
+    """Round-off alone makes the brute force see segments 0 and 2 cross.
+
+    The four points lie along one line, less than 1e-15 off it, and the
+    boxes of segments 0 and 2 are disjoint, so no crossing can exist; the
+    box test never pairs them. This is the one way the verdicts can differ.
+    """
+    poly = np.array([
+        [0.6848021247523105, -0.6657899677121841],
+        [2.2178845026504215, -2.8279263378145307],
+        [2.469241475404087, -3.1824200431134146],
+        [9.100100539482426, -12.534051601961982],
+    ])
+    assert _self_intersects(poly)
+    assert not geo._self_intersects(poly)
+
+
+def _with_zero_segments(poly):
+    """Every third vertex repeated, so every third segment has zero length."""
+    return np.repeat(poly, np.where(np.arange(len(poly)) % 3 == 1, 2, 1), axis=0)
+
+
+def _long_beside_short():
+    """One straight side of length 4 closed by an arc of 400 short segments."""
+    th = np.linspace(0.0, np.pi, 401)
+    arc = np.column_stack((2.0 + 2.0 * np.cos(th), 0.5 * np.sin(th)))
+    return np.vstack(([0.0, 0.0], arc, [0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        geo.circle_polyline(1.0, 300),
+        _with_zero_segments(geo.circle_polyline(1.0, 300)),
+        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
+        _long_beside_short(),
+    ],
+    ids=["circle", "zero_length_segments", "square", "long_beside_short"],
+)
+def test_nearest_segment_matches_brute_force(poly):
+    """Distance, arclength and normal at face midpoints and at grid points, bit for bit.
+
+    The square's faces and grid points sit at equal distance from two or
+    four sides, so ties must go to the lowest segment index.
+    """
+    mids = geo.rasterize_loop(poly, 1.0 / 32.0).face_midpoints()
+    lo, hi = poly.min(axis=0) - 0.5, poly.max(axis=0) + 0.5
+    grid = (geo._grid_sites((0, 0), (17, 17)) / 16.0) * (hi - lo) + lo
+    points = np.vstack((mids, grid))
+    got = geo._nearest_on_polyline(points, poly)
+    for g, e in zip(got, _nearest_on_polyline(points, poly)):
+        assert _bits(g) == _bits(e)
+
+
 def test_rasterize_mesh_guard():
     with pytest.raises(MeshTooCoarse):
         geo.rasterize_loop(geo.circle_polyline(1.0, 256), 0.6)
