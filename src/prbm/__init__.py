@@ -14,6 +14,7 @@ from .dtn import (
     FluxVector,
     SelfTransportMatrix,
     absorption_distribution,
+    absorption_law,
     build_M,
     build_Q,
     hitting_distribution,
@@ -125,6 +126,7 @@ __all__ = [
     "TransportParams",
     "TruncationTooCoarse",
     "absorption_distribution",
+    "absorption_law",
     "absorption_probability_disk",
     "annulus_spectrum",
     "ball_degeneracy",

@@ -5,6 +5,16 @@ probabilities of the bulk walk), the discrete Dirichlet-to-Neumann operator
 M = (I - Q)/a, its resolvent T_Lambda = (I + Lambda M)^{-1}, and from those
 the absorption distribution, the boundary spectrum, and impedance curves.
 
+The absorption law at a given Lambda also comes without Q, from one sparse
+solve (absorption_law). A lattice walker that steps into working face f is
+reflected back onto its site with probability eps_f = Lambda/(Lambda + a w_f)
+and absorbed otherwise, so its site-to-site kernel is
+P_Lambda = P_bulk + diag(sum of eps_f/(2d) over the working faces at a site),
+and the absorption mass at f from the source launch pi is
+((I - P_Lambda)^{-T} pi)(inward f) (1 - eps_f)/(2d). In exact arithmetic
+that is the dense route absorbed_fraction * T_Lambda P_0, which the tests
+keep as its oracle. The Lambda = 0 solve is hitting_distribution.
+
 Q is assembled from one sparse LU factorization of the bulk Laplacian with
 one right-hand side per working face, so it is exact to solver precision and
 exactly symmetric (each entry is a Green function value between the two
@@ -37,6 +47,7 @@ __all__ = [
     "build_M",
     "spreading_operator",
     "hitting_distribution",
+    "absorption_law",
     "absorption_distribution",
     "spectrum",
     "impedance_curve",
@@ -79,9 +90,10 @@ class FluxVector:
     """Per-face flux density with its surface measures.
 
     probabilities = density * measure are the per-face absorption masses;
-    total is the surface-integrated flux. hitting_distribution also records
-    absorbed_fraction, the unconditional probability that a source launch
-    reaches the working interface at all (the mass removed by renormalizing).
+    total is the surface-integrated flux. hitting_distribution and
+    absorption_law also record absorbed_fraction, the unconditional
+    probability that a source launch ends on the working interface at all
+    (the mass hitting_distribution removes by renormalizing).
     """
 
     density: np.ndarray
@@ -97,18 +109,36 @@ class FluxVector:
         return float(self.probabilities.sum())
 
 
-def _bulk_system(dom: LatticeDomain):
-    """Sparse (I - P_bulk) for the lattice walk, with reflecting-stay diagonal.
+def _reflection_probabilities(dom: LatticeDomain, Lambda: float) -> np.ndarray:
+    """Per-face reflection probability eps_f = Lambda/(Lambda + a w_f) of the lattice walk.
+
+    Zero everywhere at Lambda = 0. The walker kernel and absorption_law both
+    read it here, so the walk and the solve flip the same coin.
+    """
+    eps = np.zeros(dom.n_faces)
+    if Lambda > 0:
+        eps[:] = Lambda / (Lambda + dom.mesh * dom.face_weight)
+    return eps
+
+
+def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
+    """Sparse (I - P) for the lattice walk, with reflecting-stay diagonal.
 
     A walker at a bulk site steps to each of its 2d neighbours with
     probability 1/(2d); a step into a missing (reflecting) direction leaves
-    it in place, which shows up as mass on the diagonal. Faces absorb.
+    it in place, which shows up as mass on the diagonal. Faces absorb, a
+    working face f only with probability 1 - eps[f] when per-face
+    reflection probabilities eps are given.
     """
     table = dom.neighbor_table()
     nb = dom.n_bulk
     two_d = 2 * dom.dimension
+    inward = dom.inward_indices()
     bulk_mask = (table >= 0) & (table < nb)
     stay = (table == -1).sum(axis=1)
+    if eps is not None:
+        working = dom.working_mask()
+        stay = stay + np.bincount(inward[working], weights=eps[working], minlength=nb)
     r, k = np.nonzero(bulk_mask)
     P = sparse.coo_matrix(
         (np.full(len(r), 1.0 / two_d), (r, table[r, k])), shape=(nb, nb)
@@ -116,7 +146,6 @@ def _bulk_system(dom: LatticeDomain):
     P = P + sparse.diags(stay / two_d)
     # a component with no absorbing face leaves I - P singular
     absorbing = np.zeros(nb, dtype=bool)
-    inward = dom.inward_indices()
     absorbing[inward] = True
     _, labels = sparse.csgraph.connected_components(P, directed=False)
     sizes = np.bincount(labels)
@@ -126,9 +155,9 @@ def _bulk_system(dom: LatticeDomain):
     return (sparse.eye(nb, format="csc") - P.tocsc()), inward
 
 
-def _factor(dom: LatticeDomain):
+def _factor(dom: LatticeDomain, eps: np.ndarray | None = None):
     """Sparse LU of the bulk system, with each face's inward bulk index."""
-    system, inward = _bulk_system(dom)
+    system, inward = _bulk_system(dom, eps)
     try:
         return spla.splu(system), inward
     except RuntimeError as exc:
@@ -214,30 +243,53 @@ def spreading_operator(M: np.ndarray, Lambda: float, weight: np.ndarray | None =
     return T
 
 
+def _absorbed_masses(dom: LatticeDomain, Lambda: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-working-face absorption masses of a source launch, and the face measures."""
+    lam = float(Lambda)
+    if lam < 0:
+        raise InvalidParam("Lambda must be nonnegative")
+    source = np.flatnonzero(dom.source_mask())
+    if len(source) == 0:
+        raise InvalidParam("absorption law needs a source")
+    eps = _reflection_probabilities(dom, lam)
+    lu, inward = _factor(dom, eps)
+    working = np.flatnonzero(dom.working_mask())
+    # walkers start uniformly on the bulk neighbours of the source faces
+    start = np.zeros(dom.n_bulk)
+    np.add.at(start, inward[source], 1.0 / len(source))
+    # G^T pi at a face's inward site is the mean number of visits there;
+    # each visit steps into the face with probability 1/(2d) and is
+    # absorbed there with probability 1 - eps
+    g = lu.solve(start, trans="T")
+    masses = g[inward[working]] * (1.0 - eps[working]) / (2 * dom.dimension)
+    return masses, dom.measures()[working]
+
+
+def absorption_law(dom: LatticeDomain, Lambda: float) -> FluxVector:
+    """Absorption law P_Lambda on working faces for walkers launched at the source.
+
+    One sparse solve of (I - P_Lambda)^T g = pi for the partially reflected
+    lattice walk (module docstring). .probabilities are the unnormalized
+    per-face absorption masses and absorbed_fraction their total; the rest,
+    1 - absorbed_fraction, is the probability of returning to the source.
+    """
+    masses, measure = _absorbed_masses(dom, Lambda)
+    return FluxVector(density=masses / measure, measure=measure, absorbed_fraction=float(masses.sum()))
+
+
 def hitting_distribution(dom: LatticeDomain) -> FluxVector:
     """Hitting law P_0 on working faces for walkers launched at the source.
 
-    Walkers start uniformly on the bulk neighbours of source faces. The
-    returned FluxVector holds the normalized density phi_0^h (unit discrete
-    integral); .probabilities gives the renormalized per-face hitting masses.
+    The absorption law at Lambda = 0, renormalized: the returned FluxVector
+    holds the density phi_0^h (unit discrete integral), .probabilities the
+    renormalized per-face hitting masses, and absorbed_fraction the mass
+    removed by renormalizing.
     """
-    if not dom.source_mask().any():
-        raise InvalidParam("hitting distribution needs a source")
-    lu, inward = _factor(dom)
-    working = np.flatnonzero(dom.working_mask())
-    source = np.flatnonzero(dom.source_mask())
-    start = np.zeros(dom.n_bulk)
-    launch = inward[source]
-    np.add.at(start, launch, 1.0 / len(source))
-    # hitting probability of face f from start distribution pi is
-    # (G^T pi)(inward(f)) / (2d)
-    g = lu.solve(start, trans="T")
-    hits = g[inward[working]] / (2 * dom.dimension)
+    hits, measure = _absorbed_masses(dom, 0.0)
     total = hits.sum()
     if total <= 0:
         raise SingularSystem("no mass reaches the working interface")
     p0 = hits / total
-    measure = dom.measures()[working]
     return FluxVector(density=p0 / measure, measure=measure, absorbed_fraction=float(total))
 
 

@@ -166,7 +166,6 @@ class LatticeDomain:
     face_tag: np.ndarray        # (nf,) uint8, BoundaryTag values
     face_weight: np.ndarray     # (nf,) float64 in (0, 1]
     face_arclength: np.ndarray | None = None  # (nf,) coordinate along the source polyline
-    _bulk_index: dict[tuple[int, ...], int] | None = field(default=None, repr=False)
     _neighbors: np.ndarray | None = field(default=None, repr=False)
     _lookup: _SiteIndex | None = field(default=None, repr=False)
 
@@ -201,11 +200,6 @@ class LatticeDomain:
     def measures(self) -> np.ndarray:
         """Physical surface measure of each face: mesh^(d-1) * weight."""
         return self.mesh ** (self.dimension - 1) * self.face_weight
-
-    def bulk_index(self) -> dict[tuple[int, ...], int]:
-        if self._bulk_index is None:
-            self._bulk_index = dict(zip(map(tuple, self.bulk_sites.tolist()), range(self.n_bulk)))
-        return self._bulk_index
 
     def _index(self) -> _SiteIndex:
         if self._lookup is None:
@@ -279,12 +273,7 @@ class LatticeDomain:
             raise MeshTooCoarse("bulk sites do not form a connected set")
 
     def _connected(self) -> bool:
-        table = self.neighbor_table()
-        nb = self.n_bulk
-        r, k = np.nonzero((table >= 0) & (table < nb))
-        adjacency = sparse.coo_matrix((np.ones(len(r)), (r, table[r, k])), shape=(nb, nb))
-        n_comp, _ = connected_components(adjacency, directed=False)
-        return n_comp == 1
+        return _components(self.neighbor_table())[0] == 1
 
     # -- serialization -------------------------------------------------------
 
@@ -373,6 +362,18 @@ def _site_neighbors(sites: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
     """(n, 2d, d) neighbour sites in _axis_offsets order and their (n, 2d) indices."""
     targets = sites[:, None, :] + _axis_offsets(sites.shape[1])
     return targets, index(targets).reshape(targets.shape[:2])
+
+
+def _components(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of n sites from an (n, 2d) neighbour table.
+
+    Entries in [0, n) are neighbouring sites; anything else (faces, -1) is
+    ignored. Returns the component count and each site's label.
+    """
+    n = len(table)
+    r, k = np.nonzero((table >= 0) & (table < n))
+    adjacency = sparse.coo_matrix((np.ones(len(r)), (r, table[r, k])), shape=(n, n))
+    return connected_components(adjacency, directed=False)
 
 
 def _boundary_faces(bulk: np.ndarray, index, keep=None) -> tuple[np.ndarray, np.ndarray]:

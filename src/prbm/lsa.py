@@ -6,6 +6,13 @@ chord, and impose a perfect-absorption condition on the chorded curve. Its
 total diffusive flux should then track the semi-permeable flux across the
 original curve at that Lambda. Both fluxes are computed on lattice strips
 with a flat source overhead and reflecting side walls.
+
+Each flux is one sparse solve: the partially reflected lattice walk's
+absorption law from the source (dtn.absorption_law) at Lambda on the
+original strip and at 0 on the chorded one. Per unit source concentration
+the flux is D n_source a^(d-2) times the absorbed fraction, the mass of that
+law; no self-transport matrix, eigendecomposition or impedance curve is
+formed.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from .geometry import (
     LatticeDomain,
     _assemble,
     _boundary_faces,
+    _components,
     _face_geometry,
+    _site_neighbors,
     _SiteIndex,
     _sites_inside,
     load_polyline,
@@ -110,8 +119,10 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float) -> L
 
     Bulk sites fill the region bounded below by the curve and above by the
     source line; the side columns get no faces, which the walk and solve
-    machinery treats as reflecting walls. Working faces take their weight
-    and arclength from the nearest curve segment, like rasterize does.
+    machinery treats as reflecting walls. Only the bulk components that
+    touch the source are kept: a pocket the curve seals off from it carries
+    no flux. Working faces take their weight and arclength from the nearest
+    curve segment, like rasterize does.
     """
     if profile.ndim != 2 or len(profile) < 2:
         raise InvalidParam("profile must be a polyline of at least two points")
@@ -130,7 +141,16 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float) -> L
     bulk = _sites_inside([loop], (i_lo, j_lo), (i_hi, j_top), mesh)
     if len(bulk) == 0:
         raise DegenerateGeometry("no bulk sites between the curve and the source")
+    # the top row's +y steps are the source faces
+    top = bulk[:, 1] == j_top - 1
+    if not top.any():
+        raise DegenerateGeometry("no bulk site touches the source")
     index = _SiteIndex(bulk)
+    n_comp, label = _components(_site_neighbors(bulk, index)[1])
+    if n_comp > 1:
+        fed = np.isin(label, label[top])
+        bulk = bulk[fed]
+        index = _SiteIndex(bulk)
     # reflecting side walls get no faces at all
     inward, exterior = _boundary_faces(bulk, index, keep=lambda t: (t[:, 0] >= i_lo) & (t[:, 0] < i_hi))
     tags = np.where(exterior[:, 1] >= j_top, BoundaryTag.SOURCE, BoundaryTag.WORKING)
@@ -144,11 +164,10 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float) -> L
 
 
 def _total_flux(dom: LatticeDomain, Lambda: float, D: float) -> float:
-    Qm = dtn.build_Q(dom)
-    M = dtn.build_M(Qm)
-    spec = dtn.spectrum(M, None, Qm.measure, weight=Qm.weight)
-    row = dtn.impedance_curve(spec, [Lambda], D=D)[0]
-    return 1.0 / row["Z_cell"]
+    """Diffusive flux into the working faces per unit source concentration."""
+    n_source = int(dom.source_mask().sum())
+    absorbed = dtn.absorption_law(dom, Lambda).absorbed_fraction
+    return D * n_source * dom.mesh ** (dom.dimension - 2) * absorbed
 
 
 def compare_flux(

@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
+from .dtn import _reflection_probabilities
 from .errors import ExcessiveCensoring, InvalidParam
 from .geometry import DomainKind, DomainSpec, LatticeDomain
 from .rng import RngStream
@@ -606,8 +607,7 @@ def _lattice_kernel(dom, start, params):
     is_source = np.zeros(nb + nf + 1, dtype=bool)
     is_source[nb:nb + nf] = dom.source_mask()
     eps_of = np.zeros(nb + nf + 1)
-    if params.Lambda > 0:
-        eps_of[nb:nb + nf] = params.Lambda / (params.Lambda + dom.mesh * dom.face_weight)
+    eps_of[nb:nb + nf] = _reflection_probabilities(dom, params.Lambda)
     bin_of = np.zeros(nb + nf + 1, dtype=np.int64)
     bin_of[nb + working] = np.arange(len(working))
     launch = dom.inward_indices()[np.flatnonzero(dom.source_mask())]

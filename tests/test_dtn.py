@@ -17,8 +17,7 @@ def test_corridor_matches_hand_green_function(corridor):
     G[in(f), in(g)] / 4, with no library solve anywhere in the expectation.
     """
     G = np.array([[15.0, 4.0, 1.0], [4.0, 16.0, 4.0], [1.0, 4.0, 15.0]]) / 14.0
-    idx = corridor.bulk_index()
-    inward = np.array([idx[tuple(map(int, s))] for s in corridor.face_inward])
+    inward = corridor.site_index(corridor.face_inward)
     expected = G[np.ix_(inward, inward)] / 4.0
     Qm = dtn.build_Q(corridor)
     assert np.max(np.abs(Qm.Q - expected)) < 1e-13
@@ -142,6 +141,51 @@ def test_absorption_distribution_monotone_mass(box16, box16_Q):
     assert masses[-1] > 0.0
     with pytest.raises(InvalidParam):
         dtn.absorption_distribution(P0, np.eye(3))
+
+
+def _hitting_oracle(dom):
+    """hitting_distribution before it shared the Robin solve: its own Lambda = 0 solve."""
+    lu, inward = dtn._factor(dom)
+    working = np.flatnonzero(dom.working_mask())
+    source = np.flatnonzero(dom.source_mask())
+    start = np.zeros(dom.n_bulk)
+    np.add.at(start, inward[source], 1.0 / len(source))
+    hits = lu.solve(start, trans="T")[inward[working]] / (2 * dom.dimension)
+    total = hits.sum()
+    measure = dom.measures()[working]
+    return (hits / total) / measure, measure, float(total)
+
+
+@pytest.mark.parametrize("name", ["box16", "channel", "annulus128"])
+def test_absorption_law_matches_dense_route(name, request):
+    """One sparse Robin solve per Lambda against absorbed_fraction * T_Lambda P_0.
+
+    The fixtures are every shared domain with a source face. Each face's
+    mass must agree to 1e-12 relative, and the hitting law, now the
+    renormalized Lambda = 0 solve, must come out bit for bit as before.
+    """
+    dom = request.getfixturevalue(name)
+    Qm = dtn.build_Q(dom) if name == "channel" else request.getfixturevalue(f"{name}_Q")
+    P0 = dtn.hitting_distribution(dom)
+    density, measure, absorbed = _hitting_oracle(dom)
+    assert P0.density.tobytes() == density.tobytes()
+    assert P0.measure.tobytes() == measure.tobytes()
+    assert P0.absorbed_fraction == absorbed
+    M = dtn.build_M(Qm)
+    for lam in (0.0, 0.1, 1.0, 10.0):
+        T = dtn.spreading_operator(M, lam, Qm.weight)
+        dense = P0.absorbed_fraction * dtn.absorption_distribution(P0, T).probabilities
+        law = dtn.absorption_law(dom, lam)
+        assert np.all(np.abs(law.probabilities - dense) <= 1e-12 * dense)
+        assert law.absorbed_fraction == pytest.approx(dense.sum(), rel=1e-12)
+        assert np.array_equal(law.measure, Qm.measure)
+
+
+def test_absorption_law_guards(corridor, channel):
+    with pytest.raises(InvalidParam):
+        dtn.absorption_law(corridor, 0.5)
+    with pytest.raises(InvalidParam):
+        dtn.absorption_law(channel, -0.1)
 
 
 def test_spectrum_orthonormal_and_parseval(box16, box16_Q):

@@ -77,10 +77,10 @@ def test_box_boundary_measure_is_perimeter(nx, ny, mesh):
 def test_neighbor_table_box_interior_and_corner():
     box = geo.lattice_box(3, 3, 1.0)
     table = box.neighbor_table()
-    center = box.bulk_index()[(1, 1)]
+    center = box.site_index([(1, 1)])[0]
     # all four neighbours of the center are bulk sites
     assert np.all((table[center] >= 0) & (table[center] < box.n_bulk))
-    corner = box.bulk_index()[(0, 0)]
+    corner = box.site_index([(0, 0)])[0]
     face_codes = table[corner][table[corner] >= box.n_bulk]
     assert len(face_codes) == 2
     assert geo.MISSING_NEIGHBOR not in table[corner]
@@ -89,7 +89,7 @@ def test_neighbor_table_box_interior_and_corner():
 def test_channel_side_walls_are_missing_neighbors():
     ch = geo.lattice_channel(4, 0.5)
     table = ch.neighbor_table()
-    middle = ch.bulk_index()[(0, 1)]
+    middle = ch.site_index([(0, 1)])[0]
     assert np.count_nonzero(table[middle] == geo.MISSING_NEIGHBOR) == 2
     assert ch.n_faces == 2
     with pytest.raises(InvalidParam):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import directed_hausdorff
 
 from prbm import lsa
-from prbm.errors import InvalidParam, PerimeterTooSmall
+from prbm.errors import DegenerateGeometry, InvalidParam, PerimeterTooSmall
 
 
 def _dist_to_segments(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -173,3 +173,25 @@ def test_chord_refinement_tightens_the_flux_match():
     fine = lsa.compare_flux(curve, 4.0, 0.125, 1.0 / 80.0)
     assert fine.relative_error < coarse.relative_error
     assert fine.relative_error < 0.05
+
+
+@pytest.mark.parametrize("lam", [0.4229, 0.4267, 0.4402, 0.4485, 0.4492, 0.4906, 0.5244])
+def test_compare_flux_drops_pockets_cut_off_from_the_source(lam):
+    """At these Lambdas the chorded generation-3 strip at mesh 1/128 seals
+    off a lone bulk site below the chords. It touches working faces but no
+    source face, so it carries no flux and the strip builder drops it."""
+    rep = lsa.compare_flux(lsa.koch_polyline(3), 1.0, lam, 1.0 / 128.0)
+    assert 0.0 < rep.original_flux < rep.coarse_flux
+
+
+def test_channel_domain_keeps_only_the_source_component():
+    chords = lsa.coarse_grain(lsa.koch_polyline(3), 0.4229)
+    dom = lsa._channel_domain(chords, 1.0, 1.0 / 128.0)
+    dom.validate()
+    assert dom.source_mask().any()
+    # a cave under an overhang whose mouth is narrower than a cell: every
+    # bulk site is sealed off from the source row
+    cave = np.array([[0.0, 0.97], [0.26, 0.97], [0.26, 0.2], [0.8, 0.2],
+                     [0.8, 0.7], [0.34, 0.7], [0.34, 0.97], [1.0, 0.97]])
+    with pytest.raises(DegenerateGeometry, match="touches the source"):
+        lsa._channel_domain(cave, 1.0, 0.1)

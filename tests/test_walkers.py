@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from prbm import dtn, lsa
 from prbm import spectral as sp
 from prbm import walkers as wk
 from prbm.errors import ExcessiveCensoring, InvalidParam
@@ -210,6 +211,33 @@ def test_lattice_reflections_are_geometric(where):
     tail = n * eps**26
     assert abs(hist.reflection_counts[26] - tail) < 4.0 * math.sqrt(tail)
     assert hist.mean_reflections == pytest.approx(eps / (1 - eps), rel=0.02)
+
+
+def test_lattice_walkers_match_robin_law_on_weighted_faces():
+    """Walkers on a chorded strip against the sparse Robin solve.
+
+    Most faces along the slanted chords have weight w < 1, so their
+    reflection probability Lambda/(Lambda + a w) differs face by face: the
+    walker kernel and dtn.absorption_law must flip the same coin. Faces pool
+    into four arclength bins; the source share is the fifth.
+    """
+    lam = 0.2
+    chords = lsa.coarse_grain(lsa.koch_polyline(1), 0.3)
+    dom = lsa._channel_domain(chords, 0.5, 1.0 / 32.0)
+    working = np.flatnonzero(dom.working_mask())
+    assert np.count_nonzero(dom.face_weight[working] < 1.0) > len(working) // 2
+    law = dtn.absorption_law(dom, lam)
+    hist = wk.estimate_spread_measure(
+        dom, "source", wk.JumpParams(Lambda=lam, a=dom.mesh), 200_000, RngStream(23),
+        chunk_size=100_000,
+    )
+    arc = dom.face_arclength[working]
+    pool = np.minimum((4 * arc / arc.max()).astype(int), 3)
+    expected = np.append(np.bincount(pool, weights=law.probabilities, minlength=4), 1.0 - law.absorbed_fraction)
+    freq = np.append(np.bincount(pool, weights=hist.counts, minlength=4), hist.source_absorbed) / hist.total
+    z = (freq - expected) / np.sqrt(expected * (1.0 - expected) / hist.total)
+    assert hist.censored == 0
+    assert np.max(np.abs(z)) < 4.0
 
 
 @pytest.mark.parametrize("where", ["lattice", "annulus", "ball_exterior"])
