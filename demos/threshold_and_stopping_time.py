@@ -3,9 +3,10 @@
 A partially reflected walker carries an exponential budget chi with mean
 Lambda. Every boundary contact spends a slice of local time; the walk stops
 once the accumulated local time exceeds chi. This script samples that
-stopping time with the exact excursion sampler and lays the histogram next
-to the closed-form law, then prints the two reference absorption
-probabilities for a centered chord (2D) and a centered disk (3D).
+stopping time on the lattice, one exact first-passage draw per walk, and
+sets the empirical CDF beside the closed-form law, then prints the two
+reference absorption probabilities for a centered chord (2D) and a centered
+disk (3D).
 """
 
 import numpy as np

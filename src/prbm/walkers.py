@@ -25,7 +25,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -727,26 +726,100 @@ def estimate_spread_measure(
 
 
 # -- stopping-time sampler -----------------------------------------------------
+#
+# T_m, the first passage of the simple walk from 0 to level m >= 1, takes the
+# values n = m + 2j with P(T_m = n) = (m/n) C(n, j) 2^-n (the hitting-time
+# theorem). Its continuum limit is the Levy law m^2/Z^2, so one proposal from
+# that law, truncated to t >= m, lands in the cell [m + 2j, m + 2j + 2) of
+# width 2 and is kept with probability P(T_m = m + 2j) / (C * 2 h(t)), where
+# h is the truncated Levy density. The cell's lattice mass never exceeds
+# C = 1 + 2/m times 2 h anywhere in it, so the kept j follow the lattice law
+# exactly, and on average C proposals make a draw.
+
+_LN2 = math.log(2.0)
+_HALF_LN_2PI = 0.5 * math.log(_TWO_PI)
+
+# stirlerr(k) = log k! - (k + 1/2) log k + k - log sqrt(2 pi) for k <= 15,
+# where the Stirling series below is short of double precision
+_STIRLERR_SMALL = np.array(
+    [0.0] + [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _HALF_LN_2PI for k in range(1, 16)]
+)
+
+# phi(v) + phi(-v) = sum_k v^2k / (k (2k - 1)), highest power first
+_BD0_SERIES = np.array([1.0 / (k * (2 * k - 1)) for k in range(9, 0, -1)])
+
+# ceil(chi/a) must stay an exact float: numpy's standard exponential never
+# exceeds 45 (the ziggurat's tail starts at 7.7 and draws -log of a 53-bit
+# uniform), so chi/a < 64 Lambda/a <= 2^53
+_MAX_LEVEL_SCALE = 2.0**47
 
 
-@lru_cache(maxsize=4)
-def _return_time_cdf(table_size: int) -> tuple[np.ndarray, float]:
-    """CDF of the first return to the origin of the reflected walk.
+def _stirlerr(x: np.ndarray) -> np.ndarray:
+    """log x! - (x + 1/2) log x + x - log sqrt(2 pi) for integer-valued x >= 1."""
+    r = 1.0 / x
+    r2 = r * r
+    out = r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188))))
+    small = x <= 15
+    if small.any():
+        out[small] = _STIRLERR_SMALL[x[small].astype(np.intp)]
+    return out
 
-    Return times are odd: P(tau = 2k-1) = C(2k-1, k) 2^{1-2k}/(2k-1), the
-    ballot-problem law of the first passage from 1 to 0. Beyond the table
-    the law continues as the matched sqrt tail.
+
+def _bd0_pair(v: np.ndarray) -> np.ndarray:
+    """phi(v) + phi(-v), with phi(v) = (1 + v) log1p(v) - v, for 0 <= v < 1.
+
+    n/2 times this is Loader's pair of deviance terms bd0(j, n/2) +
+    bd0(n - j, n/2) at v = (n - 2j)/n. Below v = 0.1 the direct form would
+    cancel to v^2, so the even series takes over.
     """
-    k = np.arange(1, table_size + 1, dtype=np.float64)
-    logp = (
-        special.gammaln(2 * k)
-        - special.gammaln(k + 1.0)
-        - special.gammaln(k)
-        - np.log(2.0 * k - 1.0)
-        - (2.0 * k - 1.0) * math.log(2.0)
+    w = v * v
+    out = w * np.polyval(_BD0_SERIES, w)
+    big = v >= 0.1
+    if big.any():
+        vb = v[big]
+        out[big] = (1.0 + vb) * np.log1p(vb) + (1.0 - vb) * np.log1p(-vb)
+    return out
+
+
+def _log_first_passage_pmf(m: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """log P(T_m = m + 2j) of the simple walk, to rounding at every length.
+
+    Loader's saddle-point form of the binomial pmf keeps every term of
+    moderate size, where differences of log-gamma values lose all digits
+    once n is large.
+    """
+    jj = np.maximum(j, 1.0)
+    n = m + 2.0 * jj
+    k = m + jj
+    lp = (
+        np.log(m / n)
+        + _stirlerr(n) - _stirlerr(jj) - _stirlerr(k)
+        - 0.5 * n * _bd0_pair(m / n)
+        - 0.5 * np.log(_TWO_PI * (jj * k / n))
     )
-    cdf = np.cumsum(np.exp(logp))
-    return cdf, float(cdf[-1])
+    return np.where(j == 0, -_LN2 * m, lp)
+
+
+def _first_passage_times(gen: np.random.Generator, m: np.ndarray) -> np.ndarray:
+    """One exact draw of T_m for each level m >= 1 (integer-valued floats)."""
+    cap = special.erf(np.sqrt(0.5 * m))
+    # log of C * 2 h(t) without its t-dependent part -1.5 log t - m^2/(2t)
+    log_env = np.log1p(2.0 / m) + _LN2 + np.log(m) - _HALF_LN_2PI - np.log(cap)
+    out = np.empty_like(m)
+    todo = np.arange(m.size)
+    while todo.size:
+        mt = m[todo]
+        # |Z| by inversion of the half-normal law cut at sqrt(m), so that
+        # t = m^2/Z^2 >= m; the clamps only absorb rounding
+        u = 1.0 - gen.random(todo.size)
+        z = np.minimum(math.sqrt(2.0) * special.erfinv(u * cap[todo]), np.sqrt(mt))
+        t = np.maximum(mt * mt / (z * z), mt)
+        j = np.floor(0.5 * (t - mt))
+        log_h = log_env[todo] - 1.5 * np.log(t) - 0.5 * z * z
+        keep = np.log(gen.random(todo.size)) + log_h <= _log_first_passage_pmf(mt, j)
+        out[todo[keep]] = mt[keep] + 2.0 * j[keep]
+        todo = todo[~keep]
+    return out
 
 
 def estimate_stopping_time(
@@ -756,47 +829,37 @@ def estimate_stopping_time(
     rng: RngStream,
     *,
     chunk_size: int = 4000,
-    table_size: int = 1 << 21,
 ) -> np.ndarray:
     """Sample the boundary stopping time of the reflected 1D walk, exactly.
 
-    The walk from the origin decomposes into excursions: one forced step off
-    the boundary plus a first-return time tau. The exponential threshold
-    fixes the number of touches m = ceil(chi/a) (each touch adds a of local
-    time), so t = a^2 ((m - 1) + sum of m-1 return times), in the units
-    where one lattice step lasts a^2. tau is drawn from its exact law up to
-    2*table_size - 1 steps and from the matched Pareto-1/2 tail beyond, so
-    no step cap or censoring is needed. Returns the sorted sample.
+    Each boundary touch adds a of local time, so the exponential threshold
+    chi allows ceil(chi/a) touches, the last of which absorbs. Before it the
+    walk makes m = ceil(chi/a) - 1 excursions, each one forced step off the
+    boundary and a return. The m returns together last as long as the first
+    passage T_m of a simple walk to level m, so t = a^2 (m + T_m) in units
+    where one step lasts a^2. Each sample is one draw of T_m, by rejection
+    from its Levy limit with 1 + 2/m proposals on average: exact at every
+    length, with no table, step cap or censoring, in memory proportional to
+    chunk_size. Samples are a pure function of (seed, stream_id, chunk_size)
+    and depend on (Lambda, a) only through chi/a. Returns the sorted sample.
     """
-    if not Lambda > 0:
-        raise InvalidParam("Lambda must be positive")
-    if not a > 0:
-        raise InvalidParam("mesh a must be positive")
-    if n_samples < 1:
-        raise InvalidParam("n_samples must be at least 1")
-    cdf, covered = _return_time_cdf(table_size)
-    tail_mass = 1.0 - covered
-    t0 = 2.0 * table_size
+    if not (Lambda > 0 and math.isfinite(Lambda)):
+        raise InvalidParam("Lambda must be positive and finite")
+    if not (a > 0 and math.isfinite(a)):
+        raise InvalidParam("mesh a must be positive and finite")
+    if not Lambda / a <= _MAX_LEVEL_SCALE:
+        raise InvalidParam(f"Lambda/a must be at most 2**47, got {Lambda / a:.3g}")
+    if n_samples < 1 or chunk_size < 1:
+        raise InvalidParam("n_samples and chunk_size must be at least 1")
     out = np.empty(n_samples)
-    done = 0
-    ci = 0
-    while done < n_samples:
-        nc = min(chunk_size, n_samples - done)
+    for ci, lo in enumerate(range(0, n_samples, chunk_size)):
         gen = rng.generator(block=ci)
-        chi = gen.exponential(Lambda, size=nc)
-        n_exc = np.ceil(chi / a).astype(np.int64) - 1
-        total = int(n_exc.sum())
-        u = gen.random(total)
-        idx = np.searchsorted(cdf, u, side="right")
-        tau = 2.0 * (idx + 1) - 1.0
-        in_tail = idx >= table_size
-        if in_tail.any():
-            v = np.maximum((1.0 - u[in_tail]) / tail_mass, 1e-300)
-            x = np.minimum(t0 / (v * v), 1e300)
-            tau[in_tail] = 2.0 * np.floor(x / 2.0) + 1.0
-        sums = np.bincount(np.repeat(np.arange(nc), n_exc), weights=tau, minlength=nc)
-        out[done : done + nc] = a * a * (n_exc + sums)
-        done += nc
-        ci += 1
+        chi = gen.exponential(Lambda, size=min(chunk_size, n_samples - lo))
+        # chi = 0 is absorbed at the first touch, like chi <= a
+        m = np.maximum(np.ceil(chi / a) - 1.0, 0.0)
+        steps = m.copy()
+        moved = m > 0
+        steps[moved] += _first_passage_times(gen, m[moved])
+        out[lo : lo + chi.size] = a * a * steps
     out.sort()
     return out

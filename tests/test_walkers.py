@@ -1,12 +1,15 @@
 """Monte Carlo walkers against exact laws and against each other."""
 
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from prbm import dtn, lsa
+from prbm import halfspace as hs
 from prbm import spectral as sp
 from prbm import walkers as wk
 from prbm.errors import ExcessiveCensoring, InvalidParam
@@ -336,3 +339,153 @@ def test_stopping_time_sampler_guards():
         wk.estimate_stopping_time(1.0, 0.0, 10, RngStream(0))
     with pytest.raises(InvalidParam):
         wk.estimate_stopping_time(1.0, 0.01, 0, RngStream(0))
+    with pytest.raises(InvalidParam):
+        wk.estimate_stopping_time(1.0, 0.01, 10, RngStream(0), chunk_size=0)
+    # non-finite lengths, and Lambda/a so large that ceil(chi/a) would leave
+    # the exact floats
+    for Lambda, a in [(math.inf, 0.01), (1.0, math.inf), (math.nan, 0.01), (1.0, math.nan),
+                      (1e300, 1e-300), (1.0, 1e-15)]:
+        with pytest.raises(InvalidParam):
+            wk.estimate_stopping_time(Lambda, a, 3, RngStream(0))
+    # the largest admitted Lambda/a still samples finite times
+    assert np.all(np.isfinite(wk.estimate_stopping_time(2.0**47, 1.0, 10, RngStream(0))))
+
+
+# -- the exact first-passage sampler behind estimate_stopping_time ------------
+
+
+def _exact_log_first_passage(m: int, j: int) -> float:
+    """log P(T_m = m + 2j) = log(m C(m + 2j, j) / ((m + 2j) 2^(m + 2j))) in big integers."""
+    n = m + 2 * j
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(Decimal(m * math.comb(n, j)).ln() - Decimal(n * 2**n).ln())
+
+
+def test_first_passage_log_pmf_matches_big_integers():
+    worst = 0.0
+    for m in (1, 2, 3, 5, 17, 30, 200, 1000, 5000):
+        js = np.unique(np.r_[np.arange(60), np.geomspace(1, 5000, 60).astype(int)])
+        js = js[m + 2 * js <= 12_000]
+        got = wk._log_first_passage_pmf(np.full(js.size, float(m)), js.astype(float))
+        for j, lp in zip(js, got):
+            exact = _exact_log_first_passage(m, int(j))
+            worst = max(worst, abs(lp - exact) / max(1.0, abs(exact)))
+    assert worst < 1e-14
+
+
+def test_first_passage_envelope_bounds_the_lattice_law():
+    """P(T_m = m + 2j) <= (1 + 2/m) 2 h(t) at every t of the cell [m + 2j, m + 2j + 2).
+
+    h is the Levy density truncated to t >= m. It is unimodal, so its
+    minimum over a cell sits at one of the cell's ends.
+    """
+    js = np.unique(np.r_[np.arange(2000.0), np.floor(np.geomspace(1, 1e15, 3000))])
+    for m in (1, 2, 3, 4, 5, 7, 10, 30, 50, 200, 1e3, 1e4, 1e5, 1e7):
+        def log_h(t):
+            return (math.log(m) - 0.5 * math.log(2 * math.pi) - 1.5 * np.log(t)
+                    - m * m / (2 * t) - math.log(special.erf(math.sqrt(m / 2))))
+
+        lo = m + 2 * js
+        log_min_h = np.minimum(log_h(lo), log_h(lo + 2))
+        lp = wk._log_first_passage_pmf(np.full(js.size, float(m)), js)
+        assert np.all(lp <= math.log1p(2 / m) + math.log(2) + log_min_h), m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 30, 200])
+def test_first_passage_draws_match_the_exact_law(m):
+    """Cell counts for j < 40, and tails P(T_m > n) out to n = 1e10, within 5 sigma.
+
+    By the reflection principle P(T_m > n) = P(-m <= S_n <= m - 1) for the
+    walk S_n = 2X - n, X ~ Bin(n, 1/2).
+    """
+    n_draws = 500_000
+    t = wk._first_passage_times(RngStream(11, m).generator(), np.full(n_draws, float(m)))
+    assert np.all(t >= m) and np.all((t - m) % 2 == 0)
+    j = (t - m) / 2
+
+    p = np.exp(wk._log_first_passage_pmf(np.full(40, float(m)), np.arange(40.0)))
+    counts = np.bincount(j[j < 40].astype(int), minlength=40)
+    seen = n_draws * p >= 1
+    z = (counts[seen] - n_draws * p[seen]) / np.sqrt(n_draws * p[seen] * (1 - p[seen]))
+    assert np.all(np.abs(z) < 5), z
+    # cells expected to stay nearly empty, pooled, at the same 1e-6 level
+    assert counts[~seen].sum() <= stats.poisson.isf(1e-6, n_draws * p[~seen].sum())
+
+    n = m + 2 * np.unique(np.floor(np.geomspace(1, 5e9, 40))).astype(np.int64)
+    q = np.array([stats.binom.cdf((k + m - 1) // 2, k, 0.5) - stats.binom.cdf((k - m) // 2 - 1, k, 0.5)
+                  for k in n])
+    var = n_draws * q * (1 - q)
+    tested = var >= 1
+    over = np.array([(t > k).sum() for k in n[tested]])
+    z = (over - n_draws * q[tested]) / np.sqrt(var[tested])
+    assert tested.sum() >= 20 and np.all(np.abs(z) < 5), z
+
+
+@pytest.mark.parametrize("ratio", [200.0, 1e4])
+def test_stopping_time_matches_continuum_law(ratio):
+    """KS distance to stopping_time_cdf within the DKW bound at 1e-3.
+
+    The lattice walk is absorbed at its first touch with probability
+    1 - exp(-a/Lambda), an atom the continuum law lacks, so that much more
+    is allowed.
+    """
+    n = 200_000
+    ts = wk.estimate_stopping_time(1.0, 1.0 / ratio, n, RngStream(5))
+    cdf = hs.stopping_time_cdf(ts, 1.0)
+    i = np.arange(n)
+    ks = max(np.max((i + 1) / n - cdf), np.max(cdf - i / n))
+    assert ks < math.sqrt(math.log(2 / 1e-3) / (2 * n)) + 1 - math.exp(-1 / ratio)
+
+
+def _table_stopping_time(Lambda, a, n_samples, rng):
+    """The sampler estimate_stopping_time replaced, kept as an oracle.
+
+    It sums m = ceil(chi/a) - 1 first-return times of the walk, each drawn
+    from a table of the exact law P(tau = 2k - 1) = C(2k - 1, k) 2^(1-2k)/(2k - 1)
+    up to 2^22 - 1 steps and from the matched Pareto-1/2 tail beyond.
+    """
+    table_size, chunk_size = 1 << 21, 4000
+    k = np.arange(1, table_size + 1, dtype=np.float64)
+    cdf = np.cumsum(np.exp(
+        special.gammaln(2 * k) - special.gammaln(k + 1.0) - special.gammaln(k)
+        - np.log(2.0 * k - 1.0) - (2.0 * k - 1.0) * math.log(2.0)
+    ))
+    tail_mass = 1.0 - cdf[-1]
+    out = np.empty(n_samples)
+    for ci, lo in enumerate(range(0, n_samples, chunk_size)):
+        nc = min(chunk_size, n_samples - lo)
+        gen = rng.generator(block=ci)
+        n_exc = np.ceil(gen.exponential(Lambda, size=nc) / a).astype(np.int64) - 1
+        u = gen.random(int(n_exc.sum()))
+        idx = np.searchsorted(cdf, u, side="right")
+        tau = 2.0 * (idx + 1) - 1.0
+        tail = idx >= table_size
+        v = np.maximum((1.0 - u[tail]) / tail_mass, 1e-300)
+        tau[tail] = 2.0 * np.floor(np.minimum(2.0 * table_size / (v * v), 1e300) / 2.0) + 1.0
+        sums = np.bincount(np.repeat(np.arange(nc), n_exc), weights=tau, minlength=nc)
+        out[lo : lo + nc] = a * a * (n_exc + sums)
+    return np.sort(out)
+
+
+def test_stopping_time_matches_table_sampler():
+    # distinct streams: the same stream would give both samplers the same chi
+    new = wk.estimate_stopping_time(1.0, 1.0 / 200.0, 20_000, RngStream(8, 0))
+    old = _table_stopping_time(1.0, 1.0 / 200.0, 20_000, RngStream(8, 1))
+    assert stats.ks_2samp(new, old).pvalue > 1e-3
+
+
+def test_stopping_time_memory_is_bounded():
+    """O(1) memory per sample: a table-free draw of T_m at Lambda/a = 1e5.
+
+    Summing m return times, as the table sampler did, would hold about
+    chunk_size * Lambda/a draws at once, some 12 GB here.
+    """
+    tracemalloc.start()
+    try:
+        ts = wk.estimate_stopping_time(1.0, 1e-5, 20_000, RngStream(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.all(np.isfinite(ts))
