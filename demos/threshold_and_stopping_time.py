@@ -23,8 +23,8 @@ from prbm import (
 
 LAMBDA = 0.8
 
-rng = RngStream(seed=42, stream_id=0)
-chi = np.array([sample_threshold(LAMBDA, rng) for _ in range(20_000)])
+gen = RngStream(seed=42, stream_id=0).generator()
+chi = np.array([sample_threshold(LAMBDA, gen) for _ in range(20_000)])
 print(f"threshold samples: mean {chi.mean():.4f} (target {LAMBDA}), "
       f"min {chi.min():.2e}")
 

@@ -42,7 +42,6 @@ from .geometry import (
     DomainKind,
     DomainSpec,
     LatticeDomain,
-    boundary_measure,
     boundary_points,
     circle_polyline,
     lattice_box,
@@ -54,7 +53,6 @@ from .geometry import (
 )
 from .halfspace import (
     QuadratureConfig,
-    TransportParams,
     absorption_probability_disk,
     eta,
     harmonic_density_halfspace,
@@ -123,7 +121,6 @@ __all__ = [
     "SingularSystem",
     "SlowConvergence",
     "SolveFailure",
-    "TransportParams",
     "TruncationTooCoarse",
     "absorption_distribution",
     "absorption_law",
@@ -132,7 +129,6 @@ __all__ = [
     "ball_degeneracy",
     "ball_eigenvalue",
     "ball_spread_density",
-    "boundary_measure",
     "boundary_points",
     "build_M",
     "build_Q",

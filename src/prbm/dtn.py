@@ -53,6 +53,9 @@ __all__ = [
     "impedance_curve",
 ]
 
+# Right-hand sides per solve in build_Q: nb * _Q_CHUNK floats at a time
+_Q_CHUNK = 64
+
 
 @dataclass
 class SelfTransportMatrix:
@@ -164,7 +167,7 @@ def _factor(dom: LatticeDomain, eps: np.ndarray | None = None):
         raise SingularSystem(f"bulk system factorization failed: {exc}") from exc
 
 
-def build_Q(dom: LatticeDomain, chunk: int = 64) -> SelfTransportMatrix:
+def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     """Brownian self-transport matrix over the working faces.
 
     Entry (j, k) is the probability that the walk launched at face j's inward
@@ -185,8 +188,8 @@ def build_Q(dom: LatticeDomain, chunk: int = 64) -> SelfTransportMatrix:
     w_in = inward[working]
     nw = len(working)
     Q = np.empty((nw, nw))
-    for lo in range(0, nw, chunk):
-        hi = min(lo + chunk, nw)
+    for lo in range(0, nw, _Q_CHUNK):
+        hi = min(lo + _Q_CHUNK, nw)
         B = np.zeros((nb, hi - lo))
         B[w_in[lo:hi], np.arange(hi - lo)] = 1.0
         G = lu.solve(B)

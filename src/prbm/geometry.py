@@ -44,7 +44,6 @@ __all__ = [
     "LatticeDomain",
     "make_canonical",
     "rasterize",
-    "boundary_measure",
     "boundary_points",
     "circle_polyline",
     "lattice_box",
@@ -71,7 +70,6 @@ class DomainKind(enum.Enum):
     BALL_INTERIOR = "ball_interior"
     BALL_EXTERIOR = "ball_exterior"
     ANNULUS = "annulus"
-    LATTICE = "lattice"
 
 
 @dataclass(frozen=True)
@@ -86,14 +84,12 @@ class DomainSpec:
     kind: DomainKind
     dimension: int
     outer_radius: float | None = None
-    diffusivity: float = 1.0
 
 
 def make_canonical(
     kind: DomainKind | str,
     dimension: int | None = None,
     outer_radius: float | None = None,
-    diffusivity: float = 1.0,
 ) -> DomainSpec:
     """Validated constructor for canonical domain specs.
 
@@ -123,9 +119,7 @@ def make_canonical(
             raise InvalidParam("annulus requires outer_radius > 1")
     elif outer_radius is not None:
         raise InvalidParam("outer_radius only applies to the annulus")
-    if not diffusivity > 0:
-        raise InvalidParam("diffusivity must be positive")
-    return DomainSpec(kind, dimension, outer_radius, diffusivity)
+    return DomainSpec(kind, dimension, outer_radius)
 
 
 class BoundaryTag(enum.IntEnum):
@@ -478,11 +472,6 @@ def _assemble(mesh, bulk, index, inward, exterior, tag, weight, arc=None) -> Lat
     )
     dom.validate()
     return dom
-
-
-def boundary_measure(domain: LatticeDomain) -> np.ndarray:
-    """Per-face surface measure used to turn site sums into surface integrals."""
-    return domain.measures()
 
 
 def boundary_points(domain: LatticeDomain) -> list[BoundaryPoint]:

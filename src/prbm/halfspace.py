@@ -30,7 +30,6 @@ from scipy import integrate, special
 from .errors import InvalidParam, NumericOverflowWarning, SlowConvergence
 
 __all__ = [
-    "TransportParams",
     "QuadratureConfig",
     "stopping_time_density",
     "stopping_time_cdf",
@@ -40,27 +39,6 @@ __all__ = [
     "harmonic_density_halfspace",
     "spread_density_halfspace",
 ]
-
-
-@dataclass(frozen=True)
-class TransportParams:
-    """Physical triple for the mixed boundary condition.
-
-    Lambda = D/W is the absorption length, D the diffusion coefficient,
-    C0 the source concentration. Impedances are reported per unit C0.
-    """
-
-    Lambda: float
-    D: float = 1.0
-    C0: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.Lambda >= 0:
-            raise InvalidParam("Lambda must be nonnegative")
-        if not self.D > 0:
-            raise InvalidParam("D must be positive")
-        if not self.C0 > 0:
-            raise InvalidParam("C0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -83,6 +61,10 @@ _DEFAULT_CFG = QuadratureConfig()
 # Beyond this scaled time the closed form cancels catastrophically; the
 # asymptotic series below agrees with it to ~1e-12 relative at the switch.
 _TAIL_SWITCH = 1e4
+
+# Below this height/Lambda the spread density's Fourier integral, cut off
+# at frequency 1/height, is too ill-conditioned to evaluate
+_MIN_HEIGHT_RATIO = 1e-6
 
 
 def _check_lambda(lam: float) -> float:
@@ -267,7 +249,6 @@ def spread_density_halfspace(
     s: float,
     Lambda: float,
     cfg: QuadratureConfig | None = None,
-    min_height_ratio: float = 1e-6,
 ) -> float:
     """Planar spread density: absorption-point law for the walk from interior x.
 
@@ -275,7 +256,7 @@ def spread_density_halfspace(
     evaluated with the oscillatory-weight quadrature rule. Only the planar
     case is implemented; Lambda = 0 falls back to the harmonic density.
 
-    Raises SlowConvergence when x_2 / Lambda < min_height_ratio, where the
+    Raises SlowConvergence when x_2 / Lambda < _MIN_HEIGHT_RATIO, where the
     effective frequency cutoff 1/x_2 makes the integral ill-conditioned.
     """
     cfg = cfg or _DEFAULT_CFG
@@ -290,9 +271,9 @@ def spread_density_halfspace(
     if lam == 0.0:
         return harmonic_density_halfspace(x, s)
     h = float(x[1])
-    if h / lam < min_height_ratio:
+    if h / lam < _MIN_HEIGHT_RATIO:
         raise SlowConvergence(
-            f"height/Lambda = {h / lam:.3e} below floor {min_height_ratio:.1e}; "
+            f"height/Lambda = {h / lam:.3e} below floor {_MIN_HEIGHT_RATIO:.1e}; "
             "the Fourier integral is ill-conditioned this close to the wall"
         )
     u = float(s) - float(x[0])

@@ -14,8 +14,9 @@ inverse CDF in a per-walker frame on the ball, walk on circles in the
 annulus, and a nearest-neighbour step on a lattice. Chunks run on disjoint
 counter blocks of one stream and merge in fixed order, which makes every
 estimate a pure function of (seed, stream_id, chunk_size) regardless of
-thread count. run_jump_walker follows one canonical trajectory at a time
-and is the reference the ensembles are tested against.
+thread count. run_jump_walker steps the same kernels for one canonical
+walker and keeps its whole record: fate, contact point, reflections and
+steps, under either the local or the global reflection rule.
 """
 
 from __future__ import annotations
@@ -155,28 +156,25 @@ class MeasureHistogram:
         return self.total_reflections / self.total
 
 
-def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
-def sample_threshold(Lambda: float, rng: RngStream | np.random.Generator) -> float:
+def sample_threshold(Lambda: float, rng: np.random.Generator) -> float:
     """Draw the absorption threshold chi, exponential with mean Lambda.
 
+    rng is a numpy Generator that successive calls share; an RngStream is
+    rejected, since each of its .generator() calls restarts the same block.
     Lambda = 0 degenerates to chi = 0: absorption at the first contact.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidParam(
+            "sample_threshold needs a Generator: call stream.generator() once and reuse it"
+        )
     if Lambda < 0:
         raise InvalidParam("Lambda must be nonnegative")
     if Lambda == 0:
         return 0.0
-    return float(_as_generator(rng).exponential(Lambda))
+    return float(rng.exponential(Lambda))
 
 
 # -- exact hitting laws --------------------------------------------------------
-#
-# Each law takes scalars or arrays, so single trajectories and the ensemble
-# kernels draw from one copy of it.
 
 
 def _mobius_angle(rho: float, phi):
@@ -241,8 +239,6 @@ def _check_start(dom, start, params: JumpParams):
     if not isinstance(dom, DomainSpec):
         raise InvalidParam("dom must be a DomainSpec or LatticeDomain")
     kind = dom.kind
-    if kind is DomainKind.LATTICE:
-        raise InvalidParam("lattice walks need a LatticeDomain")
     try:
         x = np.asarray(start, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -288,140 +284,6 @@ def _resolve_site(dom: LatticeDomain, start) -> int:
     return int(idx)
 
 
-# -- single trajectories -------------------------------------------------------
-
-
-def run_jump_walker(
-    dom: DomainSpec,
-    start,
-    params: JumpParams,
-    stream: RngStream,
-    mode: str = "local",
-) -> AbsorptionRecord:
-    """One jump-reflected trajectory in a canonical domain.
-
-    Positions and reflection decisions come from two substreams of the given
-    stream. mode="local" flips a Bernoulli(1 - epsilon) coin at every working
-    contact; mode="global" draws the whole reflection budget N from the
-    geometric law up front, off the same decision stream, so both modes
-    produce the same fate from the same stream: the hit sequence never sees
-    which rule is in force. Every draw of the hit law, and every annulus
-    contact, counts as one step against max_steps.
-    """
-    if not isinstance(dom, DomainSpec):
-        raise InvalidParam("run_jump_walker needs a canonical DomainSpec")
-    if mode not in ("local", "global"):
-        raise InvalidParam(f"unknown mode {mode!r}")
-    x = _check_start(dom, start, params)
-
-    pos = stream.substream(0).generator()
-    dec = stream.substream(1).generator()
-    eps = params.epsilon
-    budget = -1
-    if mode == "global":
-        budget = 0
-        while float(dec.random()) < eps:
-            budget += 1
-
-    hits = 0
-    refl = 0
-    steps = 0
-    a = params.a
-
-    def contact_absorbs() -> bool:
-        if mode == "local":
-            return float(dec.random()) >= eps
-        return refl == budget
-
-    kind = dom.kind
-
-    if kind is DomainKind.HALF_SPACE:
-        d = dom.dimension
-        esc = params.escape_cap()
-        lateral = x[:-1].copy()
-        height = float(x[-1])
-        while steps < params.max_steps:
-            z = pos.standard_normal(d - 1)
-            w = pos.standard_normal()
-            lateral = lateral + height * z / abs(w)
-            steps += 1
-            hits += 1
-            if contact_absorbs():
-                point = tuple(lateral) + (0.0,)
-                return AbsorptionRecord(Fate.WORKING, point, refl, a * hits, steps)
-            refl += 1
-            if np.linalg.norm(lateral) > esc:
-                return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
-            height = a
-        return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
-
-    if kind in (DomainKind.DISK_INTERIOR, DomainKind.DISK_EXTERIOR):
-        interior = kind is DomainKind.DISK_INTERIOR
-        r = float(np.hypot(x[0], x[1]))
-        ang = math.atan2(x[1], x[0])
-        while steps < params.max_steps:
-            rho = r if interior else 1.0 / r
-            theta = ang + float(_mobius_angle(rho, pos.uniform(0.0, _TWO_PI)))
-            steps += 1
-            hits += 1
-            if contact_absorbs():
-                point = (math.cos(theta), math.sin(theta))
-                return AbsorptionRecord(Fate.WORKING, point, refl, a * hits, steps)
-            refl += 1
-            ang = theta
-            r = 1.0 - a if interior else 1.0 + a
-        return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
-
-    if kind in (DomainKind.BALL_INTERIOR, DomainKind.BALL_EXTERIOR):
-        interior = kind is DomainKind.BALL_INTERIOR
-        r = float(np.linalg.norm(x))
-        while steps < params.max_steps:
-            if not interior:
-                # transient walk: the sphere is reached with probability 1/r,
-                # otherwise the walker escapes to the source at infinity
-                if float(pos.random()) >= 1.0 / r:
-                    steps += 1
-                    return AbsorptionRecord(Fate.SOURCE, None, refl, a * hits, steps)
-                rho = 1.0 / r
-            else:
-                rho = r
-            axis = x / r if r > 0 else np.array([0.0, 0.0, 1.0])
-            cos_t = _ball_zonal_cos(rho, float(pos.random()))
-            s = _zonal_point(axis, cos_t, float(pos.uniform(0.0, _TWO_PI)))
-            steps += 1
-            hits += 1
-            if contact_absorbs():
-                return AbsorptionRecord(Fate.WORKING, tuple(s), refl, a * hits, steps)
-            refl += 1
-            x = (1.0 - a) * s if interior else (1.0 + a) * s
-            r = 1.0 - a if interior else 1.0 + a
-        return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
-
-    # annulus: walk on circles until a hair's breadth from either boundary
-    R = dom.outer_radius
-    shell = 1e-9 * (R - 1.0)
-    r = float(np.hypot(x[0], x[1]))
-    while steps < params.max_steps:
-        free = min(r - 1.0, R - r)
-        steps += 1
-        if free >= shell:
-            psi = float(pos.uniform(0.0, _TWO_PI))
-            x = x + free * np.array([math.cos(psi), math.sin(psi)])
-            r = float(np.hypot(x[0], x[1]))
-            continue
-        if R - r < r - 1.0:
-            return AbsorptionRecord(Fate.SOURCE, None, refl, a * hits, steps)
-        theta = math.atan2(x[1], x[0])
-        hits += 1
-        if contact_absorbs():
-            point = (math.cos(theta), math.sin(theta))
-            return AbsorptionRecord(Fate.WORKING, point, refl, a * hits, steps)
-        refl += 1
-        r = 1.0 + a
-        x = np.array([r * math.cos(theta), r * math.sin(theta)])
-    return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
-
-
 # -- vectorized ensembles ------------------------------------------------------
 #
 # A kernel is (edges, n_bins, init, hit, to_bin). init(gen, n) returns the
@@ -436,6 +298,7 @@ def run_jump_walker(
 # to_bin(where) maps the coordinates of absorbed walkers to histogram bins.
 # first is true on the first step only, when every walker is still at its
 # start height or radius; afterwards it sits at distance a off the boundary.
+# run_jump_walker drives the same kernels with one walker.
 
 
 def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to):
@@ -624,6 +487,19 @@ def _lattice_kernel(dom, start, params):
     return None, len(working), init, hit, lambda code: bin_of[code]
 
 
+def _kernel(dom, start, params: JumpParams, bins: int, window: float | None):
+    """The kernel of dom for a start already checked by _check_start."""
+    if isinstance(dom, LatticeDomain):
+        return _lattice_kernel(dom, start, params)
+    if dom.kind is DomainKind.HALF_SPACE:
+        return _halfspace_kernel(dom, start, params, bins, window)
+    if dom.kind is DomainKind.ANNULUS:
+        return _annulus_kernel(dom, start, params, bins)
+    if dom.dimension == 2:
+        return _disk_kernel(dom, start, params, bins)
+    return _ball_kernel(dom, start, params, bins)
+
+
 def estimate_spread_measure(
     dom,
     start,
@@ -675,17 +551,7 @@ def estimate_spread_measure(
         raise InvalidParam("threads must be at least 1")
 
     start = _check_start(dom, start, params)
-    if isinstance(dom, LatticeDomain):
-        kernel = _lattice_kernel(dom, start, params)
-    elif dom.kind is DomainKind.HALF_SPACE:
-        kernel = _halfspace_kernel(dom, start, params, bins, window)
-    elif dom.kind is DomainKind.ANNULUS:
-        kernel = _annulus_kernel(dom, start, params, bins)
-    elif dom.kind in (DomainKind.DISK_INTERIOR, DomainKind.DISK_EXTERIOR):
-        kernel = _disk_kernel(dom, start, params, bins)
-    else:
-        kernel = _ball_kernel(dom, start, params, bins)
-    edges, n_bins, init, hit, to_bin = kernel
+    edges, n_bins, init, hit, to_bin = _kernel(dom, start, params, bins, window)
 
     def run_chunk(ci: int, cn: int):
         return _walk(
@@ -723,6 +589,76 @@ def estimate_spread_measure(
             f"(ceiling {censored_ceiling:.1%})"
         )
     return hist
+
+
+# -- single trajectories -------------------------------------------------------
+
+
+def run_jump_walker(
+    dom: DomainSpec,
+    start,
+    params: JumpParams,
+    stream: RngStream,
+    mode: str = "local",
+) -> AbsorptionRecord:
+    """One jump-reflected trajectory in a canonical domain.
+
+    The trajectory takes the ensembles' steps: the domain's kernel advances
+    a single walker, so every hitting law has one copy. Positions and
+    reflection decisions come from two substreams of the given stream.
+    mode="local" flips a Bernoulli(1 - epsilon) coin at every working
+    contact; mode="global" draws the whole reflection budget N from the
+    geometric law up front, off the same decision stream, so both modes
+    produce the same fate from the same stream: the hit sequence never sees
+    which rule is in force. Every draw of the hit law, and every annulus
+    contact, counts as one step against max_steps.
+    """
+    if not isinstance(dom, DomainSpec):
+        raise InvalidParam("run_jump_walker needs a canonical DomainSpec")
+    if mode not in ("local", "global"):
+        raise InvalidParam(f"unknown mode {mode!r}")
+    _, _, init, hit, _ = _kernel(dom, _check_start(dom, start, params), params, 1, None)
+
+    pos = stream.substream(0).generator()
+    dec = stream.substream(1).generator()
+    eps = params.epsilon
+    budget = -1
+    if mode == "global":
+        budget = 0
+        while float(dec.random()) < eps:
+            budget += 1
+
+    a = params.a
+    rows = init(pos, 1)
+    hits = refl = steps = 0
+    while steps < params.max_steps:
+        rows, where, _, contact, src, far = hit(pos, rows, steps == 0)
+        steps += 1
+        if contact is None or contact[0]:
+            hits += 1
+            absorbs = float(dec.random()) >= eps if mode == "local" else refl == budget
+            if absorbs:
+                point = _contact_point(dom, rows, where)
+                return AbsorptionRecord(Fate.WORKING, point, refl, a * hits, steps)
+            refl += 1
+        if src is not None and src[0]:
+            return AbsorptionRecord(Fate.SOURCE, None, refl, a * hits, steps)
+        if far is not None and far[0]:
+            break
+    return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
+
+
+def _contact_point(dom: DomainSpec, rows, where) -> tuple[float, ...]:
+    """Cartesian point of a lone walker's working contact from its kernel step."""
+    if dom.kind is DomainKind.HALF_SPACE:
+        return (*map(float, np.ravel(rows)), 0.0)
+    if dom.kind is DomainKind.ANNULUS:
+        theta = float(np.angle(where[0]))
+    elif dom.dimension == 2:
+        theta = float(where[0])
+    else:
+        return tuple(map(float, where[0]))
+    return (math.cos(theta), math.sin(theta))
 
 
 # -- stopping-time sampler -----------------------------------------------------

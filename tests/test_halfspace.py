@@ -24,17 +24,6 @@ def test_quadrature_config_guards():
         hs.QuadratureConfig(cutoff=3.0)  # e^-3 dwarfs the default rel_tol
 
 
-def test_transport_params_guards():
-    p = hs.TransportParams(0.0)
-    assert p.D == 1.0 and p.C0 == 1.0
-    with pytest.raises(InvalidParam):
-        hs.TransportParams(-1.0)
-    with pytest.raises(InvalidParam):
-        hs.TransportParams(1.0, D=0.0)
-    with pytest.raises(InvalidParam):
-        hs.TransportParams(1.0, C0=-2.0)
-
-
 def test_stopping_time_density_routes_agree():
     """The closed erfcx form tracks the defining quadrature over six decades."""
     ts = np.geomspace(1e-3, 1e3, 13)

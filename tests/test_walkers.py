@@ -56,35 +56,60 @@ def test_rng_stream_replay_and_blocks():
 
 
 def test_sample_threshold():
-    assert wk.sample_threshold(0.0, RngStream(1)) == 0.0
     gen = RngStream(5).generator()
+    assert wk.sample_threshold(0.0, gen) == 0.0
     draws = np.array([wk.sample_threshold(2.0, gen) for _ in range(20_000)])
+    # successive draws are fresh, not one restarted block
+    assert len(np.unique(draws)) == len(draws)
     # exponential with mean 2: the sample mean sits within 4 sigma
     assert abs(draws.mean() - 2.0) < 4.0 * 2.0 / math.sqrt(len(draws))
     with pytest.raises(InvalidParam):
         wk.sample_threshold(-1.0, gen)
+    with pytest.raises(InvalidParam, match=r"\.generator\(\)"):
+        wk.sample_threshold(2.0, RngStream(1))
 
 
-def test_local_and_global_reflection_rules_coincide():
+@pytest.mark.parametrize(
+    "spec, start, base",
+    [
+        (dict(kind="half_space", dimension=2), (0.0, 0.5), 1000),
+        (dict(kind="half_space", dimension=3), (0.0, 0.2, 0.5), 2000),
+        (dict(kind="disk_interior"), (0.3, 0.1), 7000),
+        (dict(kind="disk_exterior"), (1.5, 0.2), 3000),
+        (dict(kind="ball_interior"), (0.3, 0.1, 0.2), 4000),
+        (dict(kind="ball_exterior"), (1.5, 0.2, 0.1), 5000),
+        (dict(kind="annulus", outer_radius=3.0), (2.0, 0.3), 6000),
+    ],
+    ids=[
+        "half_plane", "half_space_3d", "disk_interior", "disk_exterior",
+        "ball_interior", "ball_exterior", "annulus",
+    ],
+)
+def test_local_and_global_reflection_rules_coincide(spec, start, base):
     """Drawing the reflection budget up front must not change any trajectory.
 
     Both rules read the same decision substream, so fate, absorption point,
     reflection count and step count agree walker by walker. This is the
     discrete form of the equivalence between the exponential local-time
-    threshold and per-contact Bernoulli absorption.
+    threshold and per-contact Bernoulli absorption. A working absorption
+    lies on the working boundary.
     """
-    hp = make_canonical("half_space", dimension=2)
-    disk = make_canonical("disk_interior")
+    dom = make_canonical(**spec)
     p = wk.JumpParams(Lambda=0.7, a=0.05)
+    working = 0
     for seed in range(40):
-        s1 = RngStream(1000 + seed)
-        assert wk.run_jump_walker(hp, (0.0, 0.5), p, s1, mode="local") == wk.run_jump_walker(
-            hp, (0.0, 0.5), p, s1, mode="global"
-        )
-        s2 = RngStream(7000 + seed)
-        assert wk.run_jump_walker(disk, (0.3, 0.1), p, s2, mode="local") == wk.run_jump_walker(
-            disk, (0.3, 0.1), p, s2, mode="global"
-        )
+        stream = RngStream(base + seed)
+        rec = wk.run_jump_walker(dom, start, p, stream, mode="local")
+        assert rec == wk.run_jump_walker(dom, start, p, stream, mode="global")
+        if rec.fate is not wk.Fate.WORKING:
+            continue
+        working += 1
+        assert len(rec.point) == dom.dimension
+        if spec["kind"] == "half_space":
+            assert rec.point[-1] == 0.0
+        else:
+            assert abs(math.hypot(*rec.point) - 1.0) < 1e-12
+    assert working > 0
 
 
 def test_run_jump_walker_guards():
