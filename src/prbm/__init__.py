@@ -42,7 +42,6 @@ from .geometry import (
     DomainKind,
     DomainSpec,
     LatticeDomain,
-    boundary_points,
     circle_polyline,
     lattice_box,
     lattice_channel,
@@ -52,7 +51,6 @@ from .geometry import (
     rasterize_loop,
 )
 from .halfspace import (
-    QuadratureConfig,
     absorption_probability_disk,
     eta,
     harmonic_density_halfspace,
@@ -65,7 +63,6 @@ from .lsa import CoarseGrainReport, coarse_grain, compare_flux, koch_polyline
 from .rng import RngStream
 from .spectral import (
     AnalyticSpectrum,
-    SeriesConfig,
     annulus_spectrum,
     ball_degeneracy,
     ball_eigenvalue,
@@ -114,10 +111,8 @@ __all__ = [
     "NumericOverflowWarning",
     "PerimeterTooSmall",
     "PrbmError",
-    "QuadratureConfig",
     "RngStream",
     "SelfTransportMatrix",
-    "SeriesConfig",
     "SingularSystem",
     "SlowConvergence",
     "SolveFailure",
@@ -129,7 +124,6 @@ __all__ = [
     "ball_degeneracy",
     "ball_eigenvalue",
     "ball_spread_density",
-    "boundary_points",
     "build_M",
     "build_Q",
     "circle_polyline",

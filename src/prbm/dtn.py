@@ -313,6 +313,8 @@ def spectrum(M: np.ndarray, phi0h: np.ndarray | None, measure: np.ndarray, weigh
     Solves the symmetric form W^{-1/2} M W^{-1/2} and rescales, so V comes
     out measure-orthonormal and the weighted operator's self-adjointness is
     explicit. phi0h may be None when only eigenvalues are wanted (F = 0).
+    Raises SolveFailure when the operator has an eigenvalue below
+    -1e-12 * max|mu|.
     """
     n = M.shape[0]
     m = np.asarray(measure, dtype=float)
@@ -328,6 +330,14 @@ def spectrum(M: np.ndarray, phi0h: np.ndarray | None, measure: np.ndarray, weigh
         vals, U = sla.eigh(S)
     except sla.LinAlgError as exc:
         raise SolveFailure(f"eigendecomposition failed: {exc}") from exc
+    # a DtN operator is positive semidefinite: rounding leaves eigenvalues a
+    # few ulps below zero, which the clamp below absorbs, but a clearly
+    # negative one means M is no DtN operator
+    scale = np.abs(vals).max(initial=0.0)
+    if vals.min(initial=0.0) < -1e-12 * scale:
+        raise SolveFailure(
+            f"operator is indefinite: smallest eigenvalue {vals.min():.3e} (max |mu| {scale:.3e})"
+        )
     vals = np.where(np.abs(vals) < 1e-13, np.abs(vals), vals)
     # U is plainly orthonormal; dividing by sqrt(m) makes the columns
     # measure-orthonormal eigenvectors of the weighted operator

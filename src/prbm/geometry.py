@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,11 +39,9 @@ __all__ = [
     "DomainKind",
     "DomainSpec",
     "BoundaryTag",
-    "BoundaryPoint",
     "LatticeDomain",
     "make_canonical",
     "rasterize",
-    "boundary_points",
     "circle_polyline",
     "lattice_box",
     "lattice_channel",
@@ -127,22 +124,6 @@ class BoundaryTag(enum.IntEnum):
     SOURCE = 1
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A point on an interface with its arclength coordinate and inward normal."""
-
-    position: tuple[float, ...]
-    arclength_coord: float
-    inward_normal: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        norm = math.sqrt(sum(c * c for c in self.inward_normal))
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidParam("inward_normal must be a unit vector (|n| = 1 within 1e-12)")
-        if len(self.position) != len(self.inward_normal):
-            raise InvalidParam("position and inward_normal must share a dimension")
-
-
 @dataclass
 class LatticeDomain:
     """Rasterized domain: bulk sites plus tagged boundary faces.
@@ -186,10 +167,6 @@ class LatticeDomain:
         of the two adjacent cell centers.
         """
         return 0.5 * self.mesh * (self.face_exterior + self.face_inward + 1.0)
-
-    def face_inward_normals(self) -> np.ndarray:
-        """Unit normals pointing from each face into the bulk."""
-        return (self.face_inward - self.face_exterior).astype(float)
 
     def measures(self) -> np.ndarray:
         """Physical surface measure of each face: mesh^(d-1) * weight."""
@@ -474,20 +451,6 @@ def _assemble(mesh, bulk, index, inward, exterior, tag, weight, arc=None) -> Lat
     return dom
 
 
-def boundary_points(domain: LatticeDomain) -> list[BoundaryPoint]:
-    """Faces as BoundaryPoint records (midpoint, arclength, inward normal)."""
-    mids = domain.face_midpoints()
-    normals = domain.face_inward_normals()
-    if domain.face_arclength is None:
-        arc = np.arange(domain.n_faces, dtype=float) * domain.mesh
-    else:
-        arc = domain.face_arclength
-    return [
-        BoundaryPoint(tuple(map(float, mids[i])), float(arc[i]), tuple(map(float, normals[i])))
-        for i in range(domain.n_faces)
-    ]
-
-
 # -- polylines ---------------------------------------------------------------
 
 
@@ -653,10 +616,10 @@ def rasterize(
     return _rasterize(loops, [work, src], mesh, "polylines enclose no lattice sites at this mesh")
 
 
-def _rasterize(loops, curves, mesh: float, empty: str, tag: BoundaryTag = BoundaryTag.WORKING) -> LatticeDomain:
+def _rasterize(loops, curves, mesh: float, empty: str) -> LatticeDomain:
     """Bulk sites inside the loops and their faces, tagged by the curves.
 
-    With one curve every face gets tag; with a (working, source) pair each
+    With one curve every face is working; with a (working, source) pair each
     face takes the tag of the nearer curve, ties going to working. Weights
     and arclengths come from the curve that tags the face.
     """
@@ -673,7 +636,7 @@ def _rasterize(loops, curves, mesh: float, empty: str, tag: BoundaryTag = Bounda
     inward, exterior = _boundary_faces(bulk, index)
     if len(curves) == 1:
         _, arc, weight = _face_geometry(inward, exterior, mesh, curves[0])
-        tags = np.full(len(arc), int(tag))
+        tags = np.full(len(arc), int(BoundaryTag.WORKING))
     else:
         dist_w, arc_w, weight_w = _face_geometry(inward, exterior, mesh, curves[0])
         dist_s, arc_s, weight_s = _face_geometry(inward, exterior, mesh, curves[1])
@@ -729,8 +692,8 @@ def lattice_box(
     return _assemble(mesh, bulk, index, inward, exterior, tags, np.ones(len(tags)))
 
 
-def rasterize_loop(polyline, mesh: float, tag: BoundaryTag = BoundaryTag.WORKING) -> LatticeDomain:
-    """Rasterize a single closed curve; every face gets the same tag.
+def rasterize_loop(polyline, mesh: float) -> LatticeDomain:
+    """Rasterize a single closed curve; every face is working.
 
     This is the sourceless variant of rasterize, used for spectra of closed
     interfaces. InvalidParam if the polyline is not closed.
@@ -742,7 +705,7 @@ def rasterize_loop(polyline, mesh: float, tag: BoundaryTag = BoundaryTag.WORKING
         raise InvalidParam("rasterize_loop needs a closed polyline")
     if _self_intersects(poly):
         raise DegenerateGeometry("polyline self-intersects")
-    return _rasterize([poly], [poly], mesh, "polyline encloses no lattice sites at this mesh", tag)
+    return _rasterize([poly], [poly], mesh, "polyline encloses no lattice sites at this mesh")
 
 
 def lattice_channel(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -30,7 +29,6 @@ from scipy import integrate, special
 from .errors import InvalidParam, NumericOverflowWarning, SlowConvergence
 
 __all__ = [
-    "QuadratureConfig",
     "stopping_time_density",
     "stopping_time_cdf",
     "spread_kernel_t",
@@ -41,22 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-    cutoff: float = 50.0  # upper limit for exponentially damped u-integrals
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise InvalidParam("rel_tol must be positive")
-        if self.max_subdivisions < 10:
-            raise InvalidParam("max_subdivisions must be at least 10")
-        if math.exp(-self.cutoff) >= self.rel_tol:
-            raise InvalidParam("cutoff too small: truncated tail exceeds rel_tol")
-
-
-_DEFAULT_CFG = QuadratureConfig()
+# Quadrature settings: relative tolerance, subinterval limit, and the upper
+# limit of the e^{-u}-damped u-integrals (e^{-50} is far below _REL_TOL)
+_REL_TOL = 1e-9
+_MAX_SUBDIVISIONS = 200
+_CUTOFF = 50.0
 
 # Beyond this scaled time the closed form cancels catastrophically; the
 # asymptotic series below agrees with it to ~1e-12 relative at the switch.
@@ -74,7 +61,7 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def stopping_time_density(t, Lambda: float, method: str = "closed", cfg: QuadratureConfig | None = None):
+def stopping_time_density(t, Lambda: float, method: str = "closed"):
     """Density of the absorption time for the half-space walk started on the wall.
 
     The scaled variable is tau = t / (2 Lambda^2); the density is
@@ -85,14 +72,13 @@ def stopping_time_density(t, Lambda: float, method: str = "closed", cfg: Quadrat
     """
     lam = _check_lambda(Lambda)
     if method == "integral":
-        cfg = cfg or _DEFAULT_CFG
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t_arr)
         for i, ti in enumerate(t_arr):
             if not ti > 0:
                 raise InvalidParam("t must be positive")
             f = lambda z: z * math.exp(-z * z / (2 * ti) - z / lam)
-            val, _ = integrate.quad(f, 0, np.inf, epsabs=0, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions)
+            val, _ = integrate.quad(f, 0, np.inf, epsabs=0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS)
             out[i] = val / (lam * math.sqrt(2 * math.pi) * ti**1.5)
         return out if np.ndim(t) else float(out[0])
     if method != "closed":
@@ -132,7 +118,7 @@ def stopping_time_cdf(t, Lambda: float):
     return out if np.ndim(t) else float(out)
 
 
-def _z_integral(z: float, d: int, epsrel: float, cfg: QuadratureConfig) -> float:
+def _z_integral(z: float, d: int, epsrel: float) -> float:
     """I_d(z) = int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du, for eta and spread_kernel_t.
 
     For z >= 1 the z^{-d} magnitude is factored out of the integrand first;
@@ -143,10 +129,10 @@ def _z_integral(z: float, d: int, epsrel: float, cfg: QuadratureConfig) -> float
     ln(1/z), and the split at u = z resolves the near-origin structure that
     produces the small-z divergence.
     """
-    opts = dict(epsabs=0.0, epsrel=epsrel, limit=cfg.max_subdivisions)
+    opts = dict(epsabs=0.0, epsrel=epsrel, limit=_MAX_SUBDIVISIONS)
     if z >= 1.0:
         g = lambda u: u * math.exp(-u) * (1.0 + (u / z) ** 2) ** (-d / 2.0)
-        val, _ = integrate.quad(g, 0, cfg.cutoff, **opts)
+        val, _ = integrate.quad(g, 0, _CUTOFF, **opts)
         return z ** (-d) * val
 
     def logw(x: float) -> float:
@@ -154,23 +140,22 @@ def _z_integral(z: float, d: int, epsrel: float, cfg: QuadratureConfig) -> float
         w = math.exp(x)
         return w * w * math.exp(-z * w) * (1.0 + w * w) ** (-d / 2.0)
 
-    val, _ = integrate.quad(logw, -40.0, math.log(cfg.cutoff / z), points=[0.0], **opts)
+    val, _ = integrate.quad(logw, -40.0, math.log(_CUTOFF / z), points=[0.0], **opts)
     return z ** (2.0 - d) * val
 
 
-def eta(z: float, d: int = 2, cfg: QuadratureConfig | None = None) -> float:
+def eta(z: float, d: int = 2) -> float:
     """Correction factor eta_d(z) = (1+z^2)^{d/2} * int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du."""
-    cfg = cfg or _DEFAULT_CFG
     z = float(z)
     if not z > 0:
         raise InvalidParam("z must be positive")
     d = int(d)
     if d < 2:
         raise InvalidParam("d must be at least 2")
-    return (1 + z * z) ** (d / 2.0) * _z_integral(z, d, min(cfg.rel_tol, 1e-12), cfg)
+    return (1 + z * z) ** (d / 2.0) * _z_integral(z, d, 1e-12)
 
 
-def spread_kernel_t(s, Lambda: float, d: int = 2, cfg: QuadratureConfig | None = None) -> float:
+def spread_kernel_t(s, Lambda: float, d: int = 2) -> float:
     """Lateral absorption density t_Lambda(s) for the walk started at the wall origin.
 
     s is a lateral (d-1)-vector or a scalar lateral distance. Evaluates
@@ -178,7 +163,6 @@ def spread_kernel_t(s, Lambda: float, d: int = 2, cfg: QuadratureConfig | None =
     directly (substituting z = Lambda u). At s = 0 the integral diverges for
     every d >= 2 (logarithmically for d = 2) and +inf is returned.
     """
-    cfg = cfg or _DEFAULT_CFG
     lam = _check_lambda(Lambda)
     d = int(d)
     if d < 2:
@@ -187,10 +171,10 @@ def spread_kernel_t(s, Lambda: float, d: int = 2, cfg: QuadratureConfig | None =
     if r == 0.0:
         return math.inf
     pref = special.gamma(d / 2.0) / (math.pi ** (d / 2.0) * lam ** (d - 1))
-    return pref * _z_integral(r / lam, d, cfg.rel_tol, cfg)
+    return pref * _z_integral(r / lam, d, _REL_TOL)
 
 
-def absorption_probability_disk(r: float, Lambda: float, d: int = 2, cfg: QuadratureConfig | None = None) -> float:
+def absorption_probability_disk(r: float, Lambda: float, d: int = 2) -> float:
     """Probability that the walk from the wall origin is absorbed within |s| <= r.
 
     Uses P(r) = int_0^inf e^{-u} H_d(r / (Lambda u)) du where H_d is the
@@ -198,7 +182,6 @@ def absorption_probability_disk(r: float, Lambda: float, d: int = 2, cfg: Quadra
     regularized incomplete beta function:
     H_d(rho) = I(rho^2/(1+rho^2); (d-1)/2, 1/2). Depends on r/Lambda only.
     """
-    cfg = cfg or _DEFAULT_CFG
     lam = _check_lambda(Lambda)
     if r < 0:
         raise InvalidParam("r must be nonnegative")
@@ -215,9 +198,9 @@ def absorption_probability_disk(r: float, Lambda: float, d: int = 2, cfg: Quadra
         return math.exp(-u) * special.betainc(a, b, rho * rho / (1.0 + rho * rho))
 
     # e^{-u} kills the tail; the left edge is smooth (H -> 1 as u -> 0+)
-    pts = sorted({min(ratio, cfg.cutoff * 0.5), 1.0})
+    pts = sorted({min(ratio, _CUTOFF * 0.5), 1.0})
     val, _ = integrate.quad(
-        f, 0, cfg.cutoff, points=pts, epsabs=0.0, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions
+        f, 0, _CUTOFF, points=pts, epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS
     )
     return min(val, 1.0)
 
@@ -244,12 +227,7 @@ def harmonic_density_halfspace(x, s, d: int | None = None) -> float:
     return special.gamma(d / 2.0) / math.pi ** (d / 2.0) * h / q ** (d / 2.0)
 
 
-def spread_density_halfspace(
-    x,
-    s: float,
-    Lambda: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def spread_density_halfspace(x, s: float, Lambda: float) -> float:
     """Planar spread density: absorption-point law for the walk from interior x.
 
     Fourier form (1/pi) int_0^inf cos(k (s - x_1)) e^{-k x_2} / (1 + Lambda k) dk,
@@ -259,7 +237,6 @@ def spread_density_halfspace(
     Raises SlowConvergence when x_2 / Lambda < _MIN_HEIGHT_RATIO, where the
     effective frequency cutoff 1/x_2 makes the integral ill-conditioned.
     """
-    cfg = cfg or _DEFAULT_CFG
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(x) != 2:
         raise InvalidParam("only the planar half-space (d = 2) is implemented")
@@ -278,16 +255,16 @@ def spread_density_halfspace(
         )
     u = float(s) - float(x[0])
     f = lambda k: math.exp(-k * h) / (math.pi * (1.0 + lam * k))
-    if abs(u) * cfg.cutoff < 0.5 * h:
+    if abs(u) * _CUTOFF < 0.5 * h:
         # less than half a radian of phase across the whole e^{-kh} support:
         # not an oscillatory integral, and QAWF silently returns ~0 there
         g = lambda k: f(k) * math.cos(k * u)
-        val, _ = integrate.quad(g, 0, np.inf, epsabs=0.0, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions)
+        val, _ = integrate.quad(g, 0, np.inf, epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS)
         return val
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            val, _ = integrate.quad(f, 0, np.inf, weight="cos", wvar=u, limit=cfg.max_subdivisions)
+            val, _ = integrate.quad(f, 0, np.inf, weight="cos", wvar=u, limit=_MAX_SUBDIVISIONS)
         except integrate.IntegrationWarning as exc:
             raise SlowConvergence(f"oscillatory quadrature did not converge: {exc}") from exc
     return val

@@ -23,7 +23,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SeriesConfig",
     "AnalyticSpectrum",
     "poisson_kernel_disk",
     "disk_spread_density",
@@ -37,19 +36,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    max_terms: int = 200_000
-    tail_tol: float = 1e-12
+# Series truncation: the most terms any series may take, and the bound its
+# neglected tail must clear
+_MAX_TERMS = 200_000
+_TAIL_TOL = 1e-12
 
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise InvalidParam("max_terms must be at least 1")
-        if not self.tail_tol > 0:
-            raise InvalidParam("tail_tol must be positive")
-
-
-_DEFAULT = SeriesConfig()
+# disk_spreading_kernel is singular on its diagonal; closer angles than this
+# raise DiagonalSingularity
+_DIAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,37 +68,36 @@ def poisson_kernel_disk(r: float, theta: float) -> float:
     return (1.0 - r * r) / (2.0 * math.pi * (1.0 - 2.0 * r * math.cos(theta) + r * r))
 
 
-def _disk_n_terms(r: float, lam: float, cfg: SeriesConfig) -> int:
-    """Terms needed so the geometric tail r^N/((1-r)(1+lam N)) clears tail_tol."""
+def _disk_n_terms(r: float, lam: float) -> int:
+    """Terms needed so the geometric tail r^N/((1-r)(1+lam N)) clears _TAIL_TOL."""
     if r == 0.0:
         return 0
     # solve r^N < tol * (1-r) * pi, then let the (1 + lam N) factor help
-    n = max(1, int(math.ceil(math.log(cfg.tail_tol * (1.0 - r) * math.pi) / math.log(r))))
-    if n > cfg.max_terms:
-        tail = r**cfg.max_terms / ((1.0 - r) * (1.0 + lam * cfg.max_terms) * math.pi)
-        if tail > cfg.tail_tol:
+    n = max(1, int(math.ceil(math.log(_TAIL_TOL * (1.0 - r) * math.pi) / math.log(r))))
+    if n > _MAX_TERMS:
+        tail = r**_MAX_TERMS / ((1.0 - r) * (1.0 + lam * _MAX_TERMS) * math.pi)
+        if tail > _TAIL_TOL:
             raise TruncationTooCoarse(
-                f"series tail {tail:.2e} > tail_tol {cfg.tail_tol:.1e} at max_terms={cfg.max_terms}"
+                f"series tail {tail:.2e} exceeds {_TAIL_TOL:.1e} after {_MAX_TERMS} terms"
             )
-        n = cfg.max_terms
+        n = _MAX_TERMS
     return n
 
 
-def disk_spread_density(r: float, theta: float, Lambda: float, cfg: SeriesConfig | None = None) -> float:
+def disk_spread_density(r: float, theta: float, Lambda: float) -> float:
     """Absorption-point density on the unit circle for the walk from (r, 0).
 
     Cosine series (1/2pi) [1 + 2 sum_{a>=1} r^a cos(a theta) / (1 + Lambda a)];
     reduces to the Poisson kernel at Lambda = 0 and flattens to uniform as
     Lambda grows.
     """
-    cfg = cfg or _DEFAULT
     r = float(r)
     lam = float(Lambda)
     if not 0.0 <= r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
     if lam < 0:
         raise InvalidParam("Lambda must be nonnegative")
-    n = _disk_n_terms(r, lam, cfg)
+    n = _disk_n_terms(r, lam)
     if n == 0:
         return 1.0 / (2.0 * math.pi)
     a = np.arange(1, n + 1, dtype=float)
@@ -112,14 +105,7 @@ def disk_spread_density(r: float, theta: float, Lambda: float, cfg: SeriesConfig
     return (1.0 + 2.0 * s) / (2.0 * math.pi)
 
 
-def disk_spreading_kernel(
-    theta: float,
-    theta_p: float,
-    Lambda: float,
-    cfg: SeriesConfig | None = None,
-    diag_tol: float = 1e-9,
-    method: str = "resummed",
-) -> float:
+def disk_spreading_kernel(theta: float, theta_p: float, Lambda: float, method: str = "resummed") -> float:
     """Boundary-to-boundary absorption kernel of the unit circle.
 
     The defining cosine series (1/2pi) sum e^{i a (theta-theta_p)}/(1+Lambda|a|)
@@ -131,13 +117,12 @@ def disk_spreading_kernel(
     exists as an independent cross-check; it cannot reach small Lambda at
     sane term counts and raises TruncationTooCoarse there instead of lying.
     """
-    cfg = cfg or _DEFAULT
     lam = float(Lambda)
     if not lam > 0:
         raise InvalidParam("Lambda must be positive")
     delta = math.remainder(float(theta) - float(theta_p), 2.0 * math.pi)
-    if abs(delta) < diag_tol:
-        raise DiagonalSingularity(f"|theta - theta_p| = {abs(delta):.2e} below diag_tol")
+    if abs(delta) < _DIAG_TOL:
+        raise DiagonalSingularity(f"|theta - theta_p| = {abs(delta):.2e} below {_DIAG_TOL:.0e}")
     delta = abs(delta)
 
     if method == "resummed":
@@ -165,11 +150,10 @@ def disk_spreading_kernel(
     s1 = -math.log(2.0 * math.sin(delta / 2.0))
     s2 = math.pi**2 / 6.0 - math.pi * delta / 2.0 + delta**2 / 4.0
     half_sin = abs(math.sin(delta / 2.0))
-    n = cfg.max_terms
     # find the smallest workable N: remainder coefficient c_a = 1/(a^2 (1+lam a))
-    target = cfg.tail_tol * lam**2 * math.pi  # absolute tolerance on the remainder sum
+    target = _TAIL_TOL * lam**2 * math.pi  # absolute tolerance on the remainder sum
     n_needed = None
-    for cand in np.geomspace(8, cfg.max_terms, 40):
+    for cand in np.geomspace(8, _MAX_TERMS, 40):
         c = int(cand)
         bound = 2.0 / (c * c * (1.0 + lam * c) * half_sin)
         if bound < target:
@@ -177,8 +161,8 @@ def disk_spreading_kernel(
             break
     if n_needed is None:
         raise TruncationTooCoarse(
-            f"Dirichlet tail bound cannot reach tail_tol={cfg.tail_tol:.1e} "
-            f"within max_terms={cfg.max_terms} at Lambda={lam:g}"
+            f"Dirichlet tail bound cannot reach {_TAIL_TOL:.1e} "
+            f"within {_MAX_TERMS} terms at Lambda={lam:g}"
         )
     a = np.arange(1, n_needed + 1, dtype=float)
     rem = np.sum(np.cos(a * delta) / (a * a * (1.0 + lam * a)))
@@ -210,14 +194,13 @@ def ball_degeneracy(l: int, d: int = 3) -> int:
     return num // (d - 2)
 
 
-def ball_spread_density(r: float, theta: float, Lambda: float, cfg: SeriesConfig | None = None) -> float:
+def ball_spread_density(r: float, theta: float, Lambda: float) -> float:
     """Zonal absorption density on the unit sphere from interior point (r, theta=0 axis).
 
     sum_l (2l+1)/(4pi) r^l P_l(cos theta) / (1 + Lambda l). The tail uses the
     exact geometric bound sum_{l>N} (2l+1) r^l =
     r^{N+1} [(2N+3) - (2N+1) r] / (1-r)^2 together with |P_l| <= 1.
     """
-    cfg = cfg or _DEFAULT
     r = float(r)
     lam = float(Lambda)
     if not 0.0 <= r < 1.0:
@@ -232,14 +215,14 @@ def ball_spread_density(r: float, theta: float, Lambda: float, cfg: SeriesConfig
         return g / (4.0 * math.pi * (1.0 + lam * (nterm + 1)))
 
     n = 1
-    while tail(n) > cfg.tail_tol:
+    while tail(n) > _TAIL_TOL:
         n *= 2
-        if n > cfg.max_terms:
-            if tail(cfg.max_terms) <= cfg.tail_tol:
-                n = cfg.max_terms
+        if n > _MAX_TERMS:
+            if tail(_MAX_TERMS) <= _TAIL_TOL:
+                n = _MAX_TERMS
                 break
             raise TruncationTooCoarse(
-                f"zonal tail {tail(cfg.max_terms):.2e} > tail_tol at max_terms={cfg.max_terms}"
+                f"zonal tail {tail(_MAX_TERMS):.2e} exceeds {_TAIL_TOL:.1e} after {_MAX_TERMS} terms"
             )
     x = math.cos(theta)
     p_prev, p = 1.0, x  # P_0, P_1

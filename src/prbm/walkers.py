@@ -63,14 +63,13 @@ class JumpParams:
 
     The reflection probability is never stored; it is always the derived
     epsilon = 1/(1 + a/Lambda), which degenerates to 0 at Lambda = 0 (absorb
-    on first contact). escape_radius (half-space only) defaults to
-    1e4 * max(Lambda, a).
+    on first contact). On the half-space a walker is censored once its
+    lateral distance exceeds the fixed cap 1e4 * max(Lambda, a).
     """
 
     Lambda: float
     a: float
     max_steps: int = 10_000_000
-    escape_radius: float | None = None
 
     def __post_init__(self) -> None:
         if self.Lambda < 0:
@@ -79,8 +78,6 @@ class JumpParams:
             raise InvalidParam("jump distance a must be positive")
         if self.max_steps < 1:
             raise InvalidParam("max_steps must be at least 1")
-        if self.escape_radius is not None and not self.escape_radius > 0:
-            raise InvalidParam("escape_radius must be positive when given")
 
     @property
     def epsilon(self) -> float:
@@ -89,8 +86,6 @@ class JumpParams:
         return self.Lambda / (self.Lambda + self.a)
 
     def escape_cap(self) -> float:
-        if self.escape_radius is not None:
-            return self.escape_radius
         return 1e4 * max(self.Lambda, self.a)
 
 
@@ -689,6 +684,9 @@ _BD0_SERIES = np.array([1.0 / (k * (2 * k - 1)) for k in range(9, 0, -1)])
 # uniform), so chi/a < 64 Lambda/a <= 2^53
 _MAX_LEVEL_SCALE = 2.0**47
 
+# stopping-time samples per counter block; the draws depend on it
+_STOP_CHUNK = 4000
+
 
 def _stirlerr(x: np.ndarray) -> np.ndarray:
     """log x! - (x + 1/2) log x + x - log sqrt(2 pi) for integer-valued x >= 1."""
@@ -758,14 +756,7 @@ def _first_passage_times(gen: np.random.Generator, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_stopping_time(
-    Lambda: float,
-    a: float,
-    n_samples: int,
-    rng: RngStream,
-    *,
-    chunk_size: int = 4000,
-) -> np.ndarray:
+def estimate_stopping_time(Lambda: float, a: float, n_samples: int, rng: RngStream) -> np.ndarray:
     """Sample the boundary stopping time of the reflected 1D walk, exactly.
 
     Each boundary touch adds a of local time, so the exponential threshold
@@ -775,9 +766,10 @@ def estimate_stopping_time(
     passage T_m of a simple walk to level m, so t = a^2 (m + T_m) in units
     where one step lasts a^2. Each sample is one draw of T_m, by rejection
     from its Levy limit with 1 + 2/m proposals on average: exact at every
-    length, with no table, step cap or censoring, in memory proportional to
-    chunk_size. Samples are a pure function of (seed, stream_id, chunk_size)
-    and depend on (Lambda, a) only through chi/a. Returns the sorted sample.
+    length, with no table, step cap or censoring, drawing 4000 samples at a
+    time from successive counter blocks. Samples are a pure function of
+    (seed, stream_id) and depend on (Lambda, a) only through chi/a. Returns
+    the sorted sample.
     """
     if not (Lambda > 0 and math.isfinite(Lambda)):
         raise InvalidParam("Lambda must be positive and finite")
@@ -785,12 +777,12 @@ def estimate_stopping_time(
         raise InvalidParam("mesh a must be positive and finite")
     if not Lambda / a <= _MAX_LEVEL_SCALE:
         raise InvalidParam(f"Lambda/a must be at most 2**47, got {Lambda / a:.3g}")
-    if n_samples < 1 or chunk_size < 1:
-        raise InvalidParam("n_samples and chunk_size must be at least 1")
+    if n_samples < 1:
+        raise InvalidParam("n_samples must be at least 1")
     out = np.empty(n_samples)
-    for ci, lo in enumerate(range(0, n_samples, chunk_size)):
+    for ci, lo in enumerate(range(0, n_samples, _STOP_CHUNK)):
         gen = rng.generator(block=ci)
-        chi = gen.exponential(Lambda, size=min(chunk_size, n_samples - lo))
+        chi = gen.exponential(Lambda, size=min(_STOP_CHUNK, n_samples - lo))
         # chi = 0 is absorbed at the first touch, like chi <= a
         m = np.maximum(np.ceil(chi / a) - 1.0, 0.0)
         steps = m.copy()

@@ -5,7 +5,7 @@ import pytest
 
 from prbm import dtn
 from prbm import geometry as geo
-from prbm.errors import InvalidParam, SingularSystem
+from prbm.errors import InvalidParam, SingularSystem, SolveFailure
 
 
 def test_corridor_matches_hand_green_function(corridor):
@@ -219,6 +219,9 @@ def test_spectrum_input_guards(box16_Q):
         dtn.spectrum(M, None, box16_Q.measure[:-1])
     with pytest.raises(InvalidParam):
         dtn.spectrum(M, np.ones(3), box16_Q.measure)
+    # an indefinite matrix is no DtN operator
+    with pytest.raises(SolveFailure):
+        dtn.spectrum(np.diag([-1.0, 1.0]), None, np.ones(2))
 
 
 def test_weighted_spectrum_reconstructs_weighted_resolvent(disk64_Q):

@@ -37,14 +37,6 @@ def test_make_canonical_rejects(kwargs):
         geo.make_canonical(**kwargs)
 
 
-def test_boundary_point_wants_unit_normal():
-    geo.BoundaryPoint((0.0, 0.0), 0.0, (0.0, 1.0))
-    with pytest.raises(InvalidParam):
-        geo.BoundaryPoint((0.0, 0.0), 0.0, (0.0, 2.0))
-    with pytest.raises(InvalidParam):
-        geo.BoundaryPoint((0.0, 0.0, 0.0), 0.0, (0.0, 1.0))
-
-
 def test_lattice_box_shape_and_tags():
     box = geo.lattice_box(5, 3, 0.1)
     assert box.n_bulk == 15
@@ -104,9 +96,6 @@ def test_face_midpoints_sit_between_cell_centers():
         if tuple(box.face_inward[i]) == (0, 0) and tuple(box.face_exterior[i]) == (0, -1)
     )
     assert np.allclose(mids[k], [0.125, 0.0])
-    normals = box.face_inward_normals()
-    assert np.allclose(normals[k], [0.0, 1.0])
-    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
 
 
 def test_json_roundtrip():
@@ -475,12 +464,6 @@ def test_validate_catches_misplaced_faces():
     )
     with pytest.raises(DegenerateGeometry):
         inside.validate()
-
-
-def test_boundary_points_and_measure(box16):
-    pts = geo.boundary_points(box16)
-    assert len(pts) == box16.n_faces
-    assert all(len(p.position) == 2 for p in pts)
 
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))

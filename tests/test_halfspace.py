@@ -14,16 +14,6 @@ from prbm.errors import InvalidParam, SlowConvergence
 EULER_GAMMA = 0.5772156649015329
 
 
-def test_quadrature_config_guards():
-    hs.QuadratureConfig()
-    with pytest.raises(InvalidParam):
-        hs.QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(InvalidParam):
-        hs.QuadratureConfig(max_subdivisions=5)
-    with pytest.raises(InvalidParam):
-        hs.QuadratureConfig(cutoff=3.0)  # e^-3 dwarfs the default rel_tol
-
-
 def test_stopping_time_density_routes_agree():
     """The closed erfcx form tracks the defining quadrature over six decades."""
     ts = np.geomspace(1e-3, 1e3, 13)

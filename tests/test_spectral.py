@@ -19,13 +19,6 @@ from prbm.errors import (
 TWO_PI = 2.0 * math.pi
 
 
-def test_series_config_guards():
-    with pytest.raises(InvalidParam):
-        sp.SeriesConfig(max_terms=0)
-    with pytest.raises(InvalidParam):
-        sp.SeriesConfig(tail_tol=0.0)
-
-
 def test_poisson_kernel_disk():
     assert sp.poisson_kernel_disk(0.0, 1.7) == pytest.approx(1.0 / TWO_PI)
     mass, _ = integrate.quad(lambda th: sp.poisson_kernel_disk(0.85, th), 0, TWO_PI)
@@ -64,9 +57,9 @@ def test_disk_spread_density_normalized():
 
 
 def test_disk_spread_density_truncation_guard():
-    tiny = sp.SeriesConfig(max_terms=8, tail_tol=1e-12)
+    # at r = 1 - 1e-5 the Lambda = 0 tail needs millions of terms
     with pytest.raises(TruncationTooCoarse):
-        sp.disk_spread_density(0.95, 0.0, 0.0, cfg=tiny)
+        sp.disk_spread_density(1.0 - 1e-5, 0.0, 0.0)
 
 
 def test_disk_spreading_kernel_two_routes():
@@ -158,7 +151,7 @@ def test_ball_spread_density_center_and_normalization():
 
 def test_ball_spread_density_truncation_guard():
     with pytest.raises(TruncationTooCoarse):
-        sp.ball_spread_density(0.999, 0.1, 0.0, cfg=sp.SeriesConfig(max_terms=16))
+        sp.ball_spread_density(1.0 - 1e-5, 0.1, 0.0)
 
 
 def test_annulus_spectrum_closed_form():

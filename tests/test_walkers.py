@@ -23,7 +23,6 @@ def test_jump_params_epsilon():
     p = wk.JumpParams(Lambda=2.0, a=0.5)
     assert p.epsilon == pytest.approx(0.8)
     assert p.escape_cap() == pytest.approx(2e4)
-    assert wk.JumpParams(Lambda=1.0, a=0.1, escape_radius=7.0).escape_cap() == 7.0
 
 
 @pytest.mark.parametrize(
@@ -32,7 +31,6 @@ def test_jump_params_epsilon():
         dict(Lambda=-0.1, a=0.1),
         dict(Lambda=1.0, a=0.0),
         dict(Lambda=1.0, a=0.1, max_steps=0),
-        dict(Lambda=1.0, a=0.1, escape_radius=0.0),
     ],
 )
 def test_jump_params_rejects(kwargs):
@@ -336,6 +334,26 @@ def test_excessive_censoring_raises():
         wk.estimate_spread_measure(dom, "source", p, 2_000, RngStream(2))
 
 
+def test_halfspace_escape_cap_censors():
+    """Walkers past the fixed cap 1e4 * max(Lambda, a) are censored.
+
+    At Lambda = a = 1e-4 the cap is 1 and epsilon = 1/2. From height 1 the
+    first hit lands past the cap with probability 1 - (2/pi) atan(1) = 1/2,
+    and a walker reflected there is censored. Later jumps start at height a
+    and almost never reach the cap, so the censored share is 1/4.
+    """
+    hp = make_canonical("half_space", dimension=2)
+    p = wk.JumpParams(Lambda=1e-4, a=1e-4)
+    n = 200_000
+    hist = wk.estimate_spread_measure(hp, (0.0, 1.0), p, n, RngStream(31), censored_ceiling=1.0)
+    share = p.epsilon * (1.0 - 2.0 / math.pi * math.atan(p.escape_cap() / 1.0))
+    assert share == pytest.approx(0.25)
+    sigma = math.sqrt(share * (1.0 - share) / n)
+    assert abs(hist.censored / n - share) < 5.0 * sigma
+    with pytest.raises(ExcessiveCensoring):
+        wk.estimate_spread_measure(hp, (0.0, 1.0), p, 2_000, RngStream(31))
+
+
 def test_histogram_partition_enforced():
     with pytest.raises(InvalidParam):
         wk.MeasureHistogram(
@@ -364,8 +382,6 @@ def test_stopping_time_sampler_guards():
         wk.estimate_stopping_time(1.0, 0.0, 10, RngStream(0))
     with pytest.raises(InvalidParam):
         wk.estimate_stopping_time(1.0, 0.01, 0, RngStream(0))
-    with pytest.raises(InvalidParam):
-        wk.estimate_stopping_time(1.0, 0.01, 10, RngStream(0), chunk_size=0)
     # non-finite lengths, and Lambda/a so large that ceil(chi/a) would leave
     # the exact floats
     for Lambda, a in [(math.inf, 0.01), (1.0, math.inf), (math.nan, 0.01), (1.0, math.nan),
