@@ -9,150 +9,23 @@ Carlo walkers, and the chord coarse-graining (land surveyor) check.
 
 from importlib import metadata as _metadata
 
-from .dtn import (
-    DtnSpectrum,
-    FluxVector,
-    SelfTransportMatrix,
-    absorption_distribution,
-    absorption_law,
-    build_M,
-    build_Q,
-    hitting_distribution,
-    impedance_curve,
-    spectrum,
-    spreading_operator,
-)
-from .errors import (
-    DegenerateGeometry,
-    DiagonalSingularity,
-    ExcessiveCensoring,
-    InvalidParam,
-    MeshTooCoarse,
-    MissingCellImpedance,
-    NumericOverflowWarning,
-    PerimeterTooSmall,
-    PrbmError,
-    SingularSystem,
-    SlowConvergence,
-    SolveFailure,
-    TruncationTooCoarse,
-)
-from .geometry import (
-    BoundaryTag,
-    DomainKind,
-    DomainSpec,
-    LatticeDomain,
-    circle_polyline,
-    lattice_box,
-    lattice_channel,
-    load_polyline,
-    make_canonical,
-    rasterize,
-    rasterize_loop,
-)
-from .halfspace import (
-    absorption_probability_disk,
-    eta,
-    harmonic_density_halfspace,
-    spread_density_halfspace,
-    spread_kernel_t,
-    stopping_time_cdf,
-    stopping_time_density,
-)
-from .lsa import CoarseGrainReport, coarse_grain, compare_flux, koch_polyline
-from .rng import RngStream
-from .spectral import (
-    AnalyticSpectrum,
-    annulus_spectrum,
-    ball_degeneracy,
-    ball_eigenvalue,
-    ball_spread_density,
-    disk_spread_density,
-    disk_spreading_kernel,
-    impedance_from_spectrum,
-    poisson_kernel_disk,
-    zeta,
-)
-from .walkers import (
-    AbsorptionRecord,
-    Fate,
-    JumpParams,
-    MeasureHistogram,
-    estimate_spread_measure,
-    estimate_stopping_time,
-    run_jump_walker,
-    sample_threshold,
-)
+from . import dtn, errors, geometry, halfspace, lsa, rng, spectral, walkers
+from .dtn import *
+from .errors import *
+from .geometry import *
+from .halfspace import *
+from .lsa import *
+from .rng import *
+from .spectral import *
+from .walkers import *
 
 try:
     __version__ = _metadata.version("artifact")
 except _metadata.PackageNotFoundError:  # running from a source tree
     __version__ = "0.0.0"
 
-__all__ = [
-    "AbsorptionRecord",
-    "AnalyticSpectrum",
-    "BoundaryTag",
-    "CoarseGrainReport",
-    "DegenerateGeometry",
-    "DiagonalSingularity",
-    "DomainKind",
-    "DomainSpec",
-    "DtnSpectrum",
-    "ExcessiveCensoring",
-    "Fate",
-    "FluxVector",
-    "InvalidParam",
-    "JumpParams",
-    "LatticeDomain",
-    "MeasureHistogram",
-    "MeshTooCoarse",
-    "MissingCellImpedance",
-    "NumericOverflowWarning",
-    "PerimeterTooSmall",
-    "PrbmError",
-    "RngStream",
-    "SelfTransportMatrix",
-    "SingularSystem",
-    "SlowConvergence",
-    "SolveFailure",
-    "TruncationTooCoarse",
-    "absorption_distribution",
-    "absorption_law",
-    "absorption_probability_disk",
-    "annulus_spectrum",
-    "ball_degeneracy",
-    "ball_eigenvalue",
-    "ball_spread_density",
-    "build_M",
-    "build_Q",
-    "circle_polyline",
-    "coarse_grain",
-    "compare_flux",
-    "disk_spread_density",
-    "disk_spreading_kernel",
-    "estimate_spread_measure",
-    "estimate_stopping_time",
-    "eta",
-    "harmonic_density_halfspace",
-    "hitting_distribution",
-    "impedance_curve",
-    "impedance_from_spectrum",
-    "koch_polyline",
-    "lattice_box",
-    "lattice_channel",
-    "load_polyline",
-    "make_canonical",
-    "poisson_kernel_disk",
-    "rasterize",
-    "rasterize_loop",
-    "run_jump_walker",
-    "sample_threshold",
-    "spectrum",
-    "spread_density_halfspace",
-    "spread_kernel_t",
-    "spreading_operator",
-    "stopping_time_cdf",
-    "stopping_time_density",
-    "zeta",
-]
+__all__ = sorted(
+    name
+    for module in (dtn, errors, geometry, halfspace, lsa, rng, spectral, walkers)
+    for name in module.__all__
+)

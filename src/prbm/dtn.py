@@ -15,10 +15,12 @@ and the absorption mass at f from the source launch pi is
 that is the dense route absorbed_fraction * T_Lambda P_0, which the tests
 keep as its oracle. The Lambda = 0 solve is hitting_distribution.
 
-Q is assembled from one sparse LU factorization of the bulk Laplacian with
-one right-hand side per working face, so it is exact to solver precision and
-exactly symmetric (each entry is a Green function value between the two
-inward sites). On lattice-aligned boundaries that is the whole story. On
+Q is the block of the lattice Green function G over the distinct inward
+sites S of the working faces, Q = G[S, S]/(2d), expanded to one row and
+column per face (faces that share an inward site share its column). G[S, S]
+comes from one sparse LU factorization of the bulk Laplacian with one
+right-hand side per site in S, so Q is exact to solver precision and exactly
+symmetric. On lattice-aligned boundaries that is the whole story. On
 rasterized smooth curves the faces carry alignment weights w <= 1 and every
 surface-aware object (inner products, the operator that T_Lambda inverts,
 flux totals) uses the face measure m = a^{d-1} w; with w == 1 everything
@@ -37,7 +39,8 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidParam, SingularSystem, SolveFailure
-from .geometry import BoundaryTag, LatticeDomain
+from .geometry import LatticeDomain
+from .spectral import impedance_from_spectrum
 
 __all__ = [
     "SelfTransportMatrix",
@@ -175,8 +178,8 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     faces is dropped, which is exactly what makes row sums < 1 there. The
     probability of exiting through face k from bulk site x is
     G(x, inward(k)) / (2d) with G the lattice Green function, so Q inherits
-    the symmetry of G. Right-hand sides are solved in chunks to bound memory
-    on large domains.
+    the symmetry of G. One right-hand side is solved per distinct inward
+    site, in chunks to bound memory on large domains.
     """
     dom.validate(check_connected=False)
     working = np.flatnonzero(dom.working_mask())
@@ -184,16 +187,15 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
         raise InvalidParam("domain has no working faces")
     lu, inward = _factor(dom)
     nb = dom.n_bulk
-    two_d = 2 * dom.dimension
-    w_in = inward[working]
-    nw = len(working)
-    Q = np.empty((nw, nw))
-    for lo in range(0, nw, _Q_CHUNK):
-        hi = min(lo + _Q_CHUNK, nw)
+    sites, face_site = np.unique(inward[working], return_inverse=True)
+    ns = len(sites)
+    G = np.empty((ns, ns))
+    for lo in range(0, ns, _Q_CHUNK):
+        hi = min(lo + _Q_CHUNK, ns)
         B = np.zeros((nb, hi - lo))
-        B[w_in[lo:hi], np.arange(hi - lo)] = 1.0
-        G = lu.solve(B)
-        Q[:, lo:hi] = G[w_in, :] / two_d
+        B[sites[lo:hi], np.arange(hi - lo)] = 1.0
+        G[:, lo:hi] = lu.solve(B)[sites, :]
+    Q = G[np.ix_(face_site, face_site)] / (2 * dom.dimension)
     Q = 0.5 * (Q + Q.T)  # kill solver-level asymmetry (measured ~1e-15)
     weight = dom.face_weight[working]
     measure = dom.measures()[working]
@@ -213,13 +215,19 @@ def build_M(Qm: SelfTransportMatrix) -> np.ndarray:
     return (np.eye(n) - Qm.Q) / Qm.mesh
 
 
-def _weighted(M: np.ndarray, weight: np.ndarray | None) -> np.ndarray:
-    if weight is None:
-        return M
-    w = np.asarray(weight, dtype=float)
-    if w.shape != (M.shape[0],):
+def _check_lambda(Lambda: float) -> float:
+    lam = float(Lambda)
+    if not 0.0 <= lam < np.inf:
+        raise InvalidParam("Lambda must be finite and nonnegative")
+    return lam
+
+
+def _face_weights(weight: np.ndarray | None, n: int) -> np.ndarray:
+    """Alignment weights as an (n,) array; omitted weights are all 1."""
+    w = np.ones(n) if weight is None else np.asarray(weight, dtype=float)
+    if w.shape != (n,):
         raise InvalidParam("weight length must match the operator size")
-    return M / w[:, None]
+    return w
 
 
 def spreading_operator(M: np.ndarray, Lambda: float, weight: np.ndarray | None = None) -> np.ndarray:
@@ -229,13 +237,11 @@ def spreading_operator(M: np.ndarray, Lambda: float, weight: np.ndarray | None =
     diag(1/w) M); omit it on lattice-aligned domains. Lambda = 0 returns the
     identity exactly.
     """
-    lam = float(Lambda)
-    if lam < 0:
-        raise InvalidParam("Lambda must be nonnegative")
+    lam = _check_lambda(Lambda)
     n = M.shape[0]
     if lam == 0.0:
         return np.eye(n)
-    A = np.eye(n) + lam * _weighted(M, weight)
+    A = np.eye(n) + lam * (M / _face_weights(weight, n)[:, None])
     try:
         T = sla.solve(A, np.eye(n))
     except sla.LinAlgError as exc:
@@ -248,9 +254,7 @@ def spreading_operator(M: np.ndarray, Lambda: float, weight: np.ndarray | None =
 
 def _absorbed_masses(dom: LatticeDomain, Lambda: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-working-face absorption masses of a source launch, and the face measures."""
-    lam = float(Lambda)
-    if lam < 0:
-        raise InvalidParam("Lambda must be nonnegative")
+    lam = _check_lambda(Lambda)
     source = np.flatnonzero(dom.source_mask())
     if len(source) == 0:
         raise InvalidParam("absorption law needs a source")
@@ -314,31 +318,29 @@ def spectrum(M: np.ndarray, phi0h: np.ndarray | None, measure: np.ndarray, weigh
     out measure-orthonormal and the weighted operator's self-adjointness is
     explicit. phi0h may be None when only eigenvalues are wanted (F = 0).
     Raises SolveFailure when the operator has an eigenvalue below
-    -1e-12 * max|mu|.
+    -1e-12 * max|mu|; the ones above are returned as |mu|.
     """
     n = M.shape[0]
     m = np.asarray(measure, dtype=float)
     if m.shape != (n,):
         raise InvalidParam("measure length must match the operator size")
-    if weight is None:
-        S = 0.5 * (M + M.T)
-    else:
-        rw = np.sqrt(np.asarray(weight, dtype=float))
-        S = M / np.outer(rw, rw)
-        S = 0.5 * (S + S.T)
+    rw = np.sqrt(_face_weights(weight, n))
+    S = M / np.outer(rw, rw)
+    S = 0.5 * (S + S.T)
     try:
         vals, U = sla.eigh(S)
     except sla.LinAlgError as exc:
         raise SolveFailure(f"eigendecomposition failed: {exc}") from exc
     # a DtN operator is positive semidefinite: rounding leaves eigenvalues a
-    # few ulps below zero, which the clamp below absorbs, but a clearly
-    # negative one means M is no DtN operator
+    # few ulps below zero, which taking |mu| absorbs (so every spectrum
+    # returned passes impedance_from_spectrum), but a clearly negative one
+    # means M is no DtN operator
     scale = np.abs(vals).max(initial=0.0)
     if vals.min(initial=0.0) < -1e-12 * scale:
         raise SolveFailure(
             f"operator is indefinite: smallest eigenvalue {vals.min():.3e} (max |mu| {scale:.3e})"
         )
-    vals = np.where(np.abs(vals) < 1e-13, np.abs(vals), vals)
+    vals = np.abs(vals)
     # U is plainly orthonormal; dividing by sqrt(m) makes the columns
     # measure-orthonormal eigenvectors of the weighted operator
     V = U / np.sqrt(m)[:, None]
@@ -355,8 +357,8 @@ def spectrum(M: np.ndarray, phi0h: np.ndarray | None, measure: np.ndarray, weigh
 def impedance_curve(spec: DtnSpectrum, Lambda_grid, D: float = 1.0) -> list[dict]:
     """Impedance along a Lambda grid, by two independent routes per point.
 
-    Spectral route: Z = (Lambda/D) sum F_a/(1 + Lambda mu_a), then
-    Z_sp = (1/Z - 1/Z_cell(0))^{-1}. Flux route: Z_cell = C0/flux with the
+    Spectral route: Z and Z_sp from impedance_from_spectrum, with Z_cell(0)
+    taken from the Dirichlet flux. Flux route: Z_cell = C0/flux with the
     flux of T_Lambda reconstructed in the eigenbasis, and the difference
     Z_cell(Lambda) - Z_cell(0). The two Z_sp values agree identically in
     exact arithmetic; both are reported so callers can check. Values are per
@@ -364,9 +366,8 @@ def impedance_curve(spec: DtnSpectrum, Lambda_grid, D: float = 1.0) -> list[dict
     """
     if not D > 0:
         raise InvalidParam("D must be positive")
-    mu, F, m = spec.mu, spec.F, spec.measure
-    ones = np.ones(len(mu))
-    c = spec.V.T @ (ones * m)  # components of the unit boundary data
+    mu = spec.mu
+    c = spec.V.T @ spec.measure  # components of the unit boundary data
     g2 = c * c
     flux0 = D * float(np.sum(g2 * mu))
     if flux0 <= 0:
@@ -374,22 +375,16 @@ def impedance_curve(spec: DtnSpectrum, Lambda_grid, D: float = 1.0) -> list[dict
     z_cell0 = 1.0 / flux0
     rows = []
     for lam in np.asarray(Lambda_grid, dtype=float):
-        if lam < 0:
-            raise InvalidParam("Lambda grid must be nonnegative")
-        denom = 1.0 + lam * mu
-        z = lam / D * float(np.sum(F / denom))
-        flux_lam = D * float(np.sum(g2 * mu / denom))
-        z_cell = 1.0 / flux_lam
-        z_sp_diff = z_cell - z_cell0
-        z_sp = 0.0 if z == 0.0 else 1.0 / (1.0 / z - 1.0 / z_cell0)
+        spectral = impedance_from_spectrum(mu, spec.F, lam, D, z_cell0=z_cell0)
+        z_cell = 1.0 / (D * float(np.sum(g2 * mu / (1.0 + lam * mu))))
         rows.append(
             {
                 "Lambda": float(lam),
-                "Z": z,
+                "Z": spectral["Z"],
                 "Z_cell": z_cell,
                 "Z_cell0": z_cell0,
-                "Z_sp": z_sp,
-                "Z_sp_diff": z_sp_diff,
+                "Z_sp": spectral["Z_sp"],
+                "Z_sp_diff": z_cell - z_cell0,
             }
         )
     return rows

@@ -4,6 +4,21 @@ Everything derives from PrbmError so callers (and the CLI) can catch domain
 failures in one place without swallowing programming errors.
 """
 
+__all__ = [
+    "PrbmError",
+    "InvalidParam",
+    "DegenerateGeometry",
+    "MeshTooCoarse",
+    "SlowConvergence",
+    "TruncationTooCoarse",
+    "DiagonalSingularity",
+    "SingularSystem",
+    "SolveFailure",
+    "PerimeterTooSmall",
+    "ExcessiveCensoring",
+    "NumericOverflowWarning",
+]
+
 
 class PrbmError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -39,10 +54,6 @@ class SingularSystem(PrbmError, ArithmeticError):
 
 class SolveFailure(PrbmError, ArithmeticError):
     """A dense solve or factorization failed."""
-
-
-class MissingCellImpedance(PrbmError, ValueError):
-    """An impedance decomposition was requested without Z_cell(0)."""
 
 
 class PerimeterTooSmall(PrbmError, ValueError):

@@ -56,8 +56,8 @@ _MIN_HEIGHT_RATIO = 1e-6
 
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
-    if not lam > 0:
-        raise InvalidParam("Lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise InvalidParam("Lambda must be positive and finite")
     return lam
 
 
@@ -243,7 +243,7 @@ def spread_density_halfspace(x, s: float, Lambda: float) -> float:
     if not x[1] > 0:
         raise InvalidParam("x must lie strictly inside the half-space")
     lam = float(Lambda)
-    if lam < 0:
+    if not lam >= 0:
         raise InvalidParam("Lambda must be nonnegative")
     if lam == 0.0:
         return harmonic_density_halfspace(x, s)

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InvalidParam
 
+__all__ = ["RngStream"]
+
 _WORD = 1 << 64
 
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import (
-    DiagonalSingularity,
-    InvalidParam,
-    MissingCellImpedance,
-    TruncationTooCoarse,
-)
+from .errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse
 
 __all__ = [
     "AnalyticSpectrum",
@@ -95,7 +90,7 @@ def disk_spread_density(r: float, theta: float, Lambda: float) -> float:
     lam = float(Lambda)
     if not 0.0 <= r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
-    if lam < 0:
+    if not lam >= 0:
         raise InvalidParam("Lambda must be nonnegative")
     n = _disk_n_terms(r, lam)
     if n == 0:
@@ -205,7 +200,7 @@ def ball_spread_density(r: float, theta: float, Lambda: float) -> float:
     lam = float(Lambda)
     if not 0.0 <= r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
-    if lam < 0:
+    if not lam >= 0:
         raise InvalidParam("Lambda must be nonnegative")
     if r == 0.0:
         return 1.0 / (4.0 * math.pi)
@@ -263,19 +258,12 @@ def annulus_spectrum(R: float, alpha_max: int) -> AnalyticSpectrum:
     return AnalyticSpectrum(kind="annulus", index=idx, mu=mu, degeneracy=deg)
 
 
-def impedance_from_spectrum(
-    mu,
-    weights,
-    Lambda: float,
-    D: float = 1.0,
-    z_cell0: float | None = None,
-    with_sp: bool = True,
-) -> dict:
+def impedance_from_spectrum(mu, weights, Lambda: float, D: float = 1.0, *, z_cell0: float) -> dict:
     """Spectral impedance Z(Lambda) = (Lambda/D) sum F_a / (1 + Lambda mu_a).
 
     The access-corrected value Z_sp = (1/Z - 1/Z_cell0)^{-1} needs the
-    Lambda = 0 cell impedance, which this spectrum alone does not determine;
-    pass it in or request with_sp=False.
+    Lambda = 0 cell impedance z_cell0, which this spectrum alone does not
+    determine.
     """
     mu = np.asarray(mu, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -286,23 +274,21 @@ def impedance_from_spectrum(
     if np.any(w < 0):
         raise InvalidParam("spectral weights must be nonnegative")
     lam = float(Lambda)
-    if lam < 0:
-        raise InvalidParam("Lambda must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise InvalidParam("Lambda must be finite and nonnegative")
     if not D > 0:
         raise InvalidParam("D must be positive")
+    if not 0.0 < z_cell0 < math.inf:
+        raise InvalidParam("z_cell0 must be positive and finite")
     z = lam / D * float(np.sum(w / (1.0 + lam * mu)))
-    out = {"Z": z, "Z_cell0": z_cell0, "Z_sp": None}
-    if with_sp:
-        if z_cell0 is None:
-            raise MissingCellImpedance("Z_sp requested but Z_cell(0) was not supplied")
-        out["Z_sp"] = 0.0 if z == 0.0 else 1.0 / (1.0 / z - 1.0 / z_cell0)
-    return out
+    z_sp = 0.0 if z == 0.0 else 1.0 / (1.0 / z - 1.0 / z_cell0)
+    return {"Z": z, "Z_cell0": z_cell0, "Z_sp": z_sp}
 
 
 def zeta(mu, weights, lam: float) -> float:
     """Interface signature zeta(lambda) = sum F_a exp(-lambda mu_a)."""
-    if lam < 0:
-        raise InvalidParam("lambda must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise InvalidParam("lambda must be finite and nonnegative")
     mu = np.asarray(mu, dtype=float)
     w = np.asarray(weights, dtype=float)
     if mu.shape != w.shape:

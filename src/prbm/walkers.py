@@ -72,10 +72,10 @@ class JumpParams:
     max_steps: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.Lambda < 0:
-            raise InvalidParam("Lambda must be nonnegative")
-        if not self.a > 0:
-            raise InvalidParam("jump distance a must be positive")
+        if not 0 <= self.Lambda < math.inf:
+            raise InvalidParam("Lambda must be finite and nonnegative")
+        if not 0 < self.a < math.inf:
+            raise InvalidParam("jump distance a must be positive and finite")
         if self.max_steps < 1:
             raise InvalidParam("max_steps must be at least 1")
 
@@ -162,7 +162,7 @@ def sample_threshold(Lambda: float, rng: np.random.Generator) -> float:
         raise InvalidParam(
             "sample_threshold needs a Generator: call stream.generator() once and reuse it"
         )
-    if Lambda < 0:
+    if not Lambda >= 0:
         raise InvalidParam("Lambda must be nonnegative")
     if Lambda == 0:
         return 0.0
@@ -556,11 +556,8 @@ def estimate_spread_measure(
 
     n_chunks = (n_walkers + chunk_size - 1) // chunk_size
     sizes = [min(chunk_size, n_walkers - ci * chunk_size) for ci in range(n_chunks)]
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks), sizes))
-    else:
-        results = [run_chunk(ci, cn) for ci, cn in zip(range(n_chunks), sizes)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_chunk, range(n_chunks), sizes))
 
     counts = sum(r[0] for r in results)
     source = sum(r[1] for r in results)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prbm import dtn
 from prbm import geometry as geo
@@ -224,6 +226,18 @@ def test_spectrum_input_guards(box16_Q):
         dtn.spectrum(np.diag([-1.0, 1.0]), None, np.ones(2))
 
 
+def test_spectrum_returns_rounding_eigenvalues_nonnegative():
+    """An eigenvalue just below zero, inside the indefiniteness bound, comes back as |mu|.
+
+    So every spectrum that spectrum returns is one impedance_from_spectrum
+    accepts, and impedance_curve never rejects it.
+    """
+    spec = dtn.spectrum(np.diag([-5e-11, 400.0]), np.ones(2), np.ones(2))
+    assert np.array_equal(spec.mu, [5e-11, 400.0])
+    rows = dtn.impedance_curve(spec, [0.0, 1.0])
+    assert rows[1]["Z"] > 0
+
+
 def test_weighted_spectrum_reconstructs_weighted_resolvent(disk64_Q):
     lam = 0.9
     M = dtn.build_M(disk64_Q)
@@ -258,3 +272,71 @@ def test_flux_vector_views():
     fv = dtn.FluxVector(density=np.array([2.0, 4.0]), measure=np.array([0.25, 0.25]))
     assert np.allclose(fv.probabilities, [0.5, 1.0])
     assert fv.total == pytest.approx(1.5)
+
+
+def _random_blob(seed: int, n_sites: int, p_source: float):
+    """Connected 2D blob of at most n_sites, grown from the origin one neighbour at a time.
+
+    Faces are Source with probability p_source (at least one stays
+    Working) and carry weights drawn uniformly from [0.05, 1].
+    """
+    rng = np.random.default_rng(seed)
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    sites, seen = [(0, 0)], {(0, 0)}
+    for _ in range(n_sites - 1):
+        i, j = sites[rng.integers(len(sites))]
+        di, dj = steps[rng.integers(4)]
+        if (i + di, j + dj) not in seen:
+            seen.add((i + di, j + dj))
+            sites.append((i + di, j + dj))
+    bulk = np.array(sites, dtype=np.int64)
+    index = geo._SiteIndex(bulk)
+    inward, exterior = geo._boundary_faces(bulk, index)
+    source = rng.random(len(inward)) < p_source
+    source[rng.integers(len(inward))] = False
+    tags = np.where(source, geo.BoundaryTag.SOURCE, geo.BoundaryTag.WORKING)
+    weight = rng.uniform(0.05, 1.0, len(inward))
+    return geo._assemble(0.25, bulk, index, inward, exterior, tags, weight), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sites=st.integers(1, 200),
+    p_source=st.sampled_from([0.0, 0.02, 0.3, 0.9]),
+)
+def test_operator_routes_agree_on_random_blobs(seed, n_sites, p_source):
+    """Q, its spectrum and the Robin solve hold their invariants on any connected blob."""
+    dom, rng = _random_blob(seed, n_sites, p_source)
+    Qm = dtn.build_Q(dom)
+    Q = Qm.Q
+    assert np.max(np.abs(Q - Q.T)) <= 1e-14
+    rows = Q.sum(axis=1)
+    assert np.all(rows <= 1.0 + 1e-12)
+    if Qm.has_source:
+        assert np.any(rows < 1.0)
+    else:
+        assert np.max(np.abs(rows - 1.0)) <= 1e-12
+    # dense-inverse oracle: G = (I - P)^-1 over the bulk, Q = G[in, in]/4
+    table = dom.neighbor_table()
+    nb = dom.n_bulk
+    P = np.zeros((nb, nb))
+    for i in range(nb):
+        for v in table[i]:
+            if 0 <= v < nb:
+                P[i, v] += 0.25
+            elif v < 0:
+                P[i, i] += 0.25
+    G = np.linalg.inv(np.eye(nb) - P)
+    w_in = dom.inward_indices()[Qm.face_index]
+    assert np.max(np.abs(Q - G[np.ix_(w_in, w_in)] / 4.0)) <= 1e-12
+    M = dtn.build_M(Qm)
+    spec = dtn.spectrum(M, None, Qm.measure, Qm.weight)
+    assert spec.mu.min() >= -1e-12 * np.abs(spec.mu).max()
+    if Qm.has_source:
+        lam = 10.0 ** rng.uniform(-2.0, 2.0)
+        P0 = dtn.hitting_distribution(dom)
+        T = dtn.spreading_operator(M, lam, Qm.weight)
+        dense = P0.absorbed_fraction * dtn.absorption_distribution(P0, T).probabilities
+        law = dtn.absorption_law(dom, lam)
+        assert np.max(np.abs(law.probabilities - dense)) <= 1e-12

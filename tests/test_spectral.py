@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from prbm import spectral as sp
-from prbm.errors import (
-    DiagonalSingularity,
-    InvalidParam,
-    MissingCellImpedance,
-    TruncationTooCoarse,
-)
+from prbm.errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse
 
 TWO_PI = 2.0 * math.pi
 
@@ -192,18 +187,20 @@ def test_impedance_uniform_source_identity():
 def test_impedance_from_spectrum_guards():
     mu = np.array([0.5, 1.0])
     w = np.array([0.3, 0.2])
-    with pytest.raises(MissingCellImpedance):
+    with pytest.raises(TypeError):
         sp.impedance_from_spectrum(mu, w, 1.0)
-    out = sp.impedance_from_spectrum(mu, w, 1.0, with_sp=False)
-    assert out["Z_sp"] is None and out["Z"] > 0
+    out = sp.impedance_from_spectrum(mu, w, 1.0, z_cell0=1.0)
+    assert out["Z"] > 0 and out["Z_sp"] > out["Z"]
     with pytest.raises(InvalidParam):
-        sp.impedance_from_spectrum(mu, w[:1], 1.0, with_sp=False)
+        sp.impedance_from_spectrum(mu, w[:1], 1.0, z_cell0=1.0)
     with pytest.raises(InvalidParam):
-        sp.impedance_from_spectrum(-mu, w, 1.0, with_sp=False)
+        sp.impedance_from_spectrum(-mu, w, 1.0, z_cell0=1.0)
     with pytest.raises(InvalidParam):
-        sp.impedance_from_spectrum(mu, w, -1.0, with_sp=False)
+        sp.impedance_from_spectrum(mu, w, -1.0, z_cell0=1.0)
     with pytest.raises(InvalidParam):
-        sp.impedance_from_spectrum(mu, w, 1.0, D=0.0, with_sp=False)
+        sp.impedance_from_spectrum(mu, w, 1.0, D=0.0, z_cell0=1.0)
+    with pytest.raises(InvalidParam):
+        sp.impedance_from_spectrum(mu, w, 1.0, z_cell0=0.0)
 
 
 def test_zeta_signature():
