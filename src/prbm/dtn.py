@@ -162,10 +162,18 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
 
 
 def _factor(dom: LatticeDomain, eps: np.ndarray | None = None):
-    """Sparse LU of the bulk system, with each face's inward bulk index."""
+    """Sparse LU of the bulk system, with each face's inward bulk index.
+
+    I - P is symmetric and diagonally dominant, so the factorization takes a
+    symmetric minimum-degree ordering and the diagonal pivots as they come.
+    """
     system, inward = _bulk_system(dom, eps)
     try:
-        return spla.splu(system), inward
+        lu = spla.splu(
+            system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+        return lu, inward
     except RuntimeError as exc:
         raise SingularSystem(f"bulk system factorization failed: {exc}") from exc
 

@@ -242,11 +242,9 @@ def spread_density_halfspace(x, s: float, Lambda: float) -> float:
         raise InvalidParam("only the planar half-space (d = 2) is implemented")
     if not x[1] > 0:
         raise InvalidParam("x must lie strictly inside the half-space")
-    lam = float(Lambda)
-    if not lam >= 0:
-        raise InvalidParam("Lambda must be nonnegative")
-    if lam == 0.0:
+    if Lambda == 0:
         return harmonic_density_halfspace(x, s)
+    lam = _check_lambda(Lambda)
     h = float(x[1])
     if h / lam < _MIN_HEIGHT_RATIO:
         raise SlowConvergence(

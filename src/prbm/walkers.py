@@ -11,12 +11,17 @@ reflection tally and censoring at max_steps. A domain supplies only its
 start rows and one step of its hitting law: the jump to the wall of the
 half-space, the Mobius image of a uniform angle on the disk, the zonal
 inverse CDF in a per-walker frame on the ball, walk on circles in the
-annulus, and a nearest-neighbour step on a lattice. Chunks run on disjoint
-counter blocks of one stream and merge in fixed order, which makes every
-estimate a pure function of (seed, stream_id, chunk_size) regardless of
-thread count. run_jump_walker steps the same kernels for one canonical
-walker and keeps its whole record: fate, contact point, reflections and
-steps, under either the local or the global reflection rule.
+annulus, and a nearest-neighbour step on a lattice. A square-lattice
+walker far from every face and wall instead crosses the largest free square
+of power-of-two half-width around it in one draw from the exact exit law of
+the lattice walk, solved once per size and cached for the process; faces are
+only ever met in plain steps, so the law of the walk is that of the plain
+nearest-neighbour walk. Chunks run on disjoint counter blocks of one stream
+and merge in fixed order, which makes every estimate a pure function of
+(seed, stream_id, chunk_size) regardless of thread count. run_jump_walker
+steps the same kernels for one canonical walker and keeps its whole record:
+fate, contact point, reflections and steps, under either the local or the
+global reflection rule.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .dtn import _reflection_probabilities
+from .dtn import _factor, _reflection_probabilities
 from .errors import ExcessiveCensoring, InvalidParam
-from .geometry import DomainKind, DomainSpec, LatticeDomain
+from .geometry import DomainKind, DomainSpec, LatticeDomain, lattice_box
 from .rng import RngStream
 
 __all__ = [
@@ -64,7 +69,10 @@ class JumpParams:
     The reflection probability is never stored; it is always the derived
     epsilon = 1/(1 + a/Lambda), which degenerates to 0 at Lambda = 0 (absorb
     on first contact). On the half-space a walker is censored once its
-    lateral distance exceeds the fixed cap 1e4 * max(Lambda, a).
+    lateral distance exceeds the fixed cap 1e4 * max(Lambda, a). max_steps
+    counts kernel steps: one draw of a hitting law, one annulus contact, one
+    lattice step, or one lattice jump across a free square, however many
+    sites it spans.
     """
 
     Lambda: float
@@ -450,6 +458,78 @@ def _annulus_kernel(dom, x, params, bins):
     return edges, bins, init, hit, lambda p: angle_bin(np.angle(p))
 
 
+# -- multiscale lattice jumps --------------------------------------------------
+#
+# Between faces every lattice step is pure bulk diffusion, so a walker whose
+# surroundings hold no face and no wall may cross a whole free square in one
+# draw from that square's exit law (Grebenkov, Lebedev, Filoche and Sapoval,
+# "Multiscale random-walk algorithm for simulating interfacial pattern
+# formation", 2005). By the strong Markov property the law of the walk, and
+# so every absorption count, is unchanged; only the draws differ. A site is
+# special when a face or a wall is among its neighbour codes. A walker at
+# chessboard distance c >= 2 from every special site jumps to the ring at
+# chessboard distance r, the largest power of two with r <= min(c,
+# _JUMP_TOP), drawn from the exit law of the walk started at the centre of
+# the (2r - 1) x (2r - 1) square of sites. The square holds no special site
+# and the ring around it is all bulk, so a jump touches no face.
+
+# largest jump, in sites; bounds the exit-law solves (a 127 x 127 box)
+_JUMP_TOP = 64
+
+# r -> (ring offsets (k, 2), probabilities (k,)), filled on first use
+_EXIT_LAWS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _exit_law(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exit law of the square lattice walk from the centre of a (2r - 1)^2 square.
+
+    Returns the offsets of the ring sites at chessboard distance r and the
+    probability of leaving onto each: the mean number of visits to the inward
+    site of each face of an all-working box, divided by 2d = 4, from one
+    sparse solve of the bulk system. Cached per process, keyed by r.
+    """
+    law = _EXIT_LAWS.get(r)
+    if law is None:
+        box = lattice_box(2 * r - 1, 2 * r - 1, 1.0, source_side=None)
+        lu, inward = _factor(box)
+        start = np.zeros(box.n_bulk)
+        start[box.site_index([r - 1, r - 1])] = 1.0
+        prob = lu.solve(start, trans="T")[inward] / 4.0
+        law = _EXIT_LAWS[r] = (box.face_exterior - (r - 1), prob)
+    return law
+
+
+def _jump_levels(dom: LatticeDomain) -> np.ndarray:
+    """Per bulk site, the level L of its jumps (r = 2^L sites), 0 for a plain step.
+
+    The chessboard distance c to the nearest special site comes from
+    8-neighbourhood erosion over the neighbour table, stopped at _JUMP_TOP:
+    the diagonals are the +-y neighbours of the +-x neighbours, and a non-bulk
+    code counts as distance 0, so no bounding-box grid is needed. Only the
+    square lattice has exit laws; in other dimensions every level is 0.
+    """
+    nb = dom.n_bulk
+    if dom.dimension != 2:
+        return np.zeros(nb, dtype=np.int64)
+    table = dom.neighbor_table()
+    # faces and walls all map to the extra index nb, at distance 0
+    code = np.vstack([np.where((table >= 0) & (table < nb), table, nb), np.full(4, nb)])
+    around = np.column_stack([code[:nb], code[code[:nb, 0], 2:], code[code[:nb, 1], 2:]])
+    special = (code[:nb] == nb).any(axis=1)
+    dist = np.where(np.append(special, True), 0, _JUMP_TOP)
+    alive = np.flatnonzero(~special)
+    while alive.size:
+        reach = 1 + dist[around[alive]].min(axis=1)
+        done = reach < _JUMP_TOP
+        if not done.any():
+            break
+        dist[alive[done]] = reach[done]
+        alive = alive[~done]
+    c = dist[:nb]
+    # floor(log2 c) from the binary exponent
+    return np.where(c >= 2, np.frexp(c)[1] - 1, 0)
+
+
 def _lattice_kernel(dom, start, params):
     nb, nf = dom.n_bulk, dom.n_faces
     table = dom.neighbor_table()
@@ -468,6 +548,19 @@ def _lattice_kernel(dom, start, params):
     bin_of = np.zeros(nb + nf + 1, dtype=np.int64)
     bin_of[nb + working] = np.arange(len(working))
     launch = dom.inward_indices()[np.flatnonzero(dom.source_mask())]
+    # the exit laws of every level present, filled here before chunks fan
+    # out; level L's CDF is shifted by L, so one searchsorted draws them all
+    level = _jump_levels(dom)
+    cdf, ring = np.zeros(0), np.zeros((0, 2), dtype=np.int64)
+    # last CDF index of each level, so that L + u rounded up to L + 1 stays in level L
+    last = [-1]
+    for L in range(1, int(level.max(initial=0)) + 1):
+        offsets, prob = _exit_law(2**L)
+        c = np.cumsum(prob)
+        cdf = np.append(cdf, np.append(c[:-1] / c[-1], 1.0) + L)
+        ring = np.vstack([ring, offsets])
+        last.append(len(cdf) - 1)
+    last = np.array(last)
 
     def init(gen, n):
         if isinstance(start, str):
@@ -476,6 +569,12 @@ def _lattice_kernel(dom, start, params):
 
     def hit(gen, sites, first):
         code = table[sites, gen.integers(0, two_d, size=len(sites))]
+        lev = level[sites]
+        jump = np.flatnonzero(lev)
+        if jump.size:
+            lev = lev[jump]
+            k = np.minimum(np.searchsorted(cdf, lev + gen.random(jump.size), side="right"), last[lev])
+            code[jump] = dom.site_index(dom.bulk_sites[sites[jump]] + ring[k])
         moved = np.where(is_bulk[code], code, sites)
         return moved, code, eps_of[code], is_working[code], is_source[code], None
 

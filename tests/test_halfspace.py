@@ -229,3 +229,6 @@ def test_spread_density_guards():
         hs.spread_density_halfspace([0.0, -0.1], 0.0, 1.0)
     with pytest.raises(InvalidParam):
         hs.spread_density_halfspace([0.0, 1.0], 0.0, -1.0)
+    # an infinite Lambda is a bad parameter, not a height too close to the wall
+    with pytest.raises(InvalidParam, match="Lambda"):
+        hs.spread_density_halfspace([0.0, 1.0], 0.3, math.inf)

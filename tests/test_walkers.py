@@ -6,15 +6,19 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from prbm import dtn, lsa
+from prbm import geometry as geo
 from prbm import halfspace as hs
 from prbm import spectral as sp
 from prbm import walkers as wk
 from prbm.errors import ExcessiveCensoring, InvalidParam
-from prbm.geometry import lattice_channel, make_canonical
+from prbm.geometry import lattice_box, lattice_channel, make_canonical
 from prbm.rng import RngStream
+from test_dtn import _random_blob
 
 
 def test_jump_params_epsilon():
@@ -266,11 +270,13 @@ def test_lattice_walkers_match_robin_law_on_weighted_faces():
     assert np.max(np.abs(z)) < 4.0
 
 
-@pytest.mark.parametrize("where", ["lattice", "annulus", "ball_exterior"])
+@pytest.mark.parametrize("where", ["lattice", "lattice_jumps", "annulus", "ball_exterior"])
 def test_estimate_deterministic_and_thread_invariant(where):
     """The kernels whose walkers can leave through a source."""
     dom, start = {
         "lattice": (lattice_channel(10, 0.05), "source"),
+        # wide enough that walkers jump up to 16 sites (levels 1 to 4)
+        "lattice_jumps": (lattice_box(40, 40, 0.05), "source"),
         "annulus": (make_canonical("annulus", outer_radius=3.0), (1.5, 0.0)),
         "ball_exterior": (make_canonical("ball_exterior"), (0.0, 0.0, 2.0)),
     }[where]
@@ -291,6 +297,172 @@ def test_estimate_deterministic_and_thread_invariant(where):
         assert runs[0].source_absorbed == other.source_absorbed
         assert runs[0].censored == other.censored
         assert runs[0].total_reflections == other.total_reflections
+
+
+# -- multiscale lattice jumps --------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 8, 16, 64])
+def test_exit_laws_are_normalized_and_square_symmetric(r):
+    offsets, prob = wk._exit_law(r)
+    # the ring of chessboard radius r without its corners, each site once
+    assert len(offsets) == 4 * (2 * r - 1)
+    assert np.all(np.abs(offsets).max(axis=1) == r)
+    assert np.all(np.abs(offsets).min(axis=1) <= r - 1)
+    assert len(np.unique(offsets, axis=0)) == len(offsets)
+    assert np.all(prob > 0)
+    assert abs(prob.sum() - 1.0) <= 1e-12
+    grid = np.zeros((2 * r + 1, 2 * r + 1))
+    grid[offsets[:, 0] + r, offsets[:, 1] + r] = prob
+    # a transpose and the two mirrors generate the 8 symmetries of the square
+    for image in (grid.T, grid[::-1], grid[:, ::-1]):
+        assert np.max(np.abs(image - grid)) <= 1e-15
+
+
+def test_smallest_exit_law_is_the_plain_step():
+    offsets, prob = wk._exit_law(1)
+    order = np.lexsort(offsets.T)
+    assert offsets[order].tolist() == [[0, -1], [-1, 0], [1, 0], [0, 1]]
+    assert np.array_equal(prob, np.full(4, 0.25))
+
+
+def _chessboard_to(points, targets):
+    """Chessboard distance from each point to the nearest target, in blocks."""
+    out = np.empty(len(points), dtype=np.int64)
+    for lo in range(0, len(points), 1024):
+        block = points[lo:lo + 1024, None, :] - targets[None, :, :]
+        out[lo:lo + 1024] = np.abs(block).max(axis=2).min(axis=1)
+    return out
+
+
+def _check_jump_levels(dom):
+    """Brute force: a site of level L > 0 sees only non-special bulk sites within 2^L - 1.
+
+    Special sites have a face or a wall among their neighbour codes; the
+    distances are taken to every special site and to every lattice point
+    off the bulk in the bounding box grown by one. The level is also the
+    largest one allowed: floor(log2 c) for the chessboard distance c to the
+    nearest special site, capped at the top jump.
+    """
+    level = wk._jump_levels(dom)
+    table = dom.neighbor_table()
+    sites = dom.bulk_sites
+    special = ((table < 0) | (table >= dom.n_bulk)).any(axis=1)
+    assert np.all(level[special] == 0)
+    if special.all():
+        return level
+    free = np.flatnonzero(~special)
+    to_special = _chessboard_to(sites[free], sites[special])
+    allowed = np.floor(np.log2(np.minimum(to_special, wk._JUMP_TOP))).astype(int)
+    assert np.array_equal(level[free], np.where(to_special >= 2, allowed, 0))
+    lo, hi = sites.min(axis=0) - 1, sites.max(axis=0) + 2
+    grid = geo._grid_sites(lo, hi)
+    off_bulk = grid[dom.site_index(grid) < 0]
+    jumps = np.flatnonzero(level)
+    r = 2 ** level[jumps]
+    assert np.all(_chessboard_to(sites[jumps], sites[special]) >= r)
+    assert np.all(_chessboard_to(sites[jumps], off_bulk) >= r)
+    return level
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sites=st.integers(1, 400),
+    p_source=st.sampled_from([0.0, 0.3]),
+)
+def test_jump_levels_on_random_blobs(seed, n_sites, p_source):
+    _check_jump_levels(_random_blob(seed, n_sites, p_source)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 70), st.integers(1, 70)),
+    walled=st.booleans(),
+)
+# the smallest box whose centre jumps the top 64 sites
+@example(shape=(129, 129), walled=False)
+def test_jump_levels_on_boxes_and_walled_channels(shape, walled):
+    nx, ny = shape
+    if walled:
+        # reflecting side walls make special sites too
+        dom = lattice_channel(max(ny, 2), 0.1, width=nx)
+    else:
+        dom = lattice_box(nx, ny, 0.1)
+    level = _check_jump_levels(dom)
+    if min(nx, ny) >= 2 * wk._JUMP_TOP + 1 and not walled:
+        assert level.max() == 6
+
+
+def test_jump_levels_stay_zero_off_the_square_lattice():
+    bulk = np.array([[0, 0, 0], [1, 0, 0]], dtype=np.int64)
+    index = geo._SiteIndex(bulk)
+    inward, exterior = geo._boundary_faces(bulk, index)
+    dom = geo.LatticeDomain(
+        mesh=0.5, dimension=3, bulk_sites=bulk, face_exterior=exterior, face_inward=inward,
+        face_tag=np.zeros(len(inward), dtype=np.uint8), face_weight=np.ones(len(inward)),
+    )
+    assert np.array_equal(wk._jump_levels(dom), [0, 0])
+
+
+def test_lattice_walkers_match_robin_law_on_fine_annulus():
+    """Zero-allowance check where jumps carry most of the walk.
+
+    The mesh-1/64 rasterized annulus (radii 1 and 3) has sites up to 64
+    sites from every face, so walkers jump 8, 16 and 32 sites at once.
+    Working faces pool into 16 bins in face order; the source share is the
+    seventeenth. Each is within 4 sigma of absorption_law, and no walker is
+    censored.
+    """
+    lam, mesh = 0.5, 1.0 / 64.0
+    dom = geo.rasterize(geo.circle_polyline(1.0, 2048), geo.circle_polyline(3.0, 2048), mesh)
+    assert wk._jump_levels(dom).max() >= 3
+    law = dtn.absorption_law(dom, lam)
+    hist = wk.estimate_spread_measure(
+        dom, "source", wk.JumpParams(Lambda=lam, a=mesh), 600_000, RngStream(64),
+        chunk_size=200_000,
+    )
+    pool = np.arange(len(hist.counts)) * 16 // len(hist.counts)
+    expected = np.append(np.bincount(pool, law.probabilities, 16), 1.0 - law.absorbed_fraction)
+    freq = np.append(np.bincount(pool, hist.counts, 16), hist.source_absorbed) / hist.total
+    z = (freq - expected) / np.sqrt(expected * (1.0 - expected) / hist.total)
+    assert hist.censored == 0
+    assert np.max(np.abs(z)) < 4.0
+
+
+# two-sided tail of 4 standard normal deviations
+_P_4SIGMA = 2.0 * stats.norm.sf(4.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sites=st.integers(1, 200),
+    p_source=st.sampled_from([0.02, 0.3, 0.9]),
+)
+def test_lattice_walkers_match_absorption_law_on_random_blobs(seed, n_sites, p_source):
+    """The walker leg of the random-blob cross-check of the operator routes.
+
+    On the blobs of test_operator_routes_agree_on_random_blobs, 4,000
+    walkers from a fixed stream split between two halves of the working
+    faces and the source as absorption_law says: each share passes the exact
+    binomial test at the two-sided 4 sigma level, which stays honest where a
+    share expects only a few walkers. The examples are derandomized, so the
+    Monte Carlo verdicts repeat run to run.
+    """
+    dom, rng = _random_blob(seed, n_sites, p_source)
+    assume(dom.source_mask().any())
+    lam = 10.0 ** rng.uniform(-2.0, 2.0)
+    law = dtn.absorption_law(dom, lam)
+    hist = wk.estimate_spread_measure(
+        dom, "source", wk.JumpParams(Lambda=lam, a=dom.mesh), 4_000, RngStream(2005),
+    )
+    assert hist.censored == 0
+    half = np.arange(len(hist.counts)) * 2 // len(hist.counts)
+    expected = np.append(np.bincount(half, law.probabilities, 2), 1.0 - law.absorbed_fraction)
+    counts = np.append(np.bincount(half, hist.counts, 2), hist.source_absorbed).astype(int)
+    for k, p in zip(counts, np.clip(expected, 0.0, 1.0)):
+        assert stats.binomtest(k, hist.total, p).pvalue > _P_4SIGMA
 
 
 def test_estimate_guards(monkeypatch):
