@@ -18,15 +18,17 @@ keep as its oracle. The Lambda = 0 solve is hitting_distribution.
 Q is the block of the lattice Green function G over the distinct inward
 sites S of the working faces, Q = G[S, S]/(2d), expanded to one row and
 column per face (faces that share an inward site share its column). G[S, S]
-comes from one sparse LU factorization of the bulk Laplacian with one
-right-hand side per site in S, so Q is exact to solver precision and exactly
-symmetric. On lattice-aligned boundaries that is the whole story. On
-rasterized smooth curves the faces carry alignment weights w <= 1 and every
-surface-aware object (inner products, the operator that T_Lambda inverts,
-flux totals) uses the face measure m = a^{d-1} w; with w == 1 everything
-reduces to the unweighted formulas. The weighting is what makes spectra and
-impedances of staircase-rasterized circles converge to the smooth-domain
-values instead of saturating at the lattice perimeter inflation.
+is the inverse of the Schur complement of the bulk Laplacian onto S: one
+sparse LU whose ordering puts S last leaves that complement in its trailing
+blocks, G[S, S] = U22^{-1} L22^{-1}, so Q is exact to solver precision and,
+once symmetrized, exactly symmetric. On lattice-aligned boundaries that is
+the whole story. On rasterized smooth curves the faces carry alignment
+weights w <= 1 and every surface-aware object (inner products, the operator
+that T_Lambda inverts, flux totals) uses the face measure m = a^{d-1} w;
+with w == 1 everything reduces to the unweighted formulas. The weighting is
+what makes spectra and impedances of staircase-rasterized circles converge
+to the smooth-domain values instead of saturating at the lattice perimeter
+inflation.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ __all__ = [
     "spectrum",
     "impedance_curve",
 ]
-
-# Right-hand sides per solve in build_Q: nb * _Q_CHUNK floats at a time
-_Q_CHUNK = 64
-
 
 @dataclass
 class SelfTransportMatrix:
@@ -161,21 +159,21 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
     return (sparse.eye(nb, format="csc") - P.tocsc()), inward
 
 
-def _factor(dom: LatticeDomain, eps: np.ndarray | None = None):
-    """Sparse LU of the bulk system, with each face's inward bulk index.
-
-    I - P is symmetric and diagonally dominant, so the factorization takes a
-    symmetric minimum-degree ordering and the diagonal pivots as they come.
-    """
-    system, inward = _bulk_system(dom, eps)
+def _splu(system, permc_spec: str):
+    """SuperLU of the symmetric, diagonally dominant bulk system, pivoting on the diagonal."""
     try:
-        lu = spla.splu(
-            system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return spla.splu(
+            system, permc_spec=permc_spec, diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
-        return lu, inward
     except RuntimeError as exc:
         raise SingularSystem(f"bulk system factorization failed: {exc}") from exc
+
+
+def _factor(dom: LatticeDomain, eps: np.ndarray | None = None):
+    """Sparse LU of the bulk system under minimum degree, with each face's inward bulk index."""
+    system, inward = _bulk_system(dom, eps)
+    return _splu(system, "MMD_AT_PLUS_A"), inward
 
 
 def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
@@ -186,23 +184,34 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     faces is dropped, which is exactly what makes row sums < 1 there. The
     probability of exiting through face k from bulk site x is
     G(x, inward(k)) / (2d) with G the lattice Green function, so Q inherits
-    the symmetry of G. One right-hand side is solved per distinct inward
-    site, in chunks to bound memory on large domains.
+    the symmetry of G. G[S, S] over the distinct inward sites S is read off a
+    second LU that keeps the minimum-degree order of the first and puts S
+    last. The first LU also solves the Lambda = 0 source launch, whose masses
+    the domain keeps for hitting_distribution.
     """
     dom.validate(check_connected=False)
     working = np.flatnonzero(dom.working_mask())
     if len(working) == 0:
         raise InvalidParam("domain has no working faces")
-    lu, inward = _factor(dom)
-    nb = dom.n_bulk
+    system, inward = _bulk_system(dom)
+    lu = _splu(system, "MMD_AT_PLUS_A")
+    has_source = bool(dom.source_mask().any())
+    if has_source:
+        dom._hitting_masses = (dom.face_tag.copy(), _absorbed_masses(dom, np.zeros(dom.n_faces), (lu, inward)))
     sites, face_site = np.unique(inward[working], return_inverse=True)
-    ns = len(sites)
-    G = np.empty((ns, ns))
-    for lo in range(0, ns, _Q_CHUNK):
-        hi = min(lo + _Q_CHUNK, ns)
-        B = np.zeros((nb, hi - lo))
-        B[sites[lo:hi], np.arange(hi - lo)] = 1.0
-        G[:, lo:hi] = lu.solve(B)[sites, :]
+    # the minimum-degree order (perm_c[i] is the position of site i) with S
+    # moved last; the first factor is freed before the second is made
+    order = np.argsort(lu.perm_c)
+    del lu
+    order = np.concatenate([order[~np.isin(order, sites)], sites])
+    lu = _splu(system[order][:, order].tocsc(), "NATURAL")
+    natural = np.arange(dom.n_bulk)
+    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+        raise SolveFailure("the S-last factorization permuted its rows or columns")
+    # (A^-1)[S, S] = U22^-1 L22^-1, the inverse of the Schur complement onto S
+    k = dom.n_bulk - len(sites)
+    L22, U22 = lu.L[k:, k:].toarray(), lu.U[k:, k:].toarray()
+    G = sla.solve_triangular(U22, sla.solve_triangular(L22, np.eye(len(sites)), lower=True, unit_diagonal=True))
     Q = G[np.ix_(face_site, face_site)] / (2 * dom.dimension)
     Q = 0.5 * (Q + Q.T)  # kill solver-level asymmetry (measured ~1e-15)
     weight = dom.face_weight[working]
@@ -213,7 +222,7 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
         weight=weight,
         measure=measure,
         face_index=working,
-        has_source=bool(dom.source_mask().any()),
+        has_source=has_source,
     )
 
 
@@ -260,14 +269,15 @@ def spreading_operator(M: np.ndarray, Lambda: float, weight: np.ndarray | None =
     return T
 
 
-def _absorbed_masses(dom: LatticeDomain, Lambda: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-working-face absorption masses of a source launch, and the face measures."""
-    lam = _check_lambda(Lambda)
+def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, factor=None) -> np.ndarray:
+    """Per-working-face absorption masses of a source launch under reflection probabilities eps.
+
+    Solved on factor = (lu, inward) when given, else on a fresh _factor(dom, eps).
+    """
     source = np.flatnonzero(dom.source_mask())
     if len(source) == 0:
         raise InvalidParam("absorption law needs a source")
-    eps = _reflection_probabilities(dom, lam)
-    lu, inward = _factor(dom, eps)
+    lu, inward = factor if factor is not None else _factor(dom, eps)
     working = np.flatnonzero(dom.working_mask())
     # walkers start uniformly on the bulk neighbours of the source faces
     start = np.zeros(dom.n_bulk)
@@ -276,8 +286,7 @@ def _absorbed_masses(dom: LatticeDomain, Lambda: float) -> tuple[np.ndarray, np.
     # each visit steps into the face with probability 1/(2d) and is
     # absorbed there with probability 1 - eps
     g = lu.solve(start, trans="T")
-    masses = g[inward[working]] * (1.0 - eps[working]) / (2 * dom.dimension)
-    return masses, dom.measures()[working]
+    return g[inward[working]] * (1.0 - eps[working]) / (2 * dom.dimension)
 
 
 def absorption_law(dom: LatticeDomain, Lambda: float) -> FluxVector:
@@ -288,7 +297,8 @@ def absorption_law(dom: LatticeDomain, Lambda: float) -> FluxVector:
     per-face absorption masses and absorbed_fraction their total; the rest,
     1 - absorbed_fraction, is the probability of returning to the source.
     """
-    masses, measure = _absorbed_masses(dom, Lambda)
+    masses = _absorbed_masses(dom, _reflection_probabilities(dom, _check_lambda(Lambda)))
+    measure = dom.measures()[dom.working_mask()]
     return FluxVector(density=masses / measure, measure=measure, absorbed_fraction=float(masses.sum()))
 
 
@@ -298,13 +308,19 @@ def hitting_distribution(dom: LatticeDomain) -> FluxVector:
     The absorption law at Lambda = 0, renormalized: the returned FluxVector
     holds the density phi_0^h (unit discrete integral), .probabilities the
     renormalized per-face hitting masses, and absorbed_fraction the mass
-    removed by renormalizing.
+    removed by renormalizing. The masses are kept on the domain until its
+    face tags change; build_Q fills them from its own factorization by the
+    same solve, bit for bit.
     """
-    hits, measure = _absorbed_masses(dom, 0.0)
+    kept = dom._hitting_masses
+    if kept is None or not np.array_equal(kept[0], dom.face_tag):  # retagged faces
+        dom._hitting_masses = (dom.face_tag.copy(), _absorbed_masses(dom, np.zeros(dom.n_faces)))
+    hits = dom._hitting_masses[1]
     total = hits.sum()
     if total <= 0:
         raise SingularSystem("no mass reaches the working interface")
     p0 = hits / total
+    measure = dom.measures()[dom.working_mask()]
     return FluxVector(density=p0 / measure, measure=measure, absorbed_fraction=float(total))
 
 

@@ -143,6 +143,9 @@ class LatticeDomain:
     face_arclength: np.ndarray | None = None  # (nf,) coordinate along the source polyline
     _neighbors: np.ndarray | None = field(default=None, repr=False)
     _lookup: _SiteIndex | None = field(default=None, repr=False)
+    # (face_tag solved for, per-working-face hitting masses of the source
+    # launch), filled by dtn.build_Q and dtn.hitting_distribution
+    _hitting_masses: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     # -- basic views ---------------------------------------------------------
 

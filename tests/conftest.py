@@ -67,6 +67,16 @@ def annulus128():
 
 
 @pytest.fixture(scope="session")
+def annulus32():
+    """The annulus of the benchmark's annulus-lattice workload (25,740 sites)."""
+    return geo.rasterize(
+        geo.circle_polyline(1.0, 2048),
+        geo.circle_polyline(3.0, 2048),
+        1.0 / 32.0,
+    )
+
+
+@pytest.fixture(scope="session")
 def box16_Q(box16):
     return dtn.build_Q(box16)
 

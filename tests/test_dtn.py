@@ -1,11 +1,13 @@
 """Discrete boundary operators, checked against hand-computable lattices."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prbm import dtn
+from prbm import cli, dtn
 from prbm import geometry as geo
 from prbm.errors import InvalidParam, SingularSystem, SolveFailure
 
@@ -41,6 +43,117 @@ def test_build_q_against_dense_inverse():
     w_in = small.inward_indices()[np.flatnonzero(small.working_mask())]
     expected = G[np.ix_(w_in, w_in)] / 4.0
     assert np.max(np.abs(dtn.build_Q(small).Q - expected)) < 1e-12
+
+
+def _chunked_Q_oracle(dom):
+    """Q as build_Q made it before the Schur-complement route: G[S, S] column by column from _factor."""
+    lu, inward = dtn._factor(dom)
+    working = np.flatnonzero(dom.working_mask())
+    sites, face_site = np.unique(inward[working], return_inverse=True)
+    ns = len(sites)
+    G = np.empty((ns, ns))
+    for lo in range(0, ns, 64):
+        hi = min(lo + 64, ns)
+        B = np.zeros((dom.n_bulk, hi - lo))
+        B[sites[lo:hi], np.arange(hi - lo)] = 1.0
+        G[:, lo:hi] = lu.solve(B)[sites, :]
+    Q = G[np.ix_(face_site, face_site)] / (2 * dom.dimension)
+    return 0.5 * (Q + Q.T)
+
+
+@pytest.mark.parametrize("name", ["box16", "corridor", "channel", "disk64", "annulus32"])
+def test_build_q_matches_chunked_solve(name, request):
+    dom = request.getfixturevalue(name)
+    assert np.max(np.abs(dtn.build_Q(dom).Q - _chunked_Q_oracle(dom))) < 1e-13
+
+
+def _spy_splu(monkeypatch, wrap=lambda lu, spec: lu):
+    """Route dtn's splu through a recorder of (permc_spec, factor) per call."""
+    calls = []
+    splu = dtn.spla.splu
+
+    def spy(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        calls.append((kwargs["permc_spec"], lu))
+        return wrap(lu, kwargs["permc_spec"])
+
+    monkeypatch.setattr(dtn.spla, "splu", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["box16", "corridor", "channel", "disk64", "annulus32", "annulus128"])
+def test_s_last_factor_fill_stays_bounded(name, request, monkeypatch):
+    """The S-last LU keeps the minimum-degree fill, plus at most the dense |S| x |S| block.
+
+    Ordering by perm_c instead of its inverse scrambles the order, and its
+    fill took the annulus128 factor past 5.7 GB.
+    """
+    dom = request.getfixturevalue(name)
+    calls = _spy_splu(monkeypatch)
+    Qm = dtn.build_Q(dom)
+    (mmd_spec, mmd), (last_spec, last) = calls
+    assert (mmd_spec, last_spec) == ("MMD_AT_PLUS_A", "NATURAL")
+    ns = len(np.unique(dom.inward_indices()[Qm.face_index]))
+    assert last.nnz <= 2 * mmd.nnz + ns * ns
+
+
+class _Pivoted:
+    """A factor that reports one permutation reversed."""
+
+    def __init__(self, lu, name):
+        self._lu, self._name = lu, name
+
+    def __getattr__(self, attr):
+        value = getattr(self._lu, attr)
+        return value[::-1] if attr == self._name else value
+
+
+@pytest.mark.parametrize("perm", ["perm_r", "perm_c"])
+def test_build_q_refuses_a_permuted_s_last_factor(perm, monkeypatch):
+    _spy_splu(monkeypatch, lambda lu, spec: _Pivoted(lu, perm) if spec == "NATURAL" else lu)
+    with pytest.raises(SolveFailure):
+        dtn.build_Q(geo.lattice_box(6, 5, 0.2))
+
+
+def test_build_q_and_hitting_law_share_one_factorization(tmp_path, monkeypatch):
+    """build_Q then hitting_distribution factor twice in all; the law keeps its bits.
+
+    The cli dtn command makes the same two calls. On a fresh domain the
+    hitting law does its own solve, and matches the oracle bit for bit.
+    """
+    fresh = geo.lattice_box(16, 16, 1.0 / 16.0)
+    calls = _spy_splu(monkeypatch)
+    P0 = dtn.hitting_distribution(fresh)
+    assert len(calls) == 1
+    density, measure, absorbed = _hitting_oracle(fresh)
+    assert P0.density.tobytes() == density.tobytes()
+    assert P0.measure.tobytes() == measure.tobytes()
+    assert P0.absorbed_fraction == absorbed
+    calls.clear()
+    dom = geo.lattice_box(16, 16, 1.0 / 16.0)
+    dtn.build_Q(dom)
+    shared = dtn.hitting_distribution(dom)
+    assert len(calls) == 2
+    assert shared.density.tobytes() == density.tobytes()
+    assert shared.absorbed_fraction == absorbed
+    calls.clear()
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"builder": "box", "nx": 8, "ny": 6, "mesh": 0.125}))
+    assert cli.main(["dtn", "--domain-file", str(path), "--out", str(tmp_path / "box")]) == 0
+    assert len(calls) == 2
+
+
+def test_hitting_law_follows_retagged_faces():
+    """Swapping a working and a source tag after build_Q gives the retagged domain's law."""
+    dom = geo.lattice_box(16, 16, 1.0 / 16.0)
+    dtn.build_Q(dom)
+    dtn.hitting_distribution(dom)
+    w, s = np.flatnonzero(dom.working_mask())[0], np.flatnonzero(dom.source_mask())[0]
+    dom.face_tag[[w, s]] = dom.face_tag[[s, w]]
+    density, _, absorbed = _hitting_oracle(dom)
+    P0 = dtn.hitting_distribution(dom)
+    assert P0.density.tobytes() == density.tobytes()
+    assert P0.absorbed_fraction == absorbed
 
 
 def test_q_stochasticity_tracks_source(corridor, box16_Q):
@@ -146,7 +259,7 @@ def test_absorption_distribution_monotone_mass(box16, box16_Q):
 
 
 def _hitting_oracle(dom):
-    """hitting_distribution before it shared the Robin solve: its own Lambda = 0 solve."""
+    """The hitting law from its own Lambda = 0 solve, whatever build_Q left on the domain."""
     lu, inward = dtn._factor(dom)
     working = np.flatnonzero(dom.working_mask())
     source = np.flatnonzero(dom.source_mask())
