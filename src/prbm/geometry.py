@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -235,8 +236,7 @@ class LatticeDomain:
         diff = np.abs(self.face_exterior - self.face_inward).sum(axis=1)
         if self.n_faces and not np.all(diff == 1):
             raise DegenerateGeometry("each face must join an adjacent site pair")
-        if np.any(self.site_index(self.face_inward) < 0):
-            raise DegenerateGeometry("face inward neighbour is not a bulk site")
+        self.inward_indices()
         if np.any(self.site_index(self.face_exterior) >= 0):
             raise DegenerateGeometry("face exterior site lies in the bulk")
         if self.n_faces and not (
@@ -294,42 +294,40 @@ def _axis_offsets(d: int) -> np.ndarray:
 class _SiteIndex:
     """Bulk index of integer lattice sites, -1 for sites off the set.
 
-    Coordinates are ranked axis by axis against the sorted distinct values
-    of the set, and each partial key is re-ranked against the distinct
-    partial keys of the set, so keys stay below n_sites^2 however far apart
-    the sites lie; no bounding-box grid is allocated. Lookups are
-    searchsorted calls on those sorted keys.
+    A site's key is its row-major offset (site - lo) @ stride in the
+    bounding box [lo, hi] of the set, computed from its coordinates; no
+    grid is allocated. The keys are sorted once, stably, so a duplicated
+    site maps to its last row, as a dict built in row order would. A lookup
+    is one box test and one searchsorted. A set whose bounding box has more
+    cells than an int64 can count raises DegenerateGeometry.
     """
 
     def __init__(self, sites: np.ndarray) -> None:
         sites = np.asarray(sites, dtype=np.int64)
         self.dimension = sites.shape[1]
-        self._levels = []
-        key = np.zeros(len(sites), dtype=np.int64)
-        for axis in range(self.dimension):
-            values = np.unique(sites[:, axis])
-            combined = key * len(values) + np.searchsorted(values, sites[:, axis])
-            keys = np.unique(combined)
-            key = np.searchsorted(keys, combined)
-            self._levels.append((values, keys))
-        self.n_distinct = len(keys)
-        # a duplicated site maps to its last row, as a dict built in order would
-        self._owner = np.empty(len(keys), dtype=np.int64)
-        self._owner[key] = np.arange(len(sites))
+        self.n_distinct = 0
+        if not len(sites):
+            return
+        self._lo, self._hi = sites.min(axis=0), sites.max(axis=0)
+        extent = [int(hi) - int(lo) + 1 for lo, hi in zip(self._lo, self._hi)]
+        if math.prod(extent) > np.iinfo(np.int64).max:
+            raise DegenerateGeometry("lattice sites span too large a bounding box for an int64 key")
+        self._stride = np.array([math.prod(extent[k + 1:]) for k in range(len(extent))], dtype=np.int64)
+        key = (sites - self._lo) @ self._stride
+        self._order = np.argsort(key, kind="stable")
+        self._keys = key[self._order]
+        self.n_distinct = 1 + int(np.count_nonzero(np.diff(self._keys)))
 
     def __call__(self, sites) -> np.ndarray:
         q = np.asarray(sites, dtype=np.int64).reshape(-1, self.dimension)
         if not self.n_distinct:
             return np.full(len(q), -1, dtype=np.int64)
-        key = np.zeros(len(q), dtype=np.int64)
-        found = np.ones(len(q), dtype=bool)
-        for axis, (values, keys) in enumerate(self._levels):
-            rank = np.searchsorted(values, q[:, axis]).clip(max=len(values) - 1)
-            found &= values[rank] == q[:, axis]
-            combined = key * len(values) + rank
-            key = np.searchsorted(keys, combined).clip(max=len(keys) - 1)
-            found &= keys[key] == combined
-        return np.where(found, self._owner[key], -1)
+        inside = np.all((q >= self._lo) & (q <= self._hi), axis=1)
+        key = np.where(inside, (q - self._lo) @ self._stride, -1)
+        # at is the last key <= key, the last row of a duplicated site; at = -1
+        # reads keys[-1], the largest key, which a key below them all never equals
+        at = np.searchsorted(self._keys, key, side="right") - 1
+        return np.where(self._keys[at] == key, self._order[at], -1)
 
 
 def _site_neighbors(sites: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:

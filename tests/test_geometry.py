@@ -466,6 +466,79 @@ def test_validate_catches_misplaced_faces():
         inside.validate()
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def _site_sets(draw):
+    """Random 2-D and 3-D site lists with duplicates, far apart on some axes.
+
+    Each axis adds its own far offset (0, 1,000,003 or 2^40) to a random
+    subset of the sites, so a set can reach past what an int64 key counts.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    small = st.tuples(*[st.integers(-4, 4)] * d)
+    rows = draw(st.lists(st.tuples(small, st.tuples(*[st.booleans()] * d)), min_size=1, max_size=60))
+    far = draw(st.tuples(*[st.sampled_from([0, 1_000_003, 2**40])] * d))
+    sites = [tuple(c + f * j for c, f, j in zip(s, far, jump)) for s, jump in rows]
+    repeat = draw(st.lists(st.integers(0, len(sites) - 1), max_size=8))
+    return draw(st.permutations(sites + [sites[i] for i in repeat]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sites=_site_sets())
+def test_site_index_matches_dict(sites):
+    """Every lookup against a dict built in row order, where the last row wins.
+
+    Queries are the members, their near misses one and two steps off along
+    each axis, and points outside the bounding box out to the int64 limits.
+    A set whose box has more cells than an int64 counts must be refused.
+    """
+    d = len(sites[0])
+    lo = [min(s[k] for s in sites) for k in range(d)]
+    hi = [max(s[k] for s in sites) for k in range(d)]
+    if math.prod(h - l + 1 for l, h in zip(lo, hi)) > _INT64.max:
+        with pytest.raises(DegenerateGeometry):
+            geo._SiteIndex(np.array(sites, dtype=np.int64))
+        return
+    index = geo._SiteIndex(np.array(sites, dtype=np.int64))
+    row = {s: i for i, s in enumerate(sites)}
+    assert index.n_distinct == len(row)
+    steps = [tuple(v * (k == axis) for k in range(d)) for axis in range(d) for v in (-2, -1, 1, 2)]
+    queries = list(sites) + [tuple(c + e for c, e in zip(s, step)) for s in sites for step in steps]
+    queries += [tuple(l - 1 for l in lo), tuple(h + 1 for h in hi), (_INT64.min,) * d, (_INT64.max,) * d]
+    queries += [tuple(hi[:k]) + (lo[k] - 1,) + tuple(hi[k + 1:]) for k in range(d)]
+    assert index(queries).tolist() == [row.get(q, -1) for q in queries]
+
+
+@pytest.mark.parametrize("span, refused", [(_INT64.max - 1, False), (_INT64.max, True)])
+def test_site_index_box_limit(span, refused):
+    """A box of exactly int64-max cells is indexed; one cell more is refused."""
+    sites = np.array([[0, 0], [span, 0]], dtype=np.int64)
+    if refused:
+        with pytest.raises(DegenerateGeometry):
+            geo._SiteIndex(sites)
+    else:
+        assert geo._SiteIndex(sites)([[span, 0], [0, 0], [1, 0], [0, 1]]).tolist() == [1, 0, -1, -1]
+
+
+def test_validate_refuses_a_box_beyond_int64_keys():
+    sites = np.array([[0, 0], [2**40, 2**40]], dtype=np.int64)
+    with pytest.raises(DegenerateGeometry):
+        geo._SiteIndex(sites)
+    far = geo.LatticeDomain(
+        mesh=1.0,
+        dimension=2,
+        bulk_sites=sites,
+        face_exterior=np.empty((0, 2), dtype=np.int64),
+        face_inward=np.empty((0, 2), dtype=np.int64),
+        face_tag=np.empty(0, dtype=np.uint8),
+        face_weight=np.empty(0),
+    )
+    with pytest.raises(DegenerateGeometry):
+        far.validate()
+
+
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
