@@ -31,7 +31,7 @@ from . import __version__
 from .dtn import build_M, build_Q, hitting_distribution, impedance_curve
 from .dtn import spectrum as dtn_spectrum
 from .dtn import spreading_operator
-from .errors import InvalidParam, PrbmError
+from .errors import InvalidParam, PrbmError, _nonnegative
 from .geometry import (
     LatticeDomain,
     circle_polyline,
@@ -223,8 +223,9 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # JSON has no NaN or infinity; a non-finite value is written as its name
+        return float(obj) if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
@@ -242,24 +243,23 @@ def _write_csv(path: str | None, meta: dict, header: list[str], rows) -> list[st
 
 
 def _parse_lambda_grid(spec: Any) -> np.ndarray:
-    if isinstance(spec, (list, tuple, np.ndarray)):
-        grid = np.asarray(spec, dtype=float)
-    else:
-        text = str(spec)
-        try:
-            if ":" in text:
-                lo_s, hi_s, n_s = text.split(":")
-                lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-                if not (0 < lo < hi) or n < 2:
-                    raise ValueError("need 0 < min < max and n >= 2")
-                grid = np.geomspace(lo, hi, n)
-            else:
-                grid = np.array([float(tok) for tok in text.split(",")])
-        except ValueError as exc:
-            raise _ConfigError(f"bad --lambda-grid {text!r}: {exc}") from exc
-    if grid.size == 0 or np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise _ConfigError("--lambda-grid must be finite and nonnegative")
-    return grid
+    text = str(spec)
+    try:
+        if isinstance(spec, (list, tuple, np.ndarray)):
+            grid = np.asarray(spec, dtype=float)
+        elif ":" in text:
+            lo_s, hi_s, n_s = text.split(":")
+            lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+            if not (0 < lo < hi) or n < 2:
+                raise ValueError("need 0 < min < max and n >= 2")
+            grid = np.geomspace(lo, hi, n)
+        else:
+            grid = np.array([float(tok) for tok in text.split(",")])
+        if grid.size == 0:
+            raise ValueError("the grid is empty")
+        return _nonnegative(grid, "Lambda")
+    except (TypeError, ValueError) as exc:  # InvalidParam is a ValueError too
+        raise _ConfigError(f"bad --lambda-grid {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +290,23 @@ def _domain_from_file(path: str) -> LatticeDomain:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidParam(f"cannot read domain file {path}: {exc}") from exc
-    builder = obj.get("builder")
-    if builder == "box":
-        return lattice_box(int(obj["nx"]), int(obj["ny"]), float(obj["mesh"]),
-                           obj.get("source_side", "top"))
-    if builder == "loop":
-        return rasterize_loop(_polyline_from(obj["polyline"]), float(obj["mesh"]))
-    if builder == "two_loops":
-        return rasterize(_polyline_from(obj["working"]), _polyline_from(obj["source"]),
-                         float(obj["mesh"]))
-    if builder == "channel":
-        return lattice_channel(int(obj["n_rows"]), float(obj["mesh"]),
-                               int(obj.get("width", 1)), bool(obj.get("source_top", True)))
+    try:
+        builder = obj.get("builder")
+        if builder == "box":
+            return lattice_box(int(obj["nx"]), int(obj["ny"]), float(obj["mesh"]),
+                               obj.get("source_side", "top"))
+        if builder == "loop":
+            return rasterize_loop(_polyline_from(obj["polyline"]), float(obj["mesh"]))
+        if builder == "two_loops":
+            return rasterize(_polyline_from(obj["working"]), _polyline_from(obj["source"]),
+                             float(obj["mesh"]))
+        if builder == "channel":
+            return lattice_channel(int(obj["n_rows"]), float(obj["mesh"]),
+                                   int(obj.get("width", 1)), bool(obj.get("source_top", True)))
+    except PrbmError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise InvalidParam(f"malformed domain file {path}: {type(exc).__name__}: {exc}") from exc
     raise InvalidParam(f"unknown domain builder {builder!r} in {path}")
 
 

@@ -40,7 +40,7 @@ import scipy.linalg as sla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidParam, SingularSystem, SolveFailure
+from .errors import InvalidParam, SingularSystem, SolveFailure, _nonnegative, _positive
 from .geometry import LatticeDomain, _components
 from .spectral import impedance_from_spectrum
 
@@ -232,16 +232,9 @@ def build_M(Qm: SelfTransportMatrix) -> np.ndarray:
     return (np.eye(n) - Qm.Q) / Qm.mesh
 
 
-def _check_lambda(Lambda: float) -> float:
-    lam = float(Lambda)
-    if not 0.0 <= lam < np.inf:
-        raise InvalidParam("Lambda must be finite and nonnegative")
-    return lam
-
-
 def _face_weights(weight: np.ndarray | None, n: int) -> np.ndarray:
     """Alignment weights as an (n,) array; omitted weights are all 1."""
-    w = np.ones(n) if weight is None else np.asarray(weight, dtype=float)
+    w = np.ones(n) if weight is None else np.asarray(_positive(weight, "weight"))
     if w.shape != (n,):
         raise InvalidParam("weight length must match the operator size")
     return w
@@ -254,7 +247,7 @@ def spreading_operator(M: np.ndarray, Lambda: float, weight: np.ndarray | None =
     diag(1/w) M); omit it on lattice-aligned domains. Lambda = 0 returns the
     identity exactly.
     """
-    lam = _check_lambda(Lambda)
+    lam = _nonnegative(Lambda, "Lambda")
     n = M.shape[0]
     if lam == 0.0:
         return np.eye(n)
@@ -297,7 +290,7 @@ def absorption_law(dom: LatticeDomain, Lambda: float) -> FluxVector:
     per-face absorption masses and absorbed_fraction their total; the rest,
     1 - absorbed_fraction, is the probability of returning to the source.
     """
-    masses = _absorbed_masses(dom, _reflection_probabilities(dom, _check_lambda(Lambda)))
+    masses = _absorbed_masses(dom, _reflection_probabilities(dom, _nonnegative(Lambda, "Lambda")))
     measure = dom.measures()[dom.working_mask()]
     return FluxVector(density=masses / measure, measure=measure, absorbed_fraction=float(masses.sum()))
 
@@ -345,7 +338,7 @@ def spectrum(M: np.ndarray, phi0h: np.ndarray | None, measure: np.ndarray, weigh
     -1e-12 * max|mu|; the ones above are returned as |mu|.
     """
     n = M.shape[0]
-    m = np.asarray(measure, dtype=float)
+    m = np.asarray(_positive(measure, "measure"))
     if m.shape != (n,):
         raise InvalidParam("measure length must match the operator size")
     rw = np.sqrt(_face_weights(weight, n))
@@ -372,6 +365,7 @@ def spectrum(M: np.ndarray, phi0h: np.ndarray | None, measure: np.ndarray, weigh
         F = np.zeros(n)
     else:
         phi = np.asarray(phi0h, dtype=float)
+        _nonnegative(np.abs(phi), "|phi0h|")
         if phi.shape != (n,):
             raise InvalidParam("phi0h length must match the operator size")
         F = (V.T @ (phi * m)) ** 2
@@ -388,8 +382,7 @@ def impedance_curve(spec: DtnSpectrum, Lambda_grid, D: float = 1.0) -> list[dict
     exact arithmetic; both are reported so callers can check. Values are per
     unit source concentration.
     """
-    if not D > 0:
-        raise InvalidParam("D must be positive")
+    D = _positive(D, "D")
     mu = spec.mu
     c = spec.V.T @ spec.measure  # components of the unit boundary data
     g2 = c * c

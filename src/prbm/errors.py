@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two parameter guards.
 
 Everything derives from PrbmError so callers (and the CLI) can catch domain
-failures in one place without swallowing programming errors.
+failures in one place without swallowing programming errors. Entry points
+check every length, scale, time and coordinate (a signed one by its absolute
+value) through _nonnegative (finite, >= 0) or _positive (finite, > 0), which
+raise InvalidParam naming it; range checks such as r < 1 follow the guard.
 """
+
+import numpy as np
 
 __all__ = [
     "PrbmError",
@@ -66,3 +71,23 @@ class ExcessiveCensoring(PrbmError, ArithmeticError):
 
 class NumericOverflowWarning(UserWarning):
     """A value left the representable range and was clamped (usually to 0)."""
+
+
+def _finite(value, name: str, low: str):
+    x = np.asarray(value)
+    if x.dtype.kind not in "iuf":  # no bool, string, None or object
+        raise InvalidParam(f"{name} must be a number, not {value!r}")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & ((x > 0) if low == "positive" else (x >= 0))):
+        raise InvalidParam(f"{name} must be finite and {low}")
+    return float(x) if x.ndim == 0 else x
+
+
+def _nonnegative(value, name: str):
+    """value as float (or float array) when every entry is finite and >= 0."""
+    return _finite(value, name, "nonnegative")
+
+
+def _positive(value, name: str):
+    """value as float (or float array) when every entry is finite and > 0."""
+    return _finite(value, name, "positive")

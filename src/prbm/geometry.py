@@ -33,7 +33,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse
+from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _nonnegative, _positive
 
 __all__ = [
     "rasterize_loop",
@@ -113,7 +113,7 @@ def make_canonical(
     if kind in natural and dimension != natural[kind]:
         raise InvalidParam(f"{kind.value} requires dimension {natural[kind]}")
     if kind is DomainKind.ANNULUS:
-        if outer_radius is None or not outer_radius > 1.0:
+        if outer_radius is None or not _positive(outer_radius, "outer_radius") > 1.0:
             raise InvalidParam("annulus requires outer_radius > 1")
     elif outer_radius is not None:
         raise InvalidParam("outer_radius only applies to the annulus")
@@ -222,8 +222,7 @@ class LatticeDomain:
 
     def validate(self, *, check_connected: bool = True) -> None:
         """Check the structural invariants; raises on violation."""
-        if not self.mesh > 0:
-            raise InvalidParam("mesh must be positive")
+        _positive(self.mesh, "mesh")
         if self.dimension < 2:
             raise InvalidParam("dimension must be at least 2")
         if self.n_bulk == 0:
@@ -239,9 +238,7 @@ class LatticeDomain:
         self.inward_indices()
         if np.any(self.site_index(self.face_exterior) >= 0):
             raise DegenerateGeometry("face exterior site lies in the bulk")
-        if self.n_faces and not (
-            np.all(self.face_weight > 0) and np.all(self.face_weight <= 1.0 + 1e-12)
-        ):
+        if self.n_faces and not np.all(_positive(self.face_weight, "face weights") <= 1.0 + 1e-12):
             raise InvalidParam("face weights must lie in (0, 1]")
         if check_connected and not self._connected():
             raise MeshTooCoarse("bulk sites do not form a connected set")
@@ -473,8 +470,8 @@ def load_polyline(source: str | Path | list) -> np.ndarray:
 
 def circle_polyline(radius: float, n: int = 2048, center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
     """Closed regular polygon approximating a circle, last point == first."""
-    if not radius > 0:
-        raise InvalidParam("radius must be positive")
+    _positive(radius, "radius")
+    _nonnegative(np.abs(center), "|center|")
     th = np.linspace(0.0, 2.0 * np.pi, n + 1)
     return np.column_stack((center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)))
 
@@ -594,8 +591,7 @@ def rasterize(
     Faces are tagged Working/Source by the nearer polyline and weighted by
     the alignment between the face normal and the local polyline normal.
     """
-    if not mesh > 0:
-        raise InvalidParam("mesh must be positive")
+    mesh = _positive(mesh, "mesh")
     work = load_polyline(polyline_working)
     src = load_polyline(polyline_source)
     for poly, label in ((work, "working"), (src, "source")):
@@ -699,8 +695,7 @@ def rasterize_loop(polyline, mesh: float) -> LatticeDomain:
     This is the sourceless variant of rasterize, used for spectra of closed
     interfaces. InvalidParam if the polyline is not closed.
     """
-    if not mesh > 0:
-        raise InvalidParam("mesh must be positive")
+    mesh = _positive(mesh, "mesh")
     poly = load_polyline(polyline)
     if not _is_closed(poly):
         raise InvalidParam("rasterize_loop needs a closed polyline")

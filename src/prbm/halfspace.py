@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 from scipy import integrate, special
 
-from .errors import InvalidParam, NumericOverflowWarning, SlowConvergence
+from .errors import InvalidParam, NumericOverflowWarning, SlowConvergence, _nonnegative, _positive
 
 __all__ = [
     "stopping_time_density",
@@ -54,13 +54,6 @@ _TAIL_SWITCH = 1e4
 _MIN_HEIGHT_RATIO = 1e-6
 
 
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not 0.0 < lam < math.inf:
-        raise InvalidParam("Lambda must be positive and finite")
-    return lam
-
-
 def stopping_time_density(t, Lambda: float, method: str = "closed"):
     """Density of the absorption time for the half-space walk started on the wall.
 
@@ -70,13 +63,11 @@ def stopping_time_density(t, Lambda: float, method: str = "closed"):
     "integral" method evaluates the defining z-integral by quadrature and is
     kept as an independent oracle for the closed form.
     """
-    lam = _check_lambda(Lambda)
+    lam = _positive(Lambda, "Lambda")
+    t_arr = np.asarray(_positive(t, "t"))
     if method == "integral":
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            if not ti > 0:
-                raise InvalidParam("t must be positive")
+        out = np.empty(t_arr.size)
+        for i, ti in enumerate(np.atleast_1d(t_arr)):
             f = lambda z: z * math.exp(-z * z / (2 * ti) - z / lam)
             val, _ = integrate.quad(f, 0, np.inf, epsabs=0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS)
             out[i] = val / (lam * math.sqrt(2 * math.pi) * ti**1.5)
@@ -84,9 +75,6 @@ def stopping_time_density(t, Lambda: float, method: str = "closed"):
     if method != "closed":
         raise InvalidParam(f"unknown method {method!r}")
 
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
-        raise InvalidParam("t must be positive")
     tau = t_arr / (2 * lam * lam)
     out = np.zeros_like(tau)
 
@@ -110,10 +98,8 @@ def stopping_time_density(t, Lambda: float, method: str = "closed"):
 
 def stopping_time_cdf(t, Lambda: float):
     """P{T <= t} = 1 - erfcx(sqrt(t / (2 Lambda^2))), exact."""
-    lam = _check_lambda(Lambda)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise InvalidParam("t must be nonnegative")
+    lam = _positive(Lambda, "Lambda")
+    t_arr = _nonnegative(t, "t")
     out = 1.0 - special.erfcx(np.sqrt(t_arr / (2 * lam * lam)))
     return out if np.ndim(t) else float(out)
 
@@ -146,9 +132,7 @@ def _z_integral(z: float, d: int, epsrel: float) -> float:
 
 def eta(z: float, d: int = 2) -> float:
     """Correction factor eta_d(z) = (1+z^2)^{d/2} * int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du."""
-    z = float(z)
-    if not z > 0:
-        raise InvalidParam("z must be positive")
+    z = _positive(z, "z")
     d = int(d)
     if d < 2:
         raise InvalidParam("d must be at least 2")
@@ -163,11 +147,11 @@ def spread_kernel_t(s, Lambda: float, d: int = 2) -> float:
     directly (substituting z = Lambda u). At s = 0 the integral diverges for
     every d >= 2 (logarithmically for d = 2) and +inf is returned.
     """
-    lam = _check_lambda(Lambda)
+    lam = _positive(Lambda, "Lambda")
     d = int(d)
     if d < 2:
         raise InvalidParam("d must be at least 2")
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(s, dtype=float))))
+    r = float(np.linalg.norm(np.atleast_1d(_nonnegative(np.abs(s), "|s|"))))
     if r == 0.0:
         return math.inf
     pref = special.gamma(d / 2.0) / (math.pi ** (d / 2.0) * lam ** (d - 1))
@@ -182,9 +166,8 @@ def absorption_probability_disk(r: float, Lambda: float, d: int = 2) -> float:
     regularized incomplete beta function:
     H_d(rho) = I(rho^2/(1+rho^2); (d-1)/2, 1/2). Depends on r/Lambda only.
     """
-    lam = _check_lambda(Lambda)
-    if r < 0:
-        raise InvalidParam("r must be nonnegative")
+    lam = _positive(Lambda, "Lambda")
+    r = _nonnegative(r, "r")
     d = int(d)
     if d < 2:
         raise InvalidParam("d must be at least 2")
@@ -217,9 +200,11 @@ def harmonic_density_halfspace(x, s, d: int | None = None) -> float:
         d = len(x)
     if d < 2 or len(x) != d:
         raise InvalidParam("x must be a d-vector with d >= 2")
+    _nonnegative(np.abs(x), "|x|")
     if not x[-1] > 0:
         raise InvalidParam("x must lie strictly inside the half-space (x_d > 0)")
     s = np.atleast_1d(np.asarray(s, dtype=float))
+    _nonnegative(np.abs(s), "|s|")
     if len(s) != d - 1:
         raise InvalidParam("s must have d-1 lateral coordinates")
     h = x[-1]
@@ -240,11 +225,13 @@ def spread_density_halfspace(x, s: float, Lambda: float) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(x) != 2:
         raise InvalidParam("only the planar half-space (d = 2) is implemented")
+    _nonnegative(np.abs(x), "|x|")
     if not x[1] > 0:
         raise InvalidParam("x must lie strictly inside the half-space")
-    if Lambda == 0:
+    _nonnegative(np.abs(s), "|s|")
+    lam = _nonnegative(Lambda, "Lambda")
+    if lam == 0:
         return harmonic_density_halfspace(x, s)
-    lam = _check_lambda(Lambda)
     h = float(x[1])
     if h / lam < _MIN_HEIGHT_RATIO:
         raise SlowConvergence(

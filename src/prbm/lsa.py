@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dtn
-from .errors import DegenerateGeometry, InvalidParam, PerimeterTooSmall
+from .errors import DegenerateGeometry, InvalidParam, PerimeterTooSmall, _nonnegative, _positive
 from .geometry import (
     BoundaryTag,
     LatticeDomain,
@@ -69,8 +69,7 @@ def coarse_grain(curve, Lambda: float) -> np.ndarray:
     construction. Raises PerimeterTooSmall when the curve is not longer than
     Lambda.
     """
-    if not Lambda > 0:
-        raise InvalidParam("Lambda must be positive")
+    Lambda = _positive(Lambda, "Lambda")
     poly = load_polyline(curve)
     arc = _arclengths(poly)
     perimeter = float(arc[-1])
@@ -184,10 +183,11 @@ def compare_flux(
     the chord-coarsened curve solved with perfect absorption. The report
     keeps both raw fluxes so the relative error can be re-derived.
     """
-    if not mesh > 0:
-        raise InvalidParam("mesh must be positive")
-    if mesh > Lambda / 10 * (1 + 1e-12):
+    mesh = _positive(mesh, "mesh")
+    if mesh > _positive(Lambda, "Lambda") / 10 * (1 + 1e-12):
         raise InvalidParam("mesh must resolve Lambda (need mesh <= Lambda/10)")
+    _nonnegative(abs(source_height), "|source_height|")
+    _positive(D, "D")
     poly = load_polyline(curve)
     coarse = coarse_grain(poly, Lambda)
     original = _total_flux(_channel_domain(poly, source_height, mesh), Lambda, D)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse
+from .errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse, _nonnegative, _positive
 
 __all__ = [
     "AnalyticSpectrum",
@@ -57,9 +57,10 @@ class AnalyticSpectrum:
 
 def poisson_kernel_disk(r: float, theta: float) -> float:
     """Harmonic measure density of the unit circle seen from (r, 0), angle theta."""
-    r = float(r)
-    if not 0.0 <= r < 1.0:
+    r = _nonnegative(r, "r")
+    if not r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
+    _nonnegative(abs(theta), "|theta|")
     return (1.0 - r * r) / (2.0 * math.pi * (1.0 - 2.0 * r * math.cos(theta) + r * r))
 
 
@@ -86,12 +87,11 @@ def disk_spread_density(r: float, theta: float, Lambda: float) -> float:
     reduces to the Poisson kernel at Lambda = 0 and flattens to uniform as
     Lambda grows.
     """
-    r = float(r)
-    lam = float(Lambda)
-    if not 0.0 <= r < 1.0:
+    r = _nonnegative(r, "r")
+    if not r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
-    if not lam >= 0:
-        raise InvalidParam("Lambda must be nonnegative")
+    _nonnegative(abs(theta), "|theta|")
+    lam = _nonnegative(Lambda, "Lambda")
     n = _disk_n_terms(r, lam)
     if n == 0:
         return 1.0 / (2.0 * math.pi)
@@ -112,9 +112,8 @@ def disk_spreading_kernel(theta: float, theta_p: float, Lambda: float, method: s
     exists as an independent cross-check; it cannot reach small Lambda at
     sane term counts and raises TruncationTooCoarse there instead of lying.
     """
-    lam = float(Lambda)
-    if not lam > 0:
-        raise InvalidParam("Lambda must be positive")
+    lam = _positive(Lambda, "Lambda")
+    _nonnegative(np.abs([theta, theta_p]), "|theta|, |theta_p|")
     delta = math.remainder(float(theta) - float(theta_p), 2.0 * math.pi)
     if abs(delta) < _DIAG_TOL:
         raise DiagonalSingularity(f"|theta - theta_p| = {abs(delta):.2e} below {_DIAG_TOL:.0e}")
@@ -196,12 +195,11 @@ def ball_spread_density(r: float, theta: float, Lambda: float) -> float:
     exact geometric bound sum_{l>N} (2l+1) r^l =
     r^{N+1} [(2N+3) - (2N+1) r] / (1-r)^2 together with |P_l| <= 1.
     """
-    r = float(r)
-    lam = float(Lambda)
-    if not 0.0 <= r < 1.0:
+    r = _nonnegative(r, "r")
+    if not r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
-    if not lam >= 0:
-        raise InvalidParam("Lambda must be nonnegative")
+    _nonnegative(abs(theta), "|theta|")
+    lam = _nonnegative(Lambda, "Lambda")
     if r == 0.0:
         return 1.0 / (4.0 * math.pi)
 
@@ -237,7 +235,7 @@ def annulus_spectrum(R: float, alpha_max: int) -> AnalyticSpectrum:
     (A + B ln r for a = 0) vanishing at R give mu_0 = 1/ln R and
     mu_a = a (R^{2a} + 1)/(R^{2a} - 1), each a > 0 carrying the cos/sin pair.
     """
-    R = float(R)
+    R = _positive(R, "R")
     if not R > 1.0:
         raise InvalidParam("R must exceed 1")
     if alpha_max < 0:
@@ -265,21 +263,13 @@ def impedance_from_spectrum(mu, weights, Lambda: float, D: float = 1.0, *, z_cel
     Lambda = 0 cell impedance z_cell0, which this spectrum alone does not
     determine.
     """
-    mu = np.asarray(mu, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    mu = np.asarray(_nonnegative(mu, "eigenvalues"))
+    w = np.asarray(_nonnegative(weights, "spectral weights"))
     if mu.shape != w.shape:
         raise InvalidParam("mu and weights must have matching shapes")
-    if np.any(mu < 0):
-        raise InvalidParam("eigenvalues must be nonnegative")
-    if np.any(w < 0):
-        raise InvalidParam("spectral weights must be nonnegative")
-    lam = float(Lambda)
-    if not 0.0 <= lam < math.inf:
-        raise InvalidParam("Lambda must be finite and nonnegative")
-    if not D > 0:
-        raise InvalidParam("D must be positive")
-    if not 0.0 < z_cell0 < math.inf:
-        raise InvalidParam("z_cell0 must be positive and finite")
+    lam = _nonnegative(Lambda, "Lambda")
+    D = _positive(D, "D")
+    z_cell0 = _positive(z_cell0, "z_cell0")
     z = lam / D * float(np.sum(w / (1.0 + lam * mu)))
     z_sp = 0.0 if z == 0.0 else 1.0 / (1.0 / z - 1.0 / z_cell0)
     return {"Z": z, "Z_cell0": z_cell0, "Z_sp": z_sp}
@@ -287,10 +277,9 @@ def impedance_from_spectrum(mu, weights, Lambda: float, D: float = 1.0, *, z_cel
 
 def zeta(mu, weights, lam: float) -> float:
     """Interface signature zeta(lambda) = sum F_a exp(-lambda mu_a)."""
-    if not 0.0 <= lam < math.inf:
-        raise InvalidParam("lambda must be finite and nonnegative")
-    mu = np.asarray(mu, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    lam = _nonnegative(lam, "lambda")
+    mu = np.asarray(_nonnegative(mu, "eigenvalues"))
+    w = np.asarray(_nonnegative(weights, "spectral weights"))
     if mu.shape != w.shape:
         raise InvalidParam("mu and weights must have matching shapes")
     return float(np.sum(w * np.exp(-lam * mu)))

@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special
 
 from .dtn import _factor, _reflection_probabilities
-from .errors import ExcessiveCensoring, InvalidParam
+from .errors import ExcessiveCensoring, InvalidParam, _nonnegative, _positive
 from .geometry import DomainKind, DomainSpec, LatticeDomain, lattice_box
 from .rng import RngStream
 
@@ -80,10 +80,8 @@ class JumpParams:
     max_steps: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if not 0 <= self.Lambda < math.inf:
-            raise InvalidParam("Lambda must be finite and nonnegative")
-        if not 0 < self.a < math.inf:
-            raise InvalidParam("jump distance a must be positive and finite")
+        _nonnegative(self.Lambda, "Lambda")
+        _positive(self.a, "jump distance a")
         if self.max_steps < 1:
             raise InvalidParam("max_steps must be at least 1")
 
@@ -170,11 +168,10 @@ def sample_threshold(Lambda: float, rng: np.random.Generator) -> float:
         raise InvalidParam(
             "sample_threshold needs a Generator: call stream.generator() once and reuse it"
         )
-    if not Lambda >= 0:
-        raise InvalidParam("Lambda must be nonnegative")
-    if Lambda == 0:
+    lam = _nonnegative(Lambda, "Lambda")
+    if lam == 0:
         return 0.0
-    return float(rng.exponential(Lambda))
+    return float(rng.exponential(lam))
 
 
 # -- exact hitting laws --------------------------------------------------------
@@ -249,8 +246,7 @@ def _check_start(dom, start, params: JumpParams):
     d = dom.dimension
     if x.shape != (d,):
         raise InvalidParam(f"start must be a {d}-vector")
-    if not np.all(np.isfinite(x)):
-        raise InvalidParam("start must be finite")
+    _nonnegative(np.abs(x), "|start|")
     a = params.a
     r = float(np.linalg.norm(x))
     if kind is DomainKind.HALF_SPACE:
@@ -276,11 +272,18 @@ def _check_start(dom, start, params: JumpParams):
 
 
 def _resolve_site(dom: LatticeDomain, start) -> int:
-    if isinstance(start, (int, np.integer)):
+    """Bulk index of a lattice start: an int index or a site's integer coordinates."""
+    if isinstance(start, (int, np.integer)) and not isinstance(start, bool):
         if not 0 <= start < dom.n_bulk:
             raise InvalidParam(f"bulk site index {start} out of range")
         return int(start)
-    key = tuple(int(c) for c in np.asarray(start).ravel())
+    site = np.asarray(start).ravel()
+    integral = site.dtype.kind in "iu" or (
+        site.dtype.kind == "f" and not np.any(_nonnegative(np.abs(site), "|start|") % 1)
+    )
+    if not integral:  # a bool is no index, and a fractional coordinate no site
+        raise InvalidParam(f"lattice start {start!r} is neither a bulk index nor integer coordinates")
+    key = tuple(int(c) for c in site)
     idx = dom.site_index(key)[0] if len(key) == dom.dimension else -1
     if idx < 0:
         raise InvalidParam(f"{key} is not a bulk site")
@@ -635,6 +638,9 @@ def estimate_spread_measure(
         raise InvalidParam("bins and chunk_size must be at least 1")
     if count_reflections_to is not None and count_reflections_to < 0:
         raise InvalidParam("count_reflections_to must be nonnegative")
+    if window is not None:
+        window = _positive(window, "window")
+    _nonnegative(censored_ceiling, "censored_ceiling")
     if threads is None:
         raw = os.environ.get("PRBM_THREADS", "1")
         try:
@@ -867,10 +873,8 @@ def estimate_stopping_time(Lambda: float, a: float, n_samples: int, rng: RngStre
     (seed, stream_id) and depend on (Lambda, a) only through chi/a. Returns
     the sorted sample.
     """
-    if not (Lambda > 0 and math.isfinite(Lambda)):
-        raise InvalidParam("Lambda must be positive and finite")
-    if not (a > 0 and math.isfinite(a)):
-        raise InvalidParam("mesh a must be positive and finite")
+    _positive(Lambda, "Lambda")
+    _positive(a, "mesh a")
     if not Lambda / a <= _MAX_LEVEL_SCALE:
         raise InvalidParam(f"Lambda/a must be at most 2**47, got {Lambda / a:.3g}")
     if n_samples < 1:

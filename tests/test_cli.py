@@ -19,6 +19,15 @@ def _isolate(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _read_csv(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("# ")
@@ -228,6 +237,42 @@ def test_dtn_bad_domain_file_is_a_domain_error(capsys):
     assert "torus" in err
     manifest = json.loads(Path("prbm-dtn.manifest.json").read_text())
     assert manifest["status"] == "error"
+    # a missing key or a non-object file names the file instead of crashing
+    for i, body in enumerate([{"builder": "box", "nx": 8}, [1, 2]]):
+        Path(f"bad{i}.json").write_text(json.dumps(body))
+        Path("prbm-dtn.manifest.json").unlink()
+        assert cli.main(["dtn", "--domain-file", f"bad{i}.json"]) == 1
+        assert f"bad{i}.json" in capsys.readouterr().err
+        manifest = json.loads(Path("prbm-dtn.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "InvalidParam" in manifest["error"]
+
+
+def test_non_finite_flags_are_written_as_strings():
+    # JSON has no NaN or Infinity, so manifests and CSV headers name them
+    assert cli.main(["halfspace", "--table", "absorption", "--points", "3",
+                     "--lambda", "nan", "--out", "abs.csv"]) == 0
+    lines = Path("abs.csv").read_text().splitlines()
+    assert _strict_json(lines[0][2:])["lambda"] == "nan"
+    assert _strict_json(Path("abs.csv.manifest.json").read_text())["config"]["lambda"] == "nan"
+    assert cli.main(["simulate", "--domain", "disk", "--lambda", "nan", "--walkers", "10"]) == 1
+    manifest = _strict_json(Path("prbm-simulate.manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["config"]["lambda"] == "nan"
+
+
+@pytest.mark.parametrize("argv, manifest", [
+    (["spectrum", "--domain", "annulus", "--outer-radius", "inf", "--out", "ann.csv"],
+     "ann.csv.manifest.json"),
+    (["lsa", "--curve", "[[0,0],[1,0]]", "--lambda", "0.4", "--mesh", "0.015625",
+      "--source-height", "inf"], "prbm-lsa.manifest.json"),
+])
+def test_infinite_lengths_are_domain_errors(argv, manifest):
+    assert cli.main(argv) == 1
+    body = _strict_json(Path(manifest).read_text())
+    assert body["status"] == "error"
+    assert "InvalidParam" in body["error"]
+    assert not Path("ann.csv").exists()
 
 
 def test_lsa_report_lands_in_json_and_manifest(capsys):

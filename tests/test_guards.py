@@ -1,11 +1,16 @@
-"""Non-finite parameters raise InvalidParam at every entry point, never NaN or a hang."""
+"""Non-finite parameters raise InvalidParam at every entry point, never NaN or a hang.
+
+Finite admissible inputs pass the guards untouched; every NaN or infinite
+length, scale, time, angle or coordinate raises, as do out-of-range ones
+that used to give a quiet wrong answer.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from prbm import dtn, halfspace, spectral, walkers
+from prbm import dtn, halfspace, lsa, spectral, walkers
 from prbm import geometry as geo
 from prbm.errors import InvalidParam
 from prbm.rng import RngStream
@@ -27,6 +32,18 @@ def box6_spec(box6):
 
 _MU, _W = np.array([0.5, 1.0]), np.array([0.3, 0.2])
 
+
+def _halfplane(**kw):
+    # with max_steps=2, 984 of these 1,000 walkers are censored
+    hp = geo.make_canonical("half_space", dimension=2)
+    params = walkers.JumpParams(Lambda=1.0, a=0.01, max_steps=kw.pop("max_steps", 10_000_000))
+    return walkers.estimate_spread_measure(hp, (0.0, 1.0), params, 1_000, RngStream(0), **kw)
+
+
+def _flux(height=1.0, D=1.0):
+    return lsa.compare_flux([[0.0, 0.0], [1.0, 0.0]], height, 0.5, 0.05, D)
+
+
 _CALLS = {
     "jump_params_nan_Lambda": lambda box, spec: walkers.JumpParams(Lambda=NAN, a=0.1),
     "jump_params_inf_Lambda": lambda box, spec: walkers.JumpParams(Lambda=INF, a=0.1),
@@ -47,6 +64,39 @@ _CALLS = {
     "spread_density_halfspace_nan": lambda box, spec: halfspace.spread_density_halfspace((0.0, 1.0), 0.3, NAN),
     "stopping_time_density_inf": lambda box, spec: halfspace.stopping_time_density(1.0, INF),
     "spread_kernel_t_inf": lambda box, spec: halfspace.spread_kernel_t(0.5, INF),
+    # an infinite Lambda used to give the uniform law, or an infinite threshold
+    "disk_spread_density_inf": lambda box, spec: spectral.disk_spread_density(0.5, 0.1, INF),
+    "ball_spread_density_inf": lambda box, spec: spectral.ball_spread_density(0.5, 0.1, INF),
+    "disk_spreading_kernel_inf": lambda box, spec: spectral.disk_spreading_kernel(0.1, 0.5, INF),
+    "sample_threshold_inf": lambda box, spec: walkers.sample_threshold(INF, RngStream(0).generator()),
+    # these returned NaN
+    "eta_inf": lambda box, spec: halfspace.eta(INF),
+    "absorption_probability_disk_inf_r": lambda box, spec: halfspace.absorption_probability_disk(INF, 1.0),
+    "poisson_kernel_disk_nan_theta": lambda box, spec: spectral.poisson_kernel_disk(0.5, NAN),
+    "disk_spread_density_nan_theta": lambda box, spec: spectral.disk_spread_density(0.5, NAN, 0.3),
+    "ball_spread_density_nan_theta": lambda box, spec: spectral.ball_spread_density(0.5, NAN, 0.3),
+    "spread_kernel_t_nan_s": lambda box, spec: halfspace.spread_kernel_t(NAN, 1.0),
+    "harmonic_density_halfspace_nan_s": lambda box, spec: halfspace.harmonic_density_halfspace([0.0, 1.0], NAN),
+    "stopping_time_cdf_nan_t": lambda box, spec: halfspace.stopping_time_cdf(NAN, 1.0),
+    "stopping_time_density_nan_t": lambda box, spec: halfspace.stopping_time_density(NAN, 1.0),
+    # this raised SlowConvergence
+    "spread_density_halfspace_nan_s": lambda box, spec: halfspace.spread_density_halfspace([0.0, 1.0], NAN, 0.5),
+    # an infinite mesh, radius or D was accepted
+    "lattice_box_inf_mesh": lambda box, spec: geo.lattice_box(3, 3, INF),
+    "make_canonical_inf_outer_radius": lambda box, spec: geo.make_canonical("annulus", outer_radius=INF),
+    "annulus_spectrum_inf": lambda box, spec: spectral.annulus_spectrum(INF, 2),
+    "impedance_from_spectrum_inf_D": lambda box, spec: spectral.impedance_from_spectrum(_MU, _W, 0.5, D=INF, z_cell0=1.0),
+    # NaN or infinite bin edges, or every walker in the overflow bin
+    "window_nan": lambda box, spec: _halfplane(window=NAN),
+    "window_inf": lambda box, spec: _halfplane(window=INF),
+    "window_zero": lambda box, spec: _halfplane(window=0.0),
+    "window_negative": lambda box, spec: _halfplane(window=-1.0),
+    # a NaN ceiling switched the censoring check off
+    "censored_ceiling_nan": lambda box, spec: _halfplane(censored_ceiling=NAN, max_steps=2),
+    # NaN or negative fluxes, and an OverflowError
+    "compare_flux_nan_D": lambda box, spec: _flux(D=NAN),
+    "compare_flux_negative_D": lambda box, spec: _flux(D=-1.0),
+    "compare_flux_inf_source_height": lambda box, spec: _flux(height=INF),
 }
 
 

@@ -478,6 +478,12 @@ def test_estimate_guards(monkeypatch):
         wk.estimate_spread_measure(dom, "source", wk.JumpParams(Lambda=0.2, a=0.05), 10, RngStream(0))
     with pytest.raises(InvalidParam):
         wk.estimate_spread_measure(object(), (0.0, 0.5), p, 10, RngStream(0))
+    # a lattice start is a bulk index or integer coordinates, never truncated;
+    # (3, 2) and index 1 are bulk sites of this box
+    box = lattice_box(6, 6, 0.1)
+    for start in [(3.7, 2.2), np.array([3.5, 2.0]), True]:
+        with pytest.raises(InvalidParam):
+            wk.estimate_spread_measure(box, start, p, 10, RngStream(0))
     # canonical starts get the checks run_jump_walker makes
     hp = make_canonical("half_space", dimension=2)
     disk = make_canonical("disk_interior")
