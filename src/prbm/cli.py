@@ -175,6 +175,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the JSON values a config key may hold, by its flag's type (a bool is no
+# number), and the keys that also take a list
+_CONFIG_TYPES = {bool: (bool, "true or false"), int: (int, "an integer"),
+                 float: ((float, int), "a number"), str: (str, "a string")}
+_LIST_KEYS = ("lambda-grid", "start")
+
+
 def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     params = _SPECS[args.cmd]
     known = {p.key for p in params}
@@ -194,6 +201,10 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
         value = getattr(args, prm.dest)
         if value is None and prm.key in file_cfg:
             value = file_cfg[prm.key]
+            kind, what = _CONFIG_TYPES[bool if prm.flag else prm.type]
+            typed = isinstance(value, bool) == prm.flag and isinstance(value, kind)
+            if not (value is None or typed or prm.key in _LIST_KEYS and isinstance(value, list)):
+                raise _ConfigError(f"config key {prm.key!r} must be {what}, as its flag is, not {value!r}")
             if prm.choices is not None and value not in prm.choices:
                 raise _ConfigError(f"config key {prm.key!r} must be one of {prm.choices}")
         if value is None:
@@ -209,9 +220,7 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
@@ -271,10 +280,7 @@ def _polyline_from(spec: Any) -> np.ndarray:
         if "circle" not in spec:
             raise InvalidParam("polyline object must carry a 'circle' entry")
         c = spec["circle"]
-        return circle_polyline(
-            float(c["radius"]), int(c.get("n", 2048)),
-            tuple(c.get("center", (0.0, 0.0))),
-        )
+        return circle_polyline(c["radius"], c.get("n", 2048), c.get("center", (0.0, 0.0)))
     return load_polyline(spec)
 
 
@@ -293,16 +299,13 @@ def _domain_from_file(path: str) -> LatticeDomain:
     try:
         builder = obj.get("builder")
         if builder == "box":
-            return lattice_box(int(obj["nx"]), int(obj["ny"]), float(obj["mesh"]),
-                               obj.get("source_side", "top"))
+            return lattice_box(obj["nx"], obj["ny"], obj["mesh"], obj.get("source_side", "top"))
         if builder == "loop":
-            return rasterize_loop(_polyline_from(obj["polyline"]), float(obj["mesh"]))
+            return rasterize_loop(_polyline_from(obj["polyline"]), obj["mesh"])
         if builder == "two_loops":
-            return rasterize(_polyline_from(obj["working"]), _polyline_from(obj["source"]),
-                             float(obj["mesh"]))
+            return rasterize(_polyline_from(obj["working"]), _polyline_from(obj["source"]), obj["mesh"])
         if builder == "channel":
-            return lattice_channel(int(obj["n_rows"]), float(obj["mesh"]),
-                                   int(obj.get("width", 1)), bool(obj.get("source_top", True)))
+            return lattice_channel(obj["n_rows"], obj["mesh"], obj.get("width", 1), obj.get("source_top", True))
     except PrbmError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:

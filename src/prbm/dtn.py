@@ -338,6 +338,7 @@ def spectrum(M: np.ndarray, phi0h: np.ndarray | None, measure: np.ndarray, weigh
     -1e-12 * max|mu|; the ones above are returned as |mu|.
     """
     n = M.shape[0]
+    _nonnegative(np.abs(M), "|M|")
     m = np.asarray(_positive(measure, "measure"))
     if m.shape != (n,):
         raise InvalidParam("measure length must match the operator size")

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the two parameter guards.
+"""Exception types shared across the package, and the three parameter guards.
 
 Everything derives from PrbmError so callers (and the CLI) can catch domain
 failures in one place without swallowing programming errors. Entry points
 check every length, scale, time and coordinate (a signed one by its absolute
-value) through _nonnegative (finite, >= 0) or _positive (finite, > 0), which
-raise InvalidParam naming it; range checks such as r < 1 follow the guard.
+value) through _nonnegative (finite, >= 0) or _positive (finite, > 0), and
+every count, dimension and index through _count (an integer >= low, never
+a bool, float or string, never truncated); each raises InvalidParam naming
+the parameter. Range checks such as r < 1 follow the guard.
 """
 
 import numpy as np
@@ -91,3 +93,12 @@ def _nonnegative(value, name: str):
 def _positive(value, name: str):
     """value as float (or float array) when every entry is finite and > 0."""
     return _finite(value, name, "positive")
+
+
+def _count(value, name: str, low: int) -> int:
+    """value as int when it is an int or numpy integer (not a bool) and >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParam(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        raise InvalidParam(f"{name} must be at least {low}, got {value}")
+    return int(value)

@@ -33,7 +33,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _nonnegative, _positive
+from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _count, _nonnegative, _positive
 
 __all__ = [
     "rasterize_loop",
@@ -106,10 +106,7 @@ def make_canonical(
         DomainKind.BALL_INTERIOR: 3,
         DomainKind.BALL_EXTERIOR: 3,
     }
-    if dimension is None:
-        dimension = natural.get(kind, 2)
-    if dimension < 2:
-        raise InvalidParam("dimension must be at least 2")
+    dimension = _count(natural.get(kind, 2) if dimension is None else dimension, "dimension", 2)
     if kind in natural and dimension != natural[kind]:
         raise InvalidParam(f"{kind.value} requires dimension {natural[kind]}")
     if kind is DomainKind.ANNULUS:
@@ -223,8 +220,7 @@ class LatticeDomain:
     def validate(self, *, check_connected: bool = True) -> None:
         """Check the structural invariants; raises on violation."""
         _positive(self.mesh, "mesh")
-        if self.dimension < 2:
-            raise InvalidParam("dimension must be at least 2")
+        _count(self.dimension, "dimension", 2)
         if self.n_bulk == 0:
             raise DegenerateGeometry("no bulk sites")
         if self._index().n_distinct != self.n_bulk:
@@ -264,15 +260,22 @@ class LatticeDomain:
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeDomain":
+        """Domain written by to_json; InvalidParam on a missing key or a non-integer site or tag."""
         raw = json.loads(text)
+        sites = ("bulk_sites", "face_exterior", "face_inward", "face_tag")
+        if not isinstance(raw, dict) or not {"mesh", "dimension", "face_weight", *sites} <= raw.keys():
+            raise InvalidParam("domain JSON must be an object holding every key to_json writes")
+        ints = {k: np.asarray(raw[k]) for k in sites}
+        if any(v.size and v.dtype.kind not in "iu" for v in ints.values()):
+            raise InvalidParam("sites and face tags must be integers")  # never truncated
         arc = raw.get("face_arclength")
         dom = cls(
-            mesh=float(raw["mesh"]),
-            dimension=int(raw["dimension"]),
-            bulk_sites=np.asarray(raw["bulk_sites"], dtype=np.int64),
-            face_exterior=np.asarray(raw["face_exterior"], dtype=np.int64),
-            face_inward=np.asarray(raw["face_inward"], dtype=np.int64),
-            face_tag=np.asarray(raw["face_tag"], dtype=np.uint8),
+            mesh=_positive(raw["mesh"], "mesh"),
+            dimension=raw["dimension"],
+            bulk_sites=ints["bulk_sites"].astype(np.int64),
+            face_exterior=ints["face_exterior"].astype(np.int64),
+            face_inward=ints["face_inward"].astype(np.int64),
+            face_tag=ints["face_tag"].astype(np.uint8),
             face_weight=np.asarray(raw["face_weight"], dtype=np.float64),
             face_arclength=None if arc is None else np.asarray(arc, dtype=np.float64),
         )
@@ -435,7 +438,7 @@ def _assemble(mesh, bulk, index, inward, exterior, tag, weight, arc=None) -> Lat
         order = np.lexsort((arc, tag))
         inward, exterior, tag, weight, arc = (x[order] for x in (inward, exterior, tag, weight, arc))
     dom = LatticeDomain(
-        mesh=float(mesh),
+        mesh=_positive(mesh, "mesh"),
         dimension=2,
         bulk_sites=bulk,
         face_exterior=exterior,
@@ -456,11 +459,11 @@ def load_polyline(source: str | Path | list) -> np.ndarray:
     """Polyline from a JSON file/text ([[x, y], ...]) or a point list."""
     if isinstance(source, (str, Path)):
         p = Path(source)
-        text = p.read_text() if p.exists() else str(source)
-        data = json.loads(text)
-    else:
-        data = source
-    arr = np.asarray(data, dtype=float)
+        source = p.read_text() if p.exists() else str(source)
+    try:
+        arr = np.asarray(json.loads(source) if isinstance(source, str) else source, dtype=float)
+    except (TypeError, ValueError) as exc:  # neither a file nor JSON, or not numbers
+        raise DegenerateGeometry(f"polyline is no [[x, y], ...] point list: {exc}") from None
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise DegenerateGeometry("polyline must be an (n >= 2, 2) point list")
     if not np.all(np.isfinite(arr)):
@@ -469,10 +472,10 @@ def load_polyline(source: str | Path | list) -> np.ndarray:
 
 
 def circle_polyline(radius: float, n: int = 2048, center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Closed regular polygon approximating a circle, last point == first."""
+    """Closed regular n-gon approximating a circle, last point == first."""
     _positive(radius, "radius")
     _nonnegative(np.abs(center), "|center|")
-    th = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    th = np.linspace(0.0, 2.0 * np.pi, _count(n, "n", 3) + 1)
     return np.column_stack((center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)))
 
 
@@ -674,8 +677,7 @@ def lattice_box(
 
     One side is tagged Source; pass source_side=None for an all-working box.
     """
-    if nx < 1 or ny < 1:
-        raise InvalidParam("box must have at least one site per side")
+    nx, ny = _count(nx, "nx", 1), _count(ny, "ny", 1)
     sides = {"left", "right", "bottom", "top"}
     if source_side is not None and source_side not in sides:
         raise InvalidParam(f"source_side must be one of {sorted(sides)}")
@@ -716,8 +718,9 @@ def lattice_channel(
     Source (or Working when source_top is False). Side neighbours are simply
     absent, which walk and solve code treats as reflecting.
     """
-    if n_rows < 2 or width < 1:
-        raise InvalidParam("channel needs n_rows >= 2 and width >= 1")
+    n_rows, width = _count(n_rows, "n_rows", 2), _count(width, "width", 1)
+    if not isinstance(source_top, (bool, np.bool_)):
+        raise InvalidParam(f"source_top must be a bool, not {source_top!r}")
     bulk = _grid_sites((0, 0), (width, n_rows))
     index = _SiteIndex(bulk)
     inward, exterior = _boundary_faces(bulk, index, keep=lambda t: (t[:, 0] >= 0) & (t[:, 0] < width))

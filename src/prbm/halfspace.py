@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 from scipy import integrate, special
 
-from .errors import InvalidParam, NumericOverflowWarning, SlowConvergence, _nonnegative, _positive
+from .errors import InvalidParam, NumericOverflowWarning, SlowConvergence, _count, _nonnegative, _positive
 
 __all__ = [
     "stopping_time_density",
@@ -133,9 +133,7 @@ def _z_integral(z: float, d: int, epsrel: float) -> float:
 def eta(z: float, d: int = 2) -> float:
     """Correction factor eta_d(z) = (1+z^2)^{d/2} * int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du."""
     z = _positive(z, "z")
-    d = int(d)
-    if d < 2:
-        raise InvalidParam("d must be at least 2")
+    d = _count(d, "d", 2)
     return (1 + z * z) ** (d / 2.0) * _z_integral(z, d, 1e-12)
 
 
@@ -148,9 +146,7 @@ def spread_kernel_t(s, Lambda: float, d: int = 2) -> float:
     every d >= 2 (logarithmically for d = 2) and +inf is returned.
     """
     lam = _positive(Lambda, "Lambda")
-    d = int(d)
-    if d < 2:
-        raise InvalidParam("d must be at least 2")
+    d = _count(d, "d", 2)
     r = float(np.linalg.norm(np.atleast_1d(_nonnegative(np.abs(s), "|s|"))))
     if r == 0.0:
         return math.inf
@@ -168,9 +164,7 @@ def absorption_probability_disk(r: float, Lambda: float, d: int = 2) -> float:
     """
     lam = _positive(Lambda, "Lambda")
     r = _nonnegative(r, "r")
-    d = int(d)
-    if d < 2:
-        raise InvalidParam("d must be at least 2")
+    d = _count(d, "d", 2)
     if r == 0.0:
         return 0.0
     ratio = float(r) / lam
@@ -196,10 +190,9 @@ def harmonic_density_halfspace(x, s, d: int | None = None) -> float:
     Gamma(d/2)/pi^{d/2} * x_d / (|x_par - s|^2 + x_d^2)^{d/2}.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if d is None:
-        d = len(x)
-    if d < 2 or len(x) != d:
-        raise InvalidParam("x must be a d-vector with d >= 2")
+    d = _count(len(x) if d is None else d, "d", 2)
+    if len(x) != d:
+        raise InvalidParam("x must be a d-vector")
     _nonnegative(np.abs(x), "|x|")
     if not x[-1] > 0:
         raise InvalidParam("x must lie strictly inside the half-space (x_d > 0)")

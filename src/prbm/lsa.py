@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dtn
-from .errors import DegenerateGeometry, InvalidParam, PerimeterTooSmall, _nonnegative, _positive
+from .errors import DegenerateGeometry, InvalidParam, PerimeterTooSmall, _count, _nonnegative, _positive
 from .geometry import (
     BoundaryTag,
     LatticeDomain,
@@ -93,8 +93,7 @@ def koch_polyline(generation: int) -> np.ndarray:
     generator (bump to the left of the travel direction first), so
     generation g has 8^g segments of length 4^-g and total length 2^g.
     """
-    if generation < 0:
-        raise InvalidParam("generation must be nonnegative")
+    generation = _count(generation, "generation", 0)
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     # fractions along the segment and offsets along its left normal; the
     # long middle stroke carries its midpoint so every piece has length 1/4
@@ -123,8 +122,6 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float) -> L
     no flux. Working faces take their weight and arclength from the nearest
     curve segment, like rasterize does.
     """
-    if profile.ndim != 2 or len(profile) < 2:
-        raise InvalidParam("profile must be a polyline of at least two points")
     if not source_height > profile[:, 1].max():
         raise InvalidParam("source must sit above the whole working curve")
     x0, x1 = float(profile[0, 0]), float(profile[-1, 0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import InvalidParam, _count
 
 __all__ = ["RngStream"]
 
@@ -39,7 +39,8 @@ class RngStream:
 
     def generator(self, block: int = 0) -> np.random.Generator:
         """Generator positioned at the start of a disjoint counter block."""
-        if not 0 <= block < _WORD:
+        block = _count(block, "block", 0)
+        if block >= _WORD:
             raise InvalidParam("block must be in [0, 2**64)")
         key = self.seed * _WORD + self.stream_id
         bg = np.random.Philox(counter=block * _WORD, key=key)

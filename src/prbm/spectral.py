@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse, _nonnegative, _positive
+from .errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse, _count, _nonnegative, _positive
 
 __all__ = [
     "AnalyticSpectrum",
@@ -166,8 +166,7 @@ def disk_spreading_kernel(theta: float, theta_p: float, Lambda: float, method: s
 
 def ball_eigenvalue(l: int, kind: str) -> float:
     """Boundary spectrum of the unit sphere: l inside, l + 1 outside."""
-    if l < 0:
-        raise InvalidParam("l must be nonnegative")
+    l = _count(l, "l", 0)
     if kind == "interior":
         return float(l)
     if kind == "exterior":
@@ -177,12 +176,7 @@ def ball_eigenvalue(l: int, kind: str) -> float:
 
 def ball_degeneracy(l: int, d: int = 3) -> int:
     """Number of independent degree-l harmonic polynomials in d variables."""
-    if l < 0:
-        raise InvalidParam("l must be nonnegative")
-    if d < 3:
-        raise InvalidParam("d must be at least 3")
-    if l == 0:
-        return 1
+    l, d = _count(l, "l", 0), _count(d, "d", 3)
     num = (2 * l + d - 2) * math.comb(l + d - 3, l)
     assert num % (d - 2) == 0
     return num // (d - 2)
@@ -238,8 +232,7 @@ def annulus_spectrum(R: float, alpha_max: int) -> AnalyticSpectrum:
     R = _positive(R, "R")
     if not R > 1.0:
         raise InvalidParam("R must exceed 1")
-    if alpha_max < 0:
-        raise InvalidParam("alpha_max must be nonnegative")
+    alpha_max = _count(alpha_max, "alpha_max", 0)
     idx = np.arange(0, alpha_max + 1)
     mu = np.empty(alpha_max + 1)
     mu[0] = 1.0 / math.log(R)

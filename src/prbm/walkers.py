@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special
 
 from .dtn import _factor, _reflection_probabilities
-from .errors import ExcessiveCensoring, InvalidParam, _nonnegative, _positive
+from .errors import ExcessiveCensoring, InvalidParam, _count, _nonnegative, _positive
 from .geometry import DomainKind, DomainSpec, LatticeDomain, lattice_box
 from .rng import RngStream
 
@@ -82,8 +82,7 @@ class JumpParams:
     def __post_init__(self) -> None:
         _nonnegative(self.Lambda, "Lambda")
         _positive(self.a, "jump distance a")
-        if self.max_steps < 1:
-            raise InvalidParam("max_steps must be at least 1")
+        _count(self.max_steps, "max_steps", 1)
 
     @property
     def epsilon(self) -> float:
@@ -274,9 +273,10 @@ def _check_start(dom, start, params: JumpParams):
 def _resolve_site(dom: LatticeDomain, start) -> int:
     """Bulk index of a lattice start: an int index or a site's integer coordinates."""
     if isinstance(start, (int, np.integer)) and not isinstance(start, bool):
-        if not 0 <= start < dom.n_bulk:
+        index = _count(start, "bulk site index", 0)
+        if index >= dom.n_bulk:
             raise InvalidParam(f"bulk site index {start} out of range")
-        return int(start)
+        return index
     site = np.asarray(start).ravel()
     integral = site.dtype.kind in "iu" or (
         site.dtype.kind == "f" and not np.any(_nonnegative(np.abs(site), "|start|") % 1)
@@ -630,14 +630,12 @@ def estimate_spread_measure(
     (or threads=) fans the chunks out without changing any count. Raises
     ExcessiveCensoring when the censored fraction exceeds censored_ceiling.
     """
-    if n_walkers < 1:
-        raise InvalidParam("n_walkers must be at least 1")
+    n_walkers = _count(n_walkers, "n_walkers", 1)
     if not isinstance(rng, RngStream):
         raise InvalidParam("ensembles need an RngStream to split")
-    if bins < 1 or chunk_size < 1:
-        raise InvalidParam("bins and chunk_size must be at least 1")
-    if count_reflections_to is not None and count_reflections_to < 0:
-        raise InvalidParam("count_reflections_to must be nonnegative")
+    bins, chunk_size = _count(bins, "bins", 1), _count(chunk_size, "chunk_size", 1)
+    if count_reflections_to is not None:
+        count_reflections_to = _count(count_reflections_to, "count_reflections_to", 0)
     if window is not None:
         window = _positive(window, "window")
     _nonnegative(censored_ceiling, "censored_ceiling")
@@ -647,8 +645,7 @@ def estimate_spread_measure(
             threads = int(raw)
         except ValueError:
             raise InvalidParam(f"PRBM_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise InvalidParam("threads must be at least 1")
+    threads = _count(threads, "threads", 1)
 
     start = _check_start(dom, start, params)
     edges, n_bins, init, hit, to_bin = _kernel(dom, start, params, bins, window)
@@ -877,8 +874,7 @@ def estimate_stopping_time(Lambda: float, a: float, n_samples: int, rng: RngStre
     _positive(a, "mesh a")
     if not Lambda / a <= _MAX_LEVEL_SCALE:
         raise InvalidParam(f"Lambda/a must be at most 2**47, got {Lambda / a:.3g}")
-    if n_samples < 1:
-        raise InvalidParam("n_samples must be at least 1")
+    n_samples = _count(n_samples, "n_samples", 1)
     out = np.empty(n_samples)
     for ci, lo in enumerate(range(0, n_samples, _STOP_CHUNK)):
         gen = rng.generator(block=ci)

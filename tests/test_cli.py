@@ -97,6 +97,29 @@ def test_unknown_config_key_is_a_usage_error(capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, body", [
+    (["halfspace", "--prob"], {"d": 2.5}),  # ran at d = 2
+    (["halfspace", "--table", "absorption"], {"points": "7"}),  # died of a TypeError
+    (["simulate", "--domain", "disk"], {"walkers": 1.5}),  # died of a TypeError
+    (["simulate", "--domain", "disk"], {"lambda": True}),
+    (["dtn", "--domain-file", "dom.json"], {"dump-matrices": "yes"}),
+    (["impedance", "--outer-radius", "2"], {"lambda-grid": 0.5}),
+], ids=["float_d", "string_points", "float_walkers", "bool_lambda", "string_switch", "number_grid"])
+def test_config_values_must_have_the_flag_type(argv, body, capsys):
+    Path("cfg.json").write_text(json.dumps(body))
+    assert cli.main(argv + ["--config", "cfg.json"]) == 2
+    assert "config key" in capsys.readouterr().err
+    assert not list(Path.cwd().glob("*.manifest.json"))
+
+
+def test_config_takes_integers_for_numbers_and_lists_for_grids():
+    Path("cfg.json").write_text(json.dumps({"outer-radius": 2, "lambda-grid": [1, 2], "count": 8}))
+    assert cli.main(["impedance", "--config", "cfg.json", "--out", "i.csv"]) == 0
+    meta, _, rows = _read_csv("i.csv")
+    assert [float(r[0]) for r in rows] == [1.0, 2.0]
+    assert meta["count"] == 8
+
+
 def test_missing_required_flag_exits_two_without_manifest(capsys):
     assert cli.main(["dtn"]) == 2
     assert "--domain-file is required" in capsys.readouterr().err
@@ -248,6 +271,20 @@ def test_dtn_bad_domain_file_is_a_domain_error(capsys):
         assert "InvalidParam" in manifest["error"]
 
 
+@pytest.mark.parametrize("body", [
+    {"builder": "box", "nx": 8.5, "ny": 6, "mesh": 0.125},  # built an 8 x 6 box
+    {"builder": "box", "nx": 8, "ny": 6, "mesh": "0.125"},
+    {"builder": "channel", "n_rows": 10, "mesh": 0.1, "source_top": "false"},  # put the source on top
+    {"builder": "loop", "polyline": {"circle": {"radius": 1.0, "n": 64.5}}, "mesh": 0.1},
+], ids=["float_nx", "string_mesh", "string_source_top", "float_circle_n"])
+def test_domain_file_values_reach_the_builders_unconverted(body):
+    Path("dom.json").write_text(json.dumps(body))
+    assert cli.main(["dtn", "--domain-file", "dom.json"]) == 1
+    manifest = _strict_json(Path("prbm-dtn.manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert "InvalidParam" in manifest["error"]
+
+
 def test_non_finite_flags_are_written_as_strings():
     # JSON has no NaN or Infinity, so manifests and CSV headers name them
     assert cli.main(["halfspace", "--table", "absorption", "--points", "3",
@@ -286,6 +323,14 @@ def test_lsa_report_lands_in_json_and_manifest(capsys):
     manifest = json.loads(Path("rep.json.manifest.json").read_text())
     assert manifest["summary"]["relative_error"] == body["relative_error"]
     assert "relative_error" in capsys.readouterr().out
+
+
+def test_lsa_curve_neither_file_nor_json_is_a_domain_error():
+    # died of a json.JSONDecodeError and wrote no manifest
+    assert cli.main(["lsa", "--curve", "garbage", "--lambda", "0.5", "--mesh", "0.05"]) == 1
+    manifest = _strict_json(Path("prbm-lsa.manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert "DegenerateGeometry" in manifest["error"]
 
 
 def test_lsa_accepts_named_prefractals():

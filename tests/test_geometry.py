@@ -108,6 +108,27 @@ def test_json_roundtrip():
     assert np.array_equal(clone.face_weight, box.face_weight)
 
 
+def _box_json(**changes):
+    raw = json.loads(geo.lattice_box(4, 2, 0.5).to_json())
+    for key, edit in changes.items():
+        raw[key] = edit(raw[key])
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",  # was a bare KeyError: 'mesh'
+        _box_json(dimension=lambda d: 2.7),  # was read as 2
+        _box_json(bulk_sites=lambda s: [[x + 0.4, y] for x, y in s]),  # was truncated
+    ],
+    ids=["missing_keys", "float_dimension", "fractional_sites"],
+)
+def test_from_json_refuses_missing_keys_and_non_integers(text):
+    with pytest.raises(InvalidParam):
+        geo.LatticeDomain.from_json(text)
+
+
 def test_json_roundtrip_keeps_arclength(disk64):
     clone = geo.LatticeDomain.from_json(disk64.to_json())
     assert clone.face_arclength is not None
@@ -125,7 +146,8 @@ def test_load_polyline_variants(tmp_path):
 
 @pytest.mark.parametrize(
     "bad",
-    [[[0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, np.nan], [1.0, 0.0]]],
+    [[[0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, np.nan], [1.0, 0.0]],
+     "garbage", [[0.0, 0.0], [1.0]]],
 )
 def test_load_polyline_rejects(bad):
     with pytest.raises(DegenerateGeometry):

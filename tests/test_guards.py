@@ -2,7 +2,10 @@
 
 Finite admissible inputs pass the guards untouched; every NaN or infinite
 length, scale, time, angle or coordinate raises, as do out-of-range ones
-that used to give a quiet wrong answer.
+that used to give a quiet wrong answer. Every count, dimension and index
+must be an integer no smaller than its bound: a float, even an integral
+one, or a bool raises instead of being truncated or failing with a
+TypeError.
 """
 
 import math
@@ -37,7 +40,7 @@ def _halfplane(**kw):
     # with max_steps=2, 984 of these 1,000 walkers are censored
     hp = geo.make_canonical("half_space", dimension=2)
     params = walkers.JumpParams(Lambda=1.0, a=0.01, max_steps=kw.pop("max_steps", 10_000_000))
-    return walkers.estimate_spread_measure(hp, (0.0, 1.0), params, 1_000, RngStream(0), **kw)
+    return walkers.estimate_spread_measure(hp, (0.0, 1.0), params, kw.pop("n_walkers", 1_000), RngStream(0), **kw)
 
 
 def _flux(height=1.0, D=1.0):
@@ -97,6 +100,42 @@ _CALLS = {
     "compare_flux_nan_D": lambda box, spec: _flux(D=NAN),
     "compare_flux_negative_D": lambda box, spec: _flux(D=-1.0),
     "compare_flux_inf_source_height": lambda box, spec: _flux(height=INF),
+    # scipy's eigh raised its own ValueError
+    "spectrum_nan_M": lambda box, spec: dtn.spectrum(np.full((2, 2), NAN), None, [1, 1]),
+    "spectrum_inf_M": lambda box, spec: dtn.spectrum(np.full((2, 2), INF), None, [1, 1]),
+}
+
+
+_COUNTS = {
+    # these gave the answer for the truncated or coerced count
+    "absorption_probability_disk_float_d": lambda: halfspace.absorption_probability_disk(0.5, 1.0, 2.5),
+    "eta_float_d": lambda: halfspace.eta(1.0, 3.9),
+    "spread_kernel_t_float_d": lambda: halfspace.spread_kernel_t(1.0, 1.0, 2.7),
+    "lattice_box_float_nx": lambda: geo.lattice_box(8.7, 6, 0.1),
+    "lattice_box_bool_sides": lambda: geo.lattice_box(True, True, 1.0),
+    "lattice_channel_float_n_rows": lambda: geo.lattice_channel(10.5, 0.1),
+    "lattice_channel_float_width": lambda: geo.lattice_channel(10, 0.1, width=1.5),
+    "lattice_channel_int_source_top": lambda: geo.lattice_channel(10, 0.1, source_top=2),
+    "make_canonical_float_dimension": lambda: geo.make_canonical("half_space", dimension=2.5),
+    "ball_eigenvalue_float_l": lambda: spectral.ball_eigenvalue(1.5, "interior"),
+    "koch_polyline_bool_generation": lambda: lsa.koch_polyline(True),
+    "jump_params_float_max_steps": lambda: walkers.JumpParams(1.0, 0.1, max_steps=2.5),
+    "estimate_spread_measure_float_threads": lambda: _halfplane(threads=1.5),
+    "circle_polyline_zero_n": lambda: geo.circle_polyline(1.0, 0),
+    "rng_generator_float_block": lambda: RngStream(0).generator(block=1.5),
+    # these raised TypeError or ValueError
+    "circle_polyline_float_n": lambda: geo.circle_polyline(1.0, 10.5),
+    "circle_polyline_negative_n": lambda: geo.circle_polyline(1.0, -3),
+    "ball_degeneracy_float_l": lambda: spectral.ball_degeneracy(1.5),
+    "ball_degeneracy_float_d": lambda: spectral.ball_degeneracy(2, d=3.5),
+    "annulus_spectrum_float_alpha_max": lambda: spectral.annulus_spectrum(3.0, 2.5),
+    "koch_polyline_float_generation": lambda: lsa.koch_polyline(2.5),
+    "estimate_spread_measure_float_n_walkers": lambda: _halfplane(n_walkers=100.5),
+    "estimate_spread_measure_float_bins": lambda: _halfplane(bins=4.5),
+    "estimate_spread_measure_float_chunk_size": lambda: _halfplane(chunk_size=50.5),
+    "estimate_spread_measure_float_count_reflections_to": lambda: _halfplane(count_reflections_to=2.5),
+    "estimate_stopping_time_float_n_samples": lambda: walkers.estimate_stopping_time(1.0, 0.01, 10.5, RngStream(0)),
+    "estimate_stopping_time_bool_n_samples": lambda: walkers.estimate_stopping_time(1.0, 0.01, True, RngStream(0)),
 }
 
 
@@ -104,3 +143,17 @@ _CALLS = {
 def test_non_finite_parameter_raises(name, box6, box6_spec):
     with pytest.raises(InvalidParam):
         _CALLS[name](box6, box6_spec)
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_non_integer_count_raises(name):
+    with pytest.raises(InvalidParam):
+        _COUNTS[name]()
+
+
+def test_integer_counts_pass_unchanged():
+    # numpy integers are counts too, and give the same value as a Python int
+    assert halfspace.eta(1.0, np.int64(3)) == halfspace.eta(1.0, 3)
+    assert spectral.ball_degeneracy(np.int32(4), d=np.int64(5)) == spectral.ball_degeneracy(4, d=5)
+    assert np.array_equal(geo.circle_polyline(1.0, np.int64(8)), geo.circle_polyline(1.0, 8))
+    assert geo.lattice_box(np.int64(3), 2, 0.5).n_bulk == 6
