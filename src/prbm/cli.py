@@ -202,8 +202,10 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
         if value is None and prm.key in file_cfg:
             value = file_cfg[prm.key]
             kind, what = _CONFIG_TYPES[bool if prm.flag else prm.type]
-            typed = isinstance(value, bool) == prm.flag and isinstance(value, kind)
-            if not (value is None or typed or prm.key in _LIST_KEYS and isinstance(value, list)):
+            if prm.key in _LIST_KEYS and isinstance(value, list):
+                if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+                    raise _ConfigError(f"config key {prm.key!r} must list numbers, not {value!r}")
+            elif not (value is None or isinstance(value, bool) == prm.flag and isinstance(value, kind)):
                 raise _ConfigError(f"config key {prm.key!r} must be {what}, as its flag is, not {value!r}")
             if prm.choices is not None and value not in prm.choices:
                 raise _ConfigError(f"config key {prm.key!r} must be one of {prm.choices}")
@@ -362,14 +364,12 @@ def _cmd_halfspace(cfg: dict) -> dict:
 
 
 def _parse_start(raw: Any, default) -> np.ndarray:
-    if raw is None:
-        return np.asarray(default, dtype=float)
     if isinstance(raw, str):
         try:
             return np.array([float(tok) for tok in raw.split(",")])
         except ValueError as exc:
             raise _ConfigError(f"bad --start {raw!r}: {exc}") from exc
-    return np.asarray(raw, dtype=float)
+    return np.asarray(default if raw is None else raw, dtype=float)
 
 
 _CANONICAL = {
@@ -390,9 +390,7 @@ def _cmd_simulate(cfg: dict) -> dict:
             raise _ConfigError("--domain lattice needs --domain-file")
         dom: Any = _domain_from_file(cfg["domain-file"])
         jump = cfg["jump"] if cfg["jump"] is not None else dom.mesh
-        start: Any = cfg["start"] if cfg["start"] is not None else "source"
-        if start != "source":
-            start = _parse_start(start, None)
+        start: Any = "source" if cfg["start"] in (None, "source") else _parse_start(cfg["start"], None)
     elif name == "annulus":
         if cfg["outer-radius"] is None:
             raise _ConfigError("--domain annulus needs --outer-radius")

@@ -461,14 +461,14 @@ def load_polyline(source: str | Path | list) -> np.ndarray:
         p = Path(source)
         source = p.read_text() if p.exists() else str(source)
     try:
-        arr = np.asarray(json.loads(source) if isinstance(source, str) else source, dtype=float)
-    except (TypeError, ValueError) as exc:  # neither a file nor JSON, or not numbers
+        arr = np.asarray(json.loads(source) if isinstance(source, str) else source)
+    except (TypeError, ValueError) as exc:  # neither a file nor JSON, or ragged
         raise DegenerateGeometry(f"polyline is no [[x, y], ...] point list: {exc}") from None
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-        raise DegenerateGeometry("polyline must be an (n >= 2, 2) point list")
+    if arr.dtype.kind not in "iuf" or arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:  # no bools
+        raise DegenerateGeometry(f"polyline must be an (n >= 2, 2) list of numbers, not {arr.dtype} {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DegenerateGeometry("polyline has non-finite coordinates")
-    return arr
+    return np.asarray(arr, dtype=float)
 
 
 def circle_polyline(radius: float, n: int = 2048, center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:

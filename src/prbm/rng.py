@@ -33,9 +33,10 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value < _WORD:
+            value = _count(getattr(self, name), name, 0)
+            if value >= _WORD:
                 raise InvalidParam(f"{name} must be an integer in [0, 2**64)")
+            object.__setattr__(self, name, value)  # a numpy integer keys as its int
 
     def generator(self, block: int = 0) -> np.random.Generator:
         """Generator positioned at the start of a disjoint counter block."""

@@ -9,19 +9,19 @@ Every ensemble runs through one vectorized loop, _walk, which owns the
 reflection coin, the exits to the source and past the escape radius, the
 reflection tally and censoring at max_steps. A domain supplies only its
 start rows and one step of its hitting law: the jump to the wall of the
-half-space, the Mobius image of a uniform angle on the disk, the zonal
-inverse CDF in a per-walker frame on the ball, walk on circles in the
-annulus, and a nearest-neighbour step on a lattice. A square-lattice
-walker far from every face and wall instead crosses the largest free square
-of power-of-two half-width around it in one draw from the exact exit law of
-the lattice walk, solved once per size and cached for the process; faces are
-only ever met in plain steps, so the law of the walk is that of the plain
-nearest-neighbour walk. Chunks run on disjoint counter blocks of one stream
-and merge in fixed order, which makes every estimate a pure function of
-(seed, stream_id, chunk_size) regardless of thread count. run_jump_walker
-steps the same kernels for one canonical walker and keeps its whole record:
-fate, contact point, reflections and steps, under either the local or the
-global reflection rule.
+half-space, the Mobius image of a uniform angle on the disk (one real
+scaling in the half-angle chart), the zonal inverse CDF in a per-walker
+frame on the ball, walk on circles in the annulus, and a nearest-neighbour
+step on a lattice. A square-lattice walker far from every face and wall
+instead crosses the largest free square of power-of-two half-width around it
+in one draw from the exact exit law of the lattice walk, solved once per
+size and cached for the process; faces are only ever met in plain steps, so
+the law of the walk is that of the plain nearest-neighbour walk. Chunks run
+on disjoint counter blocks of one stream and merge in fixed order, which
+makes every estimate a pure function of (seed, stream_id, chunk_size)
+regardless of thread count. run_jump_walker steps the same kernels for one
+canonical walker and keeps its whole record: fate, contact point,
+reflections and steps, under either the local or the global reflection rule.
 """
 
 from __future__ import annotations
@@ -180,10 +180,11 @@ def _mobius_angle(rho: float, phi):
     """Boundary angle hit from radius rho on the axis, phi uniform on the circle.
 
     The disk automorphism w -> (w + rho)/(1 + rho w) carries the uniform
-    hitting law from the center to the hitting law from rho.
+    hitting law from the center to the hitting law from rho. It is computed in
+    the half-angle chart, tan(theta/2) = (1 - rho)/(1 + rho) tan(phi/2), in
+    real arithmetic that keeps full precision near phi = pi as rho -> 1.
     """
-    e = np.exp(1j * phi)
-    return np.angle((e + rho) / (1.0 + rho * e))
+    return 2.0 * np.arctan((1.0 - rho) / (1.0 + rho) * np.tan(0.5 * phi))
 
 
 def _ball_zonal_cos(rho: float, v):

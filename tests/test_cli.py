@@ -104,7 +104,11 @@ def test_unknown_config_key_is_a_usage_error(capsys):
     (["simulate", "--domain", "disk"], {"lambda": True}),
     (["dtn", "--domain-file", "dom.json"], {"dump-matrices": "yes"}),
     (["impedance", "--outer-radius", "2"], {"lambda-grid": 0.5}),
-], ids=["float_d", "string_points", "float_walkers", "bool_lambda", "string_switch", "number_grid"])
+    (["simulate", "--domain", "disk"], {"start": ["0.1", "0.2"]}),  # ran from (0.1, 0.2)
+    (["simulate", "--domain", "disk"], {"start": [False, 0.2]}),
+    (["impedance", "--outer-radius", "2"], {"lambda-grid": ["1", "2"]}),
+], ids=["float_d", "string_points", "float_walkers", "bool_lambda", "string_switch", "number_grid",
+        "string_start", "bool_start", "string_grid"])
 def test_config_values_must_have_the_flag_type(argv, body, capsys):
     Path("cfg.json").write_text(json.dumps(body))
     assert cli.main(argv + ["--config", "cfg.json"]) == 2

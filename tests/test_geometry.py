@@ -147,7 +147,7 @@ def test_load_polyline_variants(tmp_path):
 @pytest.mark.parametrize(
     "bad",
     [[[0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, np.nan], [1.0, 0.0]],
-     "garbage", [[0.0, 0.0], [1.0]]],
+     "garbage", [[0.0, 0.0], [1.0]], [[True, False], [False, True]]],
 )
 def test_load_polyline_rejects(bad):
     with pytest.raises(DegenerateGeometry):

@@ -123,6 +123,8 @@ _COUNTS = {
     "estimate_spread_measure_float_threads": lambda: _halfplane(threads=1.5),
     "circle_polyline_zero_n": lambda: geo.circle_polyline(1.0, 0),
     "rng_generator_float_block": lambda: RngStream(0).generator(block=1.5),
+    "rng_stream_bool_seed": lambda: RngStream(True),
+    "rng_stream_bool_stream_id": lambda: RngStream(1, True),
     # these raised TypeError or ValueError
     "circle_polyline_float_n": lambda: geo.circle_polyline(1.0, 10.5),
     "circle_polyline_negative_n": lambda: geo.circle_polyline(1.0, -3),
@@ -157,3 +159,4 @@ def test_integer_counts_pass_unchanged():
     assert spectral.ball_degeneracy(np.int32(4), d=np.int64(5)) == spectral.ball_degeneracy(4, d=5)
     assert np.array_equal(geo.circle_polyline(1.0, np.int64(8)), geo.circle_polyline(1.0, 8))
     assert geo.lattice_box(np.int64(3), 2, 0.5).n_bulk == 6
+    assert RngStream(np.int64(3), np.uint64(2**63)) == RngStream(3, 2**63)

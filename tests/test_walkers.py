@@ -177,6 +177,41 @@ def test_disk_spread_measure_matches_series():
     assert np.max(np.abs(z)) < 4.0
 
 
+def _complex_mobius_angle(rho, phi):
+    """Reference: the Mobius quotient (w + rho)/(1 + rho w) in complex arithmetic."""
+    e = np.exp(1j * phi)
+    return np.angle((e + rho) / (1.0 + rho * e))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.99, 1 / 1.01])
+def test_half_angle_mobius_map_matches_complex_form(rho):
+    near_pi = np.logspace(-15, -1, 29)
+    phi = np.concatenate([np.linspace(0.0, 2 * np.pi, 4001), [np.pi], np.pi - near_pi, np.pi + near_pi])
+    theta = wk._mobius_angle(rho, phi)
+    assert np.all(np.abs(theta) <= np.pi)
+    gap = np.mod(theta - _complex_mobius_angle(rho, phi) + np.pi, 2 * np.pi) - np.pi
+    assert np.max(np.abs(gap)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind, start", [("disk_interior", (0.6, 0.0)), ("disk_exterior", (1.5, 0.2))])
+def test_disk_counts_match_complex_mobius_reference(kind, start, monkeypatch):
+    """The map draws the same uniforms and decides no fate, so the counts agree exactly."""
+
+    def run():
+        return wk.estimate_spread_measure(
+            make_canonical(kind), np.array(start), wk.JumpParams(Lambda=0.3, a=0.01),
+            100_000, RngStream(0, 21), bins=16, count_reflections_to=40,
+        )
+
+    hist = run()
+    monkeypatch.setattr(wk, "_mobius_angle", _complex_mobius_angle)
+    ref = run()
+    assert np.array_equal(hist.counts, ref.counts)
+    assert np.array_equal(hist.reflection_counts, ref.reflection_counts)
+    assert hist.total_reflections == ref.total_reflections
+    assert (hist.censored, hist.source_absorbed) == (ref.censored, ref.source_absorbed)
+
+
 def test_ball_zonal_hit_law():
     r = 0.5
     hist = wk.estimate_spread_measure(
