@@ -1,12 +1,13 @@
-"""Exception types shared across the package, and the three parameter guards.
+"""Exception types shared across the package, and the parameter guards.
 
 Everything derives from PrbmError so callers (and the CLI) can catch domain
 failures in one place without swallowing programming errors. Entry points
-check every length, scale, time and coordinate (a signed one by its absolute
-value) through _nonnegative (finite, >= 0) or _positive (finite, > 0), and
-every count, dimension and index through _count (an integer >= low, never
-a bool, float or string, never truncated); each raises InvalidParam naming
-the parameter. Range checks such as r < 1 follow the guard.
+check lengths, scales, times and coordinates through _nonnegative (finite,
+>= 0) or _positive (finite, > 0), signed scalars such as angles through
+_signed, and counts, dimensions and indices through _count (an integer >=
+low, never a bool, float or string, never truncated); each raises
+InvalidParam naming the parameter. A list must hold non-bool numbers in a
+regular shape (_numbers). Range checks such as r < 1 follow the guard.
 """
 
 import numpy as np
@@ -75,8 +76,19 @@ class NumericOverflowWarning(UserWarning):
     """A value left the representable range and was clamped (usually to 0)."""
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _numbers(value, error, name: str) -> np.ndarray:
+    """np.asarray(value); a list or tuple must nest non-bool numbers to a regular shape."""
+    if isinstance(value, (list, tuple)) and not all(map(_is_number, np.asarray(value, dtype=object).flat)):
+        raise error(f"{name} must be a regular list of numbers, not {value!r}")
+    return np.asarray(value)
+
+
 def _finite(value, name: str, low: str):
-    x = np.asarray(value)
+    x = _numbers(value, InvalidParam, name)
     if x.dtype.kind not in "iuf":  # no bool, string, None or object
         raise InvalidParam(f"{name} must be a number, not {value!r}")
     x = np.asarray(x, dtype=float)
@@ -93,6 +105,13 @@ def _nonnegative(value, name: str):
 def _positive(value, name: str):
     """value as float (or float array) when every entry is finite and > 0."""
     return _finite(value, name, "positive")
+
+
+def _signed(value, name: str) -> None:
+    """Refuse a signed scalar, such as an angle or a height, unless it is one finite number."""
+    if not _is_number(value):
+        raise InvalidParam(f"{name} must be a number, not {value!r}")
+    _nonnegative(abs(value), f"|{name}|")
 
 
 def _count(value, name: str, low: int) -> int:

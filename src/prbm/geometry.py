@@ -33,7 +33,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _count, _nonnegative, _positive
+from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _count, _nonnegative, _numbers, _positive
 
 __all__ = [
     "rasterize_loop",
@@ -459,11 +459,11 @@ def load_polyline(source: str | Path | list) -> np.ndarray:
     """Polyline from a JSON file/text ([[x, y], ...]) or a point list."""
     if isinstance(source, (str, Path)):
         p = Path(source)
-        source = p.read_text() if p.exists() else str(source)
-    try:
-        arr = np.asarray(json.loads(source) if isinstance(source, str) else source)
-    except (TypeError, ValueError) as exc:  # neither a file nor JSON, or ragged
-        raise DegenerateGeometry(f"polyline is no [[x, y], ...] point list: {exc}") from None
+        try:
+            source = json.loads(p.read_text() if p.exists() else str(source))
+        except ValueError as exc:  # neither a file nor JSON
+            raise DegenerateGeometry(f"polyline is neither a file nor JSON: {exc}") from None
+    arr = _numbers(source, DegenerateGeometry, "polyline")
     if arr.dtype.kind not in "iuf" or arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:  # no bools
         raise DegenerateGeometry(f"polyline must be an (n >= 2, 2) list of numbers, not {arr.dtype} {arr.shape}")
     if not np.all(np.isfinite(arr)):

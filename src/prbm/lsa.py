@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dtn
-from .errors import DegenerateGeometry, InvalidParam, PerimeterTooSmall, _count, _nonnegative, _positive
+from .errors import DegenerateGeometry, InvalidParam, PerimeterTooSmall, _count, _positive, _signed
 from .geometry import (
     BoundaryTag,
     LatticeDomain,
@@ -183,7 +183,7 @@ def compare_flux(
     mesh = _positive(mesh, "mesh")
     if mesh > _positive(Lambda, "Lambda") / 10 * (1 + 1e-12):
         raise InvalidParam("mesh must resolve Lambda (need mesh <= Lambda/10)")
-    _nonnegative(abs(source_height), "|source_height|")
+    _signed(source_height, "source_height")
     _positive(D, "D")
     poly = load_polyline(curve)
     coarse = coarse_grain(poly, Lambda)

@@ -46,7 +46,3 @@ class RngStream:
         key = self.seed * _WORD + self.stream_id
         bg = np.random.Philox(counter=block * _WORD, key=key)
         return np.random.Generator(bg)
-
-    def substream(self, offset: int) -> "RngStream":
-        """Stream with stream_id shifted by offset (wrapping at 2**64)."""
-        return RngStream(self.seed, (self.stream_id + offset) % _WORD)

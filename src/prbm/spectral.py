@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse, _count, _nonnegative, _positive
+from .errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse, _count, _nonnegative, _positive, _signed
 
 __all__ = [
     "AnalyticSpectrum",
@@ -60,7 +60,7 @@ def poisson_kernel_disk(r: float, theta: float) -> float:
     r = _nonnegative(r, "r")
     if not r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
-    _nonnegative(abs(theta), "|theta|")
+    _signed(theta, "theta")
     return (1.0 - r * r) / (2.0 * math.pi * (1.0 - 2.0 * r * math.cos(theta) + r * r))
 
 
@@ -90,7 +90,7 @@ def disk_spread_density(r: float, theta: float, Lambda: float) -> float:
     r = _nonnegative(r, "r")
     if not r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
-    _nonnegative(abs(theta), "|theta|")
+    _signed(theta, "theta")
     lam = _nonnegative(Lambda, "Lambda")
     n = _disk_n_terms(r, lam)
     if n == 0:
@@ -192,7 +192,7 @@ def ball_spread_density(r: float, theta: float, Lambda: float) -> float:
     r = _nonnegative(r, "r")
     if not r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
-    _nonnegative(abs(theta), "|theta|")
+    _signed(theta, "theta")
     lam = _nonnegative(Lambda, "Lambda")
     if r == 0.0:
         return 1.0 / (4.0 * math.pi)

@@ -19,14 +19,11 @@ size and cached for the process; faces are only ever met in plain steps, so
 the law of the walk is that of the plain nearest-neighbour walk. Chunks run
 on disjoint counter blocks of one stream and merge in fixed order, which
 makes every estimate a pure function of (seed, stream_id, chunk_size)
-regardless of thread count. run_jump_walker steps the same kernels for one
-canonical walker and keeps its whole record: fate, contact point,
-reflections and steps, under either the local or the global reflection rule.
+regardless of thread count.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -41,25 +38,14 @@ from .geometry import DomainKind, DomainSpec, LatticeDomain, lattice_box
 from .rng import RngStream
 
 __all__ = [
-    "Fate",
     "JumpParams",
-    "AbsorptionRecord",
     "MeasureHistogram",
     "sample_threshold",
-    "run_jump_walker",
     "estimate_spread_measure",
     "estimate_stopping_time",
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-class Fate(enum.IntEnum):
-    """How a trajectory ended."""
-
-    WORKING = 0
-    SOURCE = 1
-    CENSORED = 2
 
 
 @dataclass(frozen=True)
@@ -92,22 +78,6 @@ class JumpParams:
 
     def escape_cap(self) -> float:
         return 1e4 * max(self.Lambda, self.a)
-
-
-@dataclass(frozen=True)
-class AbsorptionRecord:
-    """Outcome of a single trajectory.
-
-    local_time_proxy is a times the number of working-boundary contacts,
-    the final absorbing contact included; for source or censored fates all
-    contacts were reflections. point is set only for a working absorption.
-    """
-
-    fate: Fate
-    point: tuple[float, ...] | None
-    n_reflections: int
-    local_time_proxy: float
-    steps: int
 
 
 @dataclass
@@ -305,7 +275,6 @@ def _resolve_site(dom: LatticeDomain, start) -> int:
 # to_bin(where) maps the coordinates of absorbed walkers to histogram bins.
 # first is true on the first step only, when every walker is still at its
 # start height or radius; afterwards it sits at distance a off the boundary.
-# run_jump_walker drives the same kernels with one walker.
 
 
 def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to):
@@ -662,21 +631,13 @@ def estimate_spread_measure(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run_chunk, range(n_chunks), sizes))
 
-    counts = sum(r[0] for r in results)
-    source = sum(r[1] for r in results)
-    censored = sum(r[2] for r in results)
-    total_refl = sum(r[3] for r in results)
-    refl_counts = None
-    if count_reflections_to is not None:
-        refl_counts = sum(r[4] for r in results)
+    # merge in chunk order; reflection_counts stays None when not requested
+    counts, source, censored, total_refl, refl_counts = (
+        None if part[0] is None else sum(part) for part in zip(*results)
+    )
     hist = MeasureHistogram(
-        bin_edges=edges,
-        counts=counts,
-        total=n_walkers,
-        censored=censored,
-        source_absorbed=source,
-        total_reflections=total_refl,
-        reflection_counts=refl_counts,
+        bin_edges=edges, counts=counts, total=n_walkers, censored=censored,
+        source_absorbed=source, total_reflections=total_refl, reflection_counts=refl_counts,
     )
     if censored > censored_ceiling * n_walkers:
         raise ExcessiveCensoring(
@@ -684,76 +645,6 @@ def estimate_spread_measure(
             f"(ceiling {censored_ceiling:.1%})"
         )
     return hist
-
-
-# -- single trajectories -------------------------------------------------------
-
-
-def run_jump_walker(
-    dom: DomainSpec,
-    start,
-    params: JumpParams,
-    stream: RngStream,
-    mode: str = "local",
-) -> AbsorptionRecord:
-    """One jump-reflected trajectory in a canonical domain.
-
-    The trajectory takes the ensembles' steps: the domain's kernel advances
-    a single walker, so every hitting law has one copy. Positions and
-    reflection decisions come from two substreams of the given stream.
-    mode="local" flips a Bernoulli(1 - epsilon) coin at every working
-    contact; mode="global" draws the whole reflection budget N from the
-    geometric law up front, off the same decision stream, so both modes
-    produce the same fate from the same stream: the hit sequence never sees
-    which rule is in force. Every draw of the hit law, and every annulus
-    contact, counts as one step against max_steps.
-    """
-    if not isinstance(dom, DomainSpec):
-        raise InvalidParam("run_jump_walker needs a canonical DomainSpec")
-    if mode not in ("local", "global"):
-        raise InvalidParam(f"unknown mode {mode!r}")
-    _, _, init, hit, _ = _kernel(dom, _check_start(dom, start, params), params, 1, None)
-
-    pos = stream.substream(0).generator()
-    dec = stream.substream(1).generator()
-    eps = params.epsilon
-    budget = -1
-    if mode == "global":
-        budget = 0
-        while float(dec.random()) < eps:
-            budget += 1
-
-    a = params.a
-    rows = init(pos, 1)
-    hits = refl = steps = 0
-    while steps < params.max_steps:
-        rows, where, _, contact, src, far = hit(pos, rows, steps == 0)
-        steps += 1
-        if contact is None or contact[0]:
-            hits += 1
-            absorbs = float(dec.random()) >= eps if mode == "local" else refl == budget
-            if absorbs:
-                point = _contact_point(dom, rows, where)
-                return AbsorptionRecord(Fate.WORKING, point, refl, a * hits, steps)
-            refl += 1
-        if src is not None and src[0]:
-            return AbsorptionRecord(Fate.SOURCE, None, refl, a * hits, steps)
-        if far is not None and far[0]:
-            break
-    return AbsorptionRecord(Fate.CENSORED, None, refl, a * hits, steps)
-
-
-def _contact_point(dom: DomainSpec, rows, where) -> tuple[float, ...]:
-    """Cartesian point of a lone walker's working contact from its kernel step."""
-    if dom.kind is DomainKind.HALF_SPACE:
-        return (*map(float, np.ravel(rows)), 0.0)
-    if dom.kind is DomainKind.ANNULUS:
-        theta = float(np.angle(where[0]))
-    elif dom.dimension == 2:
-        theta = float(where[0])
-    else:
-        return tuple(map(float, where[0]))
-    return (math.cos(theta), math.sin(theta))
 
 
 # -- stopping-time sampler -----------------------------------------------------

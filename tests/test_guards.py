@@ -5,7 +5,8 @@ length, scale, time, angle or coordinate raises, as do out-of-range ones
 that used to give a quiet wrong answer. Every count, dimension and index
 must be an integer no smaller than its bound: a float, even an integral
 one, or a bool raises instead of being truncated or failing with a
-TypeError.
+TypeError. A signed scalar (an angle, a height) must be one number, and a
+list must hold non-bool numbers in a regular shape.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 
 from prbm import dtn, halfspace, lsa, spectral, walkers
 from prbm import geometry as geo
-from prbm.errors import InvalidParam
+from prbm.errors import InvalidParam, _nonnegative
 from prbm.rng import RngStream
 
 NAN, INF = math.nan, math.inf
@@ -100,6 +101,24 @@ _CALLS = {
     "compare_flux_nan_D": lambda box, spec: _flux(D=NAN),
     "compare_flux_negative_D": lambda box, spec: _flux(D=-1.0),
     "compare_flux_inf_source_height": lambda box, spec: _flux(height=INF),
+    # a signed scalar: a list raised TypeError, an array broke the series
+    # sum, and True was read as 1.0
+    "poisson_kernel_disk_bool_theta": lambda box, spec: spectral.poisson_kernel_disk(0.5, True),
+    "poisson_kernel_disk_list_theta": lambda box, spec: spectral.poisson_kernel_disk(0.5, [0.1, 0.5]),
+    "poisson_kernel_disk_array_theta": lambda box, spec: spectral.poisson_kernel_disk(0.5, np.array([0.1, 0.5])),
+    "disk_spread_density_bool_theta": lambda box, spec: spectral.disk_spread_density(0.5, True, 0.3),
+    "disk_spread_density_list_theta": lambda box, spec: spectral.disk_spread_density(0.5, [0.1, 0.5], 0.3),
+    "disk_spread_density_array_theta": lambda box, spec: spectral.disk_spread_density(0.5, np.array([0.1, 0.5]), 0.3),
+    "ball_spread_density_bool_theta": lambda box, spec: spectral.ball_spread_density(0.5, True, 0.3),
+    "ball_spread_density_list_theta": lambda box, spec: spectral.ball_spread_density(0.5, [0.1, 0.5], 0.3),
+    "ball_spread_density_array_theta": lambda box, spec: spectral.ball_spread_density(0.5, np.array([0.1, 0.5]), 0.3),
+    "compare_flux_bool_source_height": lambda box, spec: _flux(height=True),
+    "compare_flux_list_source_height": lambda box, spec: _flux(height=[1.0]),
+    "compare_flux_array_source_height": lambda box, spec: _flux(height=np.array([1.0, 2.0])),
+    # a list mixing bools with numbers was read as floats; a ragged one
+    # raised numpy's ValueError
+    "nonnegative_mixed_bool_list": lambda box, spec: _nonnegative([True, 0.5], "x"),
+    "nonnegative_ragged_list": lambda box, spec: _nonnegative([[1, 2], [3]], "x"),
     # scipy's eigh raised its own ValueError
     "spectrum_nan_M": lambda box, spec: dtn.spectrum(np.full((2, 2), NAN), None, [1, 1]),
     "spectrum_inf_M": lambda box, spec: dtn.spectrum(np.full((2, 2), INF), None, [1, 1]),
@@ -151,6 +170,16 @@ def test_non_finite_parameter_raises(name, box6, box6_spec):
 def test_non_integer_count_raises(name):
     with pytest.raises(InvalidParam):
         _COUNTS[name]()
+
+
+def test_signed_scalars_pass_unchanged():
+    # any real number of either sign is an angle or a height, numpy scalars too
+    for theta in (0.3, -2.0, 4, np.float64(0.3), np.int64(-1)):
+        assert spectral.poisson_kernel_disk(0.5, theta) == spectral.poisson_kernel_disk(0.5, float(theta))
+        assert spectral.disk_spread_density(0.5, theta, 0.3) == spectral.disk_spread_density(0.5, float(theta), 0.3)
+        assert spectral.ball_spread_density(0.5, theta, 0.3) == spectral.ball_spread_density(0.5, float(theta), 0.3)
+    assert np.array_equal(_nonnegative([1, 0.5], "x"), [1.0, 0.5])
+    assert np.array_equal(_nonnegative(((1, 2), (3, 4)), "x"), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_integer_counts_pass_unchanged():
