@@ -70,6 +70,20 @@ def test_sample_threshold():
         wk.sample_threshold(2.0, RngStream(1))
 
 
+def test_run_jump_walker_guards():
+    """A start on or outside a canonical boundary is refused by the one walker
+    driver, `estimate_spread_measure`, before any walker moves."""
+    p = wk.JumpParams(Lambda=0.5, a=0.05)
+    for dom, start in [
+        (make_canonical("half_space", dimension=2), (0.0, -1.0)),
+        (make_canonical("half_space", dimension=2), (0.0, 0.0)),
+        (make_canonical("disk_interior"), (1.5, 0.0)),
+        (make_canonical("ball_exterior"), (0.1, 0.0, 0.0)),
+    ]:
+        with pytest.raises(InvalidParam):
+            wk.estimate_spread_measure(dom, start, p, 10, RngStream(0))
+
+
 def test_halfplane_first_contact_is_cauchy():
     """At Lambda = 0 the first-contact abscissa from height h is Cauchy(h).
 
