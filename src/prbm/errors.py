@@ -82,7 +82,11 @@ def _is_number(value) -> bool:
 
 def _numbers(value, error, name: str) -> np.ndarray:
     """np.asarray(value); a list or tuple must nest non-bool numbers to a regular shape."""
-    if isinstance(value, (list, tuple)) and not all(map(_is_number, np.asarray(value, dtype=object).flat)):
+    try:
+        ragged = isinstance(value, (list, tuple)) and not all(map(_is_number, np.asarray(value, dtype=object).flat))
+    except ValueError:  # arrays of different shapes
+        ragged = True
+    if ragged:
         raise error(f"{name} must be a regular list of numbers, not {value!r}")
     return np.asarray(value)
 

@@ -242,46 +242,6 @@ class LatticeDomain:
     def _connected(self) -> bool:
         return _components(self.neighbor_table())[0] == 1
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "mesh": self.mesh,
-            "dimension": self.dimension,
-            "bulk_sites": self.bulk_sites.tolist(),
-            "face_exterior": self.face_exterior.tolist(),
-            "face_inward": self.face_inward.tolist(),
-            "face_tag": self.face_tag.tolist(),
-            "face_weight": self.face_weight.tolist(),
-        }
-        if self.face_arclength is not None:
-            payload["face_arclength"] = self.face_arclength.tolist()
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatticeDomain":
-        """Domain written by to_json; InvalidParam on a missing key or a non-integer site or tag."""
-        raw = json.loads(text)
-        sites = ("bulk_sites", "face_exterior", "face_inward", "face_tag")
-        if not isinstance(raw, dict) or not {"mesh", "dimension", "face_weight", *sites} <= raw.keys():
-            raise InvalidParam("domain JSON must be an object holding every key to_json writes")
-        ints = {k: np.asarray(raw[k]) for k in sites}
-        if any(v.size and v.dtype.kind not in "iu" for v in ints.values()):
-            raise InvalidParam("sites and face tags must be integers")  # never truncated
-        arc = raw.get("face_arclength")
-        dom = cls(
-            mesh=_positive(raw["mesh"], "mesh"),
-            dimension=raw["dimension"],
-            bulk_sites=ints["bulk_sites"].astype(np.int64),
-            face_exterior=ints["face_exterior"].astype(np.int64),
-            face_inward=ints["face_inward"].astype(np.int64),
-            face_tag=ints["face_tag"].astype(np.uint8),
-            face_weight=np.asarray(raw["face_weight"], dtype=np.float64),
-            face_arclength=None if arc is None else np.asarray(arc, dtype=np.float64),
-        )
-        dom.validate(check_connected=False)
-        return dom
-
 
 def _axis_offsets(d: int) -> np.ndarray:
     """(2d, d) unit steps in neighbour-table order: +x, -x, +y, -y, ..."""
@@ -458,10 +418,12 @@ def _assemble(mesh, bulk, index, inward, exterior, tag, weight, arc=None) -> Lat
 def load_polyline(source: str | Path | list) -> np.ndarray:
     """Polyline from a JSON file/text ([[x, y], ...]) or a point list."""
     if isinstance(source, (str, Path)):
-        p = Path(source)
+        # text opening with "[" is JSON, anything else a path: probing a long
+        # JSON string as a file name would raise "File name too long"
         try:
-            source = json.loads(p.read_text() if p.exists() else str(source))
-        except ValueError as exc:  # neither a file nor JSON
+            text = source if isinstance(source, str) and source.lstrip().startswith("[") else Path(source).read_text()
+            source = json.loads(text)
+        except (OSError, ValueError) as exc:  # neither a readable file nor JSON
             raise DegenerateGeometry(f"polyline is neither a file nor JSON: {exc}") from None
     arr = _numbers(source, DegenerateGeometry, "polyline")
     if arr.dtype.kind not in "iuf" or arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:  # no bools

@@ -4,7 +4,9 @@ The boundary spectrum of the Dirichlet-to-Neumann map is known in closed
 form on these domains, which makes them the reference cases for everything
 the discrete lattice machinery produces: spread densities come out as
 geometric eigenfunction series, and the impedance is a one-line spectral
-sum. Series are truncated by explicit tail bounds, never by fixed counts.
+sum. Every series is truncated by one rule (_terms): it stops at the first
+N in 1, 2, 4, ..., capped at _MAX_TERMS, whose tail bound clears _TAIL_TOL,
+and raises TruncationTooCoarse when the bound at the cap does not.
 """
 
 from __future__ import annotations
@@ -64,19 +66,13 @@ def poisson_kernel_disk(r: float, theta: float) -> float:
     return (1.0 - r * r) / (2.0 * math.pi * (1.0 - 2.0 * r * math.cos(theta) + r * r))
 
 
-def _disk_n_terms(r: float, lam: float) -> int:
-    """Terms needed so the geometric tail r^N/((1-r)(1+lam N)) clears _TAIL_TOL."""
-    if r == 0.0:
-        return 0
-    # solve r^N < tol * (1-r) * pi, then let the (1 + lam N) factor help
-    n = max(1, int(math.ceil(math.log(_TAIL_TOL * (1.0 - r) * math.pi) / math.log(r))))
-    if n > _MAX_TERMS:
-        tail = r**_MAX_TERMS / ((1.0 - r) * (1.0 + lam * _MAX_TERMS) * math.pi)
-        if tail > _TAIL_TOL:
-            raise TruncationTooCoarse(
-                f"series tail {tail:.2e} exceeds {_TAIL_TOL:.1e} after {_MAX_TERMS} terms"
-            )
-        n = _MAX_TERMS
+def _terms(tail, what: str) -> int:
+    """Fewest terms N in 1, 2, 4, ..., capped at _MAX_TERMS, with tail(N) <= _TAIL_TOL."""
+    n = 1
+    while (bound := tail(n)) > _TAIL_TOL:
+        if n == _MAX_TERMS:
+            raise TruncationTooCoarse(f"{what} tail {bound:.2e} exceeds {_TAIL_TOL:.1e} after {n} terms")
+        n = min(2 * n, _MAX_TERMS)
     return n
 
 
@@ -92,9 +88,7 @@ def disk_spread_density(r: float, theta: float, Lambda: float) -> float:
         raise InvalidParam("r must lie in [0, 1)")
     _signed(theta, "theta")
     lam = _nonnegative(Lambda, "Lambda")
-    n = _disk_n_terms(r, lam)
-    if n == 0:
-        return 1.0 / (2.0 * math.pi)
+    n = _terms(lambda n: r ** (n + 1) / ((1.0 - r) * (1.0 + lam * (n + 1)) * math.pi), "disk")
     a = np.arange(1, n + 1, dtype=float)
     s = np.sum(r**a * np.cos(a * theta) / (1.0 + lam * a))
     return (1.0 + 2.0 * s) / (2.0 * math.pi)
@@ -144,21 +138,10 @@ def disk_spreading_kernel(theta: float, theta_p: float, Lambda: float, method: s
     s1 = -math.log(2.0 * math.sin(delta / 2.0))
     s2 = math.pi**2 / 6.0 - math.pi * delta / 2.0 + delta**2 / 4.0
     half_sin = abs(math.sin(delta / 2.0))
-    # find the smallest workable N: remainder coefficient c_a = 1/(a^2 (1+lam a))
-    target = _TAIL_TOL * lam**2 * math.pi  # absolute tolerance on the remainder sum
-    n_needed = None
-    for cand in np.geomspace(8, _MAX_TERMS, 40):
-        c = int(cand)
-        bound = 2.0 / (c * c * (1.0 + lam * c) * half_sin)
-        if bound < target:
-            n_needed = c
-            break
-    if n_needed is None:
-        raise TruncationTooCoarse(
-            f"Dirichlet tail bound cannot reach {_TAIL_TOL:.1e} "
-            f"within {_MAX_TERMS} terms at Lambda={lam:g}"
-        )
-    a = np.arange(1, n_needed + 1, dtype=float)
+    # remainder coefficients c_a = 1/(a^2 (1 + lam a)), scaled by 1/(pi lam^2)
+    # into the density
+    n = _terms(lambda n: 2.0 / (n * n * (1.0 + lam * n) * half_sin * lam**2 * math.pi), "Dirichlet")
+    a = np.arange(1, n + 1, dtype=float)
     rem = np.sum(np.cos(a * delta) / (a * a * (1.0 + lam * a)))
     total = s1 / lam - s2 / lam**2 + rem / lam**2
     return (1.0 + 2.0 * total) / (2.0 * math.pi)
@@ -194,23 +177,12 @@ def ball_spread_density(r: float, theta: float, Lambda: float) -> float:
         raise InvalidParam("r must lie in [0, 1)")
     _signed(theta, "theta")
     lam = _nonnegative(Lambda, "Lambda")
-    if r == 0.0:
-        return 1.0 / (4.0 * math.pi)
 
     def tail(nterm: int) -> float:
         g = r ** (nterm + 1) * ((2 * nterm + 3) - (2 * nterm + 1) * r) / (1.0 - r) ** 2
         return g / (4.0 * math.pi * (1.0 + lam * (nterm + 1)))
 
-    n = 1
-    while tail(n) > _TAIL_TOL:
-        n *= 2
-        if n > _MAX_TERMS:
-            if tail(_MAX_TERMS) <= _TAIL_TOL:
-                n = _MAX_TERMS
-                break
-            raise TruncationTooCoarse(
-                f"zonal tail {tail(_MAX_TERMS):.2e} exceeds {_TAIL_TOL:.1e} after {_MAX_TERMS} terms"
-            )
+    n = _terms(tail, "zonal")
     x = math.cos(theta)
     p_prev, p = 1.0, x  # P_0, P_1
     total = 1.0 / (4.0 * math.pi)  # l = 0 term

@@ -330,11 +330,21 @@ def test_lsa_report_lands_in_json_and_manifest(capsys):
 
 
 def test_lsa_curve_neither_file_nor_json_is_a_domain_error():
-    # died of a json.JSONDecodeError and wrote no manifest
-    assert cli.main(["lsa", "--curve", "garbage", "--lambda", "0.5", "--mesh", "0.05"]) == 1
-    manifest = _strict_json(Path("prbm-lsa.manifest.json").read_text())
-    assert manifest["status"] == "error"
-    assert "DegenerateGeometry" in manifest["error"]
+    # "garbage" died of a json.JSONDecodeError, and a 300-character path too
+    # long for a file name of OSError: File name too long; neither wrote a manifest
+    for curve in ("garbage", "missing-" + "x" * 287 + ".json"):
+        assert cli.main(["lsa", "--curve", curve, "--lambda", "0.5", "--mesh", "0.05"]) == 1
+        manifest = _strict_json(Path("prbm-lsa.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "DegenerateGeometry" in manifest["error"]
+
+
+def test_lsa_reads_long_json_curve():
+    # JSON text past 255 characters was probed as a file name and died of
+    # OSError: File name too long, writing no manifest
+    curve = json.dumps([[i / 100, 0.0] for i in range(101)])
+    assert cli.main(["lsa", "--curve", curve, "--lambda", "0.5", "--mesh", "0.05"]) == 0
+    assert _strict_json(Path("prbm-lsa.manifest.json").read_text())["status"] == "ok"
 
 
 def test_lsa_accepts_named_prefractals():

@@ -98,43 +98,6 @@ def test_face_midpoints_sit_between_cell_centers():
     assert np.allclose(mids[k], [0.125, 0.0])
 
 
-def test_json_roundtrip():
-    box = geo.lattice_box(4, 2, 0.5)
-    clone = geo.LatticeDomain.from_json(box.to_json())
-    assert clone.mesh == box.mesh
-    assert np.array_equal(clone.bulk_sites, box.bulk_sites)
-    assert np.array_equal(clone.face_exterior, box.face_exterior)
-    assert np.array_equal(clone.face_tag, box.face_tag)
-    assert np.array_equal(clone.face_weight, box.face_weight)
-
-
-def _box_json(**changes):
-    raw = json.loads(geo.lattice_box(4, 2, 0.5).to_json())
-    for key, edit in changes.items():
-        raw[key] = edit(raw[key])
-    return json.dumps(raw)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{}",  # was a bare KeyError: 'mesh'
-        _box_json(dimension=lambda d: 2.7),  # was read as 2
-        _box_json(bulk_sites=lambda s: [[x + 0.4, y] for x, y in s]),  # was truncated
-    ],
-    ids=["missing_keys", "float_dimension", "fractional_sites"],
-)
-def test_from_json_refuses_missing_keys_and_non_integers(text):
-    with pytest.raises(InvalidParam):
-        geo.LatticeDomain.from_json(text)
-
-
-def test_json_roundtrip_keeps_arclength(disk64):
-    clone = geo.LatticeDomain.from_json(disk64.to_json())
-    assert clone.face_arclength is not None
-    assert np.array_equal(clone.face_arclength, disk64.face_arclength)
-
-
 def test_load_polyline_variants(tmp_path):
     pts = [[0.0, 0.0], [1.0, 0.5]]
     assert np.array_equal(geo.load_polyline(pts), np.asarray(pts))
@@ -142,12 +105,18 @@ def test_load_polyline_variants(tmp_path):
     path.write_text(json.dumps(pts))
     assert np.array_equal(geo.load_polyline(path), np.asarray(pts))
     assert np.array_equal(geo.load_polyline(json.dumps(pts)), np.asarray(pts))
+    # JSON text past 255 characters was probed as a file name and raised
+    # OSError: File name too long
+    long = [[i / 100, 0.0] for i in range(101)]
+    assert np.array_equal(geo.load_polyline(" " + json.dumps(long)), np.asarray(long))
 
 
 @pytest.mark.parametrize(
     "bad",
     [[[0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, np.nan], [1.0, 0.0]],
-     "garbage", [[0.0, 0.0], [1.0]], [[True, False], [False, True]], [[True, 0.5], [0.0, 1.0]]],
+     "garbage", [[0.0, 0.0], [1.0]], [[True, False], [False, True]], [[True, 0.5], [0.0, 1.0]],
+     pytest.param([np.zeros((2, 2)), np.zeros((2, 3))], id="mixed_shape_arrays"),
+     pytest.param("x" * 300, id="overlong_missing_path")],
 )
 def test_load_polyline_rejects(bad):
     with pytest.raises(DegenerateGeometry):

@@ -119,6 +119,7 @@ _CALLS = {
     # raised numpy's ValueError
     "nonnegative_mixed_bool_list": lambda box, spec: _nonnegative([True, 0.5], "x"),
     "nonnegative_ragged_list": lambda box, spec: _nonnegative([[1, 2], [3]], "x"),
+    "nonnegative_mixed_shape_arrays": lambda box, spec: _nonnegative([np.zeros((2, 2)), np.zeros((2, 3))], "x"),
     # scipy's eigh raised its own ValueError
     "spectrum_nan_M": lambda box, spec: dtn.spectrum(np.full((2, 2), NAN), None, [1, 1]),
     "spectrum_inf_M": lambda box, spec: dtn.spectrum(np.full((2, 2), INF), None, [1, 1]),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import eval_legendre
 
 from prbm import spectral as sp
 from prbm.errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse
@@ -98,6 +99,24 @@ def test_disk_spreading_kernel_guards():
     # the literal series cannot reach small Lambda at sane term counts
     with pytest.raises(TruncationTooCoarse):
         sp.disk_spreading_kernel(1.0, 0.0, 1e-4, method="series")
+    # the bound clears at 262,144 terms here, so this pins the cap at
+    # exactly _MAX_TERMS
+    with pytest.raises(TruncationTooCoarse):
+        sp.disk_spreading_kernel(1.0, 0.0, 0.05, method="series")
+
+
+@pytest.mark.parametrize("th", [0.0, 1.0, 3.0])
+def test_spread_densities_match_fixed_length_sums(th):
+    """Both densities against 20,000-term sums that share no truncation rule."""
+    a = np.arange(1, 20_001)  # integer degrees: eval_legendre's float-degree route gives NaN here
+    legendre = eval_legendre(a, math.cos(th))
+    for r in (0.3, 0.9, 0.99):
+        for lam in (0.0, 0.3, 5.0):
+            disk = (1.0 + 2.0 * math.fsum(r**a * np.cos(a * th) / (1.0 + lam * a))) / TWO_PI
+            ball = math.fsum(np.concatenate(([1.0], (2 * a + 1) * r**a * legendre / (1.0 + lam * a))))
+            ball /= 4.0 * math.pi
+            assert abs(sp.disk_spread_density(r, th, lam) - disk) <= 1e-12 + 1e-13 * abs(disk)
+            assert abs(sp.ball_spread_density(r, th, lam) - ball) <= 1e-12 + 1e-13 * abs(ball)
 
 
 def test_ball_eigenvalue_sides():
