@@ -116,8 +116,8 @@ class FluxVector:
 def _reflection_probabilities(dom: LatticeDomain, Lambda: float) -> np.ndarray:
     """Per-face reflection probability eps_f = Lambda/(Lambda + a w_f) of the lattice walk.
 
-    Zero everywhere at Lambda = 0. The walker kernel and absorption_law both
-    read it here, so the walk and the solve flip the same coin.
+    Zero everywhere at Lambda = 0. absorption_law reads it here, and the walker
+    kernel spends -log eps_f of its threshold per contact, so both follow one law.
     """
     eps = np.zeros(dom.n_faces)
     if Lambda > 0:

@@ -139,11 +139,11 @@ def disk_spreading_kernel(theta: float, theta_p: float, Lambda: float, method: s
     s2 = math.pi**2 / 6.0 - math.pi * delta / 2.0 + delta**2 / 4.0
     half_sin = abs(math.sin(delta / 2.0))
     # remainder coefficients c_a = 1/(a^2 (1 + lam a)), scaled by 1/(pi lam^2)
-    # into the density
-    n = _terms(lambda n: 2.0 / (n * n * (1.0 + lam * n) * half_sin * lam**2 * math.pi), "Dirichlet")
+    # into the density; dividing by lam twice keeps lam^2 from overflowing
+    n = _terms(lambda n: 2.0 / (n * n * (1.0 + lam * n) * half_sin * math.pi) / lam / lam, "Dirichlet")
     a = np.arange(1, n + 1, dtype=float)
     rem = np.sum(np.cos(a * delta) / (a * a * (1.0 + lam * a)))
-    total = s1 / lam - s2 / lam**2 + rem / lam**2
+    total = s1 / lam - s2 / lam / lam + rem / lam / lam
     return (1.0 + 2.0 * total) / (2.0 * math.pi)
 
 

@@ -1,25 +1,27 @@
 """Monte Carlo walkers realizing the partially reflected Brownian motion.
 
-A walker reaches the boundary by the domain's exact hitting law and then
-flips a reflection coin with epsilon = Lambda/(Lambda + a), so a jump
+A walker reaches the boundary by the domain's exact hitting law, so a jump
 trajectory is just its sequence of boundary contacts; there is no time
-discretization. Lattice walkers step site to site and flip a per-face coin.
+discretization. Lattice walkers step site to site. Each walker draws one unit
+exponential threshold, and each contact with the working boundary spends
+log1p(a w/Lambda) of it (the local time a w/Lambda, to first order in a), so
+a contact reflects with probability exactly epsilon = Lambda/(Lambda + a w).
 
 Every ensemble runs through one vectorized loop, _walk, which owns the
-reflection coin, the exits to the source and past the escape radius, the
-reflection tally and censoring at max_steps. A domain supplies only its
-start rows and one step of its hitting law: the jump to the wall of the
-half-space, the Mobius image of a uniform angle on the disk (one real
-scaling in the half-angle chart), the zonal inverse CDF in a per-walker
-frame on the ball, walk on circles in the annulus, and a nearest-neighbour
-step on a lattice. A square-lattice walker far from every face and wall
-instead crosses the largest free square of power-of-two half-width around it
-in one draw from the exact exit law of the lattice walk, solved once per
-size and cached for the process; faces are only ever met in plain steps, so
-the law of the walk is that of the plain nearest-neighbour walk. Chunks run
-on disjoint counter blocks of one stream and merge in fixed order, which
-makes every estimate a pure function of (seed, stream_id, chunk_size)
-regardless of thread count.
+threshold, the exits to the source and past the escape radius, the reflection
+tally and censoring at max_steps. A domain supplies only its start rows and
+one step of its hitting law: the jump to the wall of the half-space (the
+Cauchy inverse CDF of one uniform in the plane), the Mobius image of a
+uniform angle on the disk (one real scaling in the half-angle chart), the
+zonal inverse CDF in a per-walker frame on the ball, walk on circles in the
+annulus, and a nearest-neighbour step on a lattice. A square-lattice walker
+far from every face and wall instead crosses the largest free square of
+power-of-two half-width around it in one draw from the exact exit law of the
+lattice walk, solved once per size and cached for the process; faces are only
+ever met in plain steps, so the law of the walk is that of the plain
+nearest-neighbour walk. Chunks run on disjoint counter blocks of one stream
+and merge in fixed order, which makes every estimate a pure function of
+(seed, stream_id, chunk_size) regardless of thread count.
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ class JumpParams:
     """Parameters of the jump-reflected walk.
 
     The reflection probability is never stored; it is always the derived
-    epsilon = 1/(1 + a/Lambda), which degenerates to 0 at Lambda = 0 (absorb
-    on first contact). On the half-space a walker is censored once its
-    lateral distance exceeds the fixed cap 1e4 * max(Lambda, a). max_steps
-    counts kernel steps: one draw of a hitting law, one annulus contact, one
-    lattice step, or one lattice jump across a free square, however many
-    sites it spans.
+    epsilon = 1/(1 + a/Lambda), and a contact spends hazard =
+    log1p(a/Lambda) = -log epsilon of the walker's unit exponential
+    threshold (inf at Lambda = 0: absorb on first contact). On the
+    half-space a walker is censored once its lateral distance exceeds the
+    fixed cap 1e4 * max(Lambda, a). max_steps counts kernel steps: one draw
+    of a hitting law, one annulus contact, one lattice step, or one lattice
+    jump across a free square, however many sites it spans.
     """
 
     Lambda: float
@@ -75,6 +78,10 @@ class JumpParams:
         if self.Lambda == 0:
             return 0.0
         return self.Lambda / (self.Lambda + self.a)
+
+    @property
+    def hazard(self) -> float:
+        return math.inf if self.Lambda == 0 else math.log1p(self.a / self.Lambda)
 
     def escape_cap(self) -> float:
         return 1e4 * max(self.Lambda, self.a)
@@ -268,8 +275,8 @@ def _resolve_site(dom: LatticeDomain, start) -> int:
 # by one step of the domain's exact law and returns
 #   rows     the walkers' rows after the step, as if every contact reflected;
 #   where    the raw contact coordinate, one row per walker;
-#   eps      the reflection probability at the contact, scalar or per walker;
-#   contact  mask of walkers on the working boundary (None: every walker);
+#   hazard   the share of the threshold the step spends, scalar or per walker:
+#            -log epsilon on the working boundary, 0 anywhere else;
 #   source   mask of walkers that left through the source (None: none);
 #   far      mask of walkers past the escape radius (None: none).
 # to_bin(where) maps the coordinates of absorbed walkers to histogram bins.
@@ -278,11 +285,12 @@ def _resolve_site(dom: LatticeDomain, start) -> int:
 
 
 def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to):
-    """Run n walkers of one kernel to absorption, exit or censoring.
+    """Run n walkers, each with its unit exponential threshold, to absorption, exit or censoring.
 
     Returns (counts, source, censored, total_reflections, reflection_counts).
     """
     rows = init(gen, n)
+    left = gen.standard_exponential(n)
     counts = np.zeros(n_bins, dtype=np.int64)
     source = 0
     censored = 0
@@ -290,15 +298,13 @@ def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to):
     nrefl = np.zeros(n, dtype=np.int64) if count_to is not None else None
     refl_counts = np.zeros(count_to + 2, dtype=np.int64) if count_to is not None else None
     for step in range(max_steps):
-        m = len(rows)
-        if m == 0:
+        if len(rows) == 0:
             break
-        rows, where, eps, contact, src, far = hit(gen, rows, step == 0)
-        absorbed = gen.random(m) >= eps
-        if contact is not None:
-            absorbed &= contact
+        rows, where, hazard, src, far = hit(gen, rows, step == 0)
+        left -= hazard
+        absorbed = left < 0
         keep = ~absorbed
-        reflected = keep if contact is None else contact & keep
+        reflected = keep & (hazard > 0)
         counts += np.bincount(to_bin(where[absorbed]), minlength=n_bins)
         total_refl += int(reflected.sum())
         if count_to is not None:
@@ -315,6 +321,7 @@ def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to):
         if count_to is not None:
             nrefl = (nrefl + reflected)[keep]
         rows = rows[keep]
+        left = left[keep]
     censored += len(rows)
     return counts, source, censored, total_refl, refl_counts
 
@@ -334,21 +341,24 @@ def _halfspace_kernel(dom, x, params, bins, window):
     if window is None:
         window = 10.0 * max(params.Lambda, params.a)
     edges = np.linspace(-window if d == 2 else 0.0, window, bins + 1)
-    eps, esc, a, h0 = params.epsilon, params.escape_cap(), params.a, float(x[-1])
-    # the plane keeps its lateral coordinate in a flat row: numpy compacts
-    # 1-D arrays many times faster than (m, 1) ones
-    shape = () if d == 2 else (d - 1,)
+    hazard, esc, a, h0 = params.hazard, params.escape_cap(), params.a, float(x[-1])
 
     def init(gen, n):
-        return np.tile(x[:-1], n).reshape((n,) + shape)
+        # the plane keeps its lateral coordinate in a flat row: numpy compacts
+        # 1-D arrays many times faster than (m, 1) ones
+        return np.tile(x[:-1], n if d == 2 else (n, 1))
 
     def hit(gen, lat, first):
+        h = h0 if first else a
+        if d == 2:
+            # Cauchy inverse CDF; u - 0.5 is exact, and u = 0 lands at a finite -1.6e16 h
+            s = lat + h * np.tan(np.pi * (gen.random(len(lat)) - 0.5))
+            return s, s, hazard, None, np.abs(s) > esc
+        # a normal over the modulus of another is multivariate Cauchy in any d
         z = gen.standard_normal((len(lat), d - 1))
-        w = gen.standard_normal(len(lat))
-        s = lat + ((h0 if first else a) * z / np.abs(w)[:, None]).reshape(lat.shape)
-        # signed abscissa in the plane, radius |s| above it
-        coord = s if d == 2 else np.linalg.norm(s, axis=1)
-        return s, coord, eps, None, None, np.abs(coord) > esc
+        s = lat + h * z / np.abs(gen.standard_normal(len(lat)))[:, None]
+        r = np.linalg.norm(s, axis=1)
+        return s, r, hazard, None, r > esc
 
     def to_bin(coord):
         # one trailing overflow bin takes everything off the window
@@ -364,7 +374,7 @@ def _disk_kernel(dom, x, params, bins):
     r0 = float(np.hypot(x[0], x[1]))
     rho0 = r0 if interior else 1.0 / r0
     rho = 1.0 - params.a if interior else 1.0 / (1.0 + params.a)
-    eps = params.epsilon
+    hazard = params.hazard
     edges, to_bin = _angle_bins(bins)
 
     def init(gen, n):
@@ -372,7 +382,7 @@ def _disk_kernel(dom, x, params, bins):
 
     def hit(gen, ang, first):
         theta = ang + _mobius_angle(rho0 if first else rho, gen.random(len(ang)) * _TWO_PI)
-        return theta, theta, eps, None, None, None
+        return theta, theta, hazard, None, None
 
     return edges, bins, init, hit, to_bin
 
@@ -382,7 +392,7 @@ def _ball_kernel(dom, x, params, bins):
     r0 = float(np.linalg.norm(x))
     axis0 = x / r0 if r0 > 0 else np.array([0.0, 0.0, 1.0])
     r1 = 1.0 - params.a if interior else 1.0 + params.a
-    eps = params.epsilon
+    hazard = params.hazard
     edges = np.linspace(-1.0, 1.0, bins + 1)
 
     def init(gen, n):
@@ -399,7 +409,7 @@ def _ball_kernel(dom, x, params, bins):
             escaped = gen.random(m) >= 1.0 / r
         cos_t = _ball_zonal_cos(r if interior else 1.0 / r, gen.random(m))
         s = _zonal_point(axis, cos_t, gen.uniform(0.0, _TWO_PI, m))
-        return s, s, eps, None if interior else ~escaped, escaped, None
+        return s, s, hazard if interior else np.where(escaped, 0.0, hazard), escaped, None
 
     def to_bin(s):
         return np.clip(((s[:, 2] + 1.0) / 2.0 * bins).astype(np.int64), 0, bins - 1)
@@ -410,7 +420,7 @@ def _ball_kernel(dom, x, params, bins):
 def _annulus_kernel(dom, x, params, bins):
     R = dom.outer_radius
     shell = 1e-9 * (R - 1.0)
-    a, eps = params.a, params.epsilon
+    a, hazard = params.a, params.hazard
     edges, angle_bin = _angle_bins(bins)
 
     def init(gen, n):
@@ -426,7 +436,7 @@ def _annulus_kernel(dom, x, params, bins):
         contact = near & ~src
         nxt = p + free * np.exp(1j * gen.uniform(0.0, _TWO_PI, len(p)))
         nxt[contact] = p[contact] * ((1.0 + a) / r[contact])
-        return nxt, p, eps, contact, src, None
+        return nxt, p, np.where(contact, hazard, 0.0), src, None
 
     return edges, bins, init, hit, lambda p: angle_bin(np.angle(p))
 
@@ -512,12 +522,11 @@ def _lattice_kernel(dom, start, params):
     # MISSING_NEIGHBOR (-1) lands on, a reflecting wall that keeps the walker
     is_bulk = np.zeros(nb + nf + 1, dtype=bool)
     is_bulk[:nb] = True
-    is_working = np.zeros(nb + nf + 1, dtype=bool)
-    is_working[nb + working] = True
     is_source = np.zeros(nb + nf + 1, dtype=bool)
     is_source[nb:nb + nf] = dom.source_mask()
-    eps_of = np.zeros(nb + nf + 1)
-    eps_of[nb:nb + nf] = _reflection_probabilities(dom, params.Lambda)
+    hazard_of = np.zeros(nb + nf + 1)
+    with np.errstate(divide="ignore"):  # -log 0 = inf absorbs at Lambda = 0
+        hazard_of[nb + working] = -np.log(_reflection_probabilities(dom, params.Lambda)[working])
     bin_of = np.zeros(nb + nf + 1, dtype=np.int64)
     bin_of[nb + working] = np.arange(len(working))
     launch = dom.inward_indices()[np.flatnonzero(dom.source_mask())]
@@ -549,7 +558,7 @@ def _lattice_kernel(dom, start, params):
             k = np.minimum(np.searchsorted(cdf, lev + gen.random(jump.size), side="right"), last[lev])
             code[jump] = dom.site_index(dom.bulk_sites[sites[jump]] + ring[k])
         moved = np.where(is_bulk[code], code, sites)
-        return moved, code, eps_of[code], is_working[code], is_source[code], None
+        return moved, code, hazard_of[code], is_source[code], None
 
     return None, len(working), init, hit, lambda code: bin_of[code]
 
@@ -628,8 +637,9 @@ def estimate_spread_measure(
 
     n_chunks = (n_walkers + chunk_size - 1) // chunk_size
     sizes = [min(chunk_size, n_walkers - ci * chunk_size) for ci in range(n_chunks)]
+    # a single thread stays in the caller, whose heap fragments less than a pool worker's
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_chunk, range(n_chunks), sizes))
+        results = list((map if threads == 1 else pool.map)(run_chunk, range(n_chunks), sizes))
 
     # merge in chunk order; reflection_counts stays None when not requested
     counts, source, censored, total_refl, refl_counts = (

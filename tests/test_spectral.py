@@ -70,6 +70,14 @@ def test_disk_spreading_kernel_two_routes():
         assert resummed == pytest.approx(series, rel=1e-10)
 
 
+def test_disk_spreading_kernel_series_survives_huge_lambda():
+    """Past Lambda ~ 1.3e154, Lambda^2 overflows; the series must still flatten to 1/(2 pi)."""
+    series = sp.disk_spreading_kernel(1.0, 0.0, 1e200, method="series")
+    resummed = sp.disk_spreading_kernel(1.0, 0.0, 1e200)
+    assert series == pytest.approx(resummed, abs=1e-12)
+    assert series == pytest.approx(1.0 / TWO_PI, abs=1e-12)
+
+
 def test_disk_spreading_kernel_symmetries():
     k = sp.disk_spreading_kernel
     assert k(1.2, 0.3, 0.9) == pytest.approx(k(0.3, 1.2, 0.9), rel=1e-13)

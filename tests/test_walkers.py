@@ -27,6 +27,13 @@ def test_jump_params_epsilon():
     p = wk.JumpParams(Lambda=2.0, a=0.5)
     assert p.epsilon == pytest.approx(0.8)
     assert p.escape_cap() == pytest.approx(2e4)
+    # a contact spends -log epsilon of the unit exponential threshold, so it
+    # reflects with probability exactly epsilon
+    assert wk.JumpParams(Lambda=0.0, a=0.1).hazard == math.inf
+    for lam, a in [(0.1, 0.1), (2.0, 0.5), (1.0, 0.01), (1e-6, 3.0), (1e6, 1e-3)]:
+        q = wk.JumpParams(Lambda=lam, a=a)
+        assert q.hazard == pytest.approx(math.log1p(a / lam), rel=1e-15)
+        assert math.exp(-q.hazard) == pytest.approx(q.epsilon, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -103,6 +110,72 @@ def test_halfplane_first_contact_is_cauchy():
     probs = np.append(mass, 1.0 - mass.sum())
     z = (hist.counts - probs * hist.total) / np.sqrt(probs * (1 - probs) * hist.total)
     assert np.max(np.abs(z)) < 4.0
+
+
+class _Uniforms:
+    """A generator stand-in whose random() hands out fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, m):
+        assert m == len(self.u)
+        return self.u
+
+
+def test_halfplane_step_is_the_cauchy_inverse_cdf():
+    """One uniform u makes the jump a tan(pi (u - 1/2)) from height a.
+
+    It matches scipy's Cauchy quantile to 1e-12 wherever the landing point
+    lies within the escape cap; further out, where the pole of tan makes
+    any two roundings of pi (u - 1/2) disagree, it is finite, has the
+    quantile's sign and is flagged past the cap, out to both ends of the
+    uniform's range.
+    """
+    p = wk.JumpParams(Lambda=0.01, a=0.01)
+    hp = make_canonical("half_space", dimension=2)
+    *_, hit, _ = wk._kernel(hp, np.array([0.0, 1.0]), p, 8, None)
+    u = np.array([0.0, 2.0**-53, 1e-9, 0.1, 0.5, 0.9, 1.0 - 2.0**-53])
+    s, where, hazard, source, far = hit(_Uniforms(u), np.zeros(len(u)), False)
+    assert np.array_equal(s, where) and source is None and hazard == p.hazard
+    assert np.all(np.isfinite(s))
+    assert s[0] == pytest.approx(-1.633e16 * p.a, rel=1e-3)
+    x = stats.cauchy.ppf(u)
+    inside = np.abs(x) <= p.escape_cap() / p.a
+    assert inside.tolist() == [False, False, False, True, True, True, False]
+    assert np.allclose(s[inside] / p.a, x[inside], rtol=1e-12, atol=0.0)
+    assert np.array_equal(np.sign(s), np.sign(x)) and np.array_equal(far, ~inside)
+
+
+def test_halfspace3_first_contact_radius():
+    """At Lambda = 0 the first-contact radius from height h has CDF 1 - h/sqrt(h^2 + r^2).
+
+    That is the 3-D Cauchy law, which the ratio of normals draws. Each
+    radial bin, the overflow bin included, holds its mass within 4 sigma.
+    """
+    h, window = 0.8, 4.0
+    hist = wk.estimate_spread_measure(
+        make_canonical("half_space", dimension=3), (0.0, 0.0, h),
+        wk.JumpParams(Lambda=0.0, a=0.01), 200_000, RngStream(23), bins=20, window=window,
+    )
+    assert len(hist.counts) == 21
+    assert hist.censored == 0 and hist.source_absorbed == 0
+    mass = np.diff(1.0 - h / np.sqrt(h * h + hist.bin_edges**2))
+    probs = np.append(mass, 1.0 - mass.sum())
+    z = (hist.counts - probs * hist.total) / np.sqrt(probs * (1 - probs) * hist.total)
+    assert np.max(np.abs(z)) < 4.0
+
+
+def test_halfspace4_counts_partition():
+    """The d = 4 half-space runs through the same kernel and accounts for every walker."""
+    hist = wk.estimate_spread_measure(
+        make_canonical("half_space", dimension=4), (0.0, 0.0, 0.0, 1.0),
+        wk.JumpParams(Lambda=0.5, a=0.05, max_steps=2_000), 20_000, RngStream(24),
+        bins=10, censored_ceiling=1.0,
+    )
+    assert len(hist.counts) == 11 and hist.source_absorbed == 0
+    assert hist.counts.sum() + hist.censored == hist.total
+    assert hist.working_absorbed > 0.9 * hist.total
 
 
 def test_disk_hit_law_matches_poisson_kernel():
@@ -220,9 +293,10 @@ def test_lattice_reflections_are_geometric(where):
     """Uniform-weight faces make the reflection count exactly geometric.
 
     So do the disks and the ball: every step is a contact and every walker
-    ends on the circle or sphere, flipping the same coin at every contact.
-    P(N = n) = (1 - eps) eps^n is the paper's equivalence of per-contact
-    Bernoulli absorption with an exponential threshold on the local time.
+    ends on the circle or sphere, spending the same share -log eps of its
+    exponential threshold at every contact. P(N = n) = (1 - eps) eps^n is
+    the paper's equivalence of per-contact Bernoulli absorption with an
+    exponential threshold on the local time.
     """
     dom, start = {
         "lattice": (lattice_channel(4, 0.1, width=2, source_top=False), 0),
