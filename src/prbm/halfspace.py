@@ -4,7 +4,10 @@ Everything here is exact: closed forms where they exist, adaptive quadrature
 of the defining integrals otherwise. Lengths are in units of the interface
 scale; the walk has unit variance per unit time, so the single physical
 parameter is the absorption length Lambda (the mean of the exponential
-local-time threshold). The key objects:
+local-time threshold). The wall's local time is the height the reflected
+path has climbed (Levy), so each law at Lambda is the Lambda = 0 law seen
+from a point lifted by Lambda v, averaged over v ~ Exp(1) by _lifted, the
+package's one quadrature. The key objects:
 
 * stopping_time_density / stopping_time_cdf: law of the absorption time for
   the motion started on the interface of a half-space.
@@ -39,19 +42,65 @@ __all__ = [
 ]
 
 
-# Quadrature settings: relative tolerance, subinterval limit, and the upper
-# limit of the e^{-u}-damped u-integrals (e^{-50} is far below _REL_TOL)
-_REL_TOL = 1e-9
+# _lifted's relative tolerance and subinterval limit
+_REL_TOL = 1e-12
 _MAX_SUBDIVISIONS = 200
-_CUTOFF = 50.0
 
 # Beyond this scaled time the closed form cancels catastrophically; the
 # asymptotic series below agrees with it to ~1e-12 relative at the switch.
 _TAIL_SWITCH = 1e4
 
-# Below this height/Lambda the spread density's Fourier integral, cut off
-# at frequency 1/height, is too ill-conditioned to evaluate
-_MIN_HEIGHT_RATIO = 1e-6
+
+def _lifted(vg, scale: float) -> float:
+    """E g(v) over v ~ Exp(1), from vg(v) = v g(v): in x = ln v, e^{-v} v g(v) has the size of the answer.
+
+    x runs from ln(min(scale, 1)) - 40 to ln 50, with a breakpoint at ln(scale),
+    where g turns over. A missed tolerance raises SlowConvergence.
+    """
+    x0, hi = math.log(scale), math.log(50.0)  # e^{-50} of the mass lies beyond v = 50
+
+    def f(x: float) -> float:
+        v = math.exp(x)
+        return math.exp(-v) * vg(v)
+
+    val, _, _, *msg = integrate.quad(f, min(x0, 0.0) - 40.0, hi, points=[x0] if x0 < hi else None,
+                                     epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS, full_output=1)
+    if msg:
+        raise SlowConvergence(f"lifted-height quadrature missed {_REL_TOL:.0e}: {msg[0]}")
+    return val
+
+
+def _in_range(value: float, what: str) -> float:
+    if value == math.inf:
+        warnings.warn(f"{what} exceeds the float range; returning inf", NumericOverflowWarning)
+    return value
+
+
+def _omega(h: float, r: float, d: int) -> float:
+    """Harmonic density Gamma(d/2)/pi^{d/2} h/rho^d, rho = hypot(r, h), at lateral distance r from height h."""
+    rho = math.hypot(r, h)
+    with np.errstate(over="ignore"):  # rho^{1-d} overflows to inf, where float ** raises OverflowError
+        return float(special.gamma(d / 2.0) / math.pi ** (d / 2.0) * (h / rho) * np.float64(1.0 / rho) ** (d - 1))
+
+
+def _climb(eta: float, z: float, d: int) -> float:
+    """E omega(eta + v, z) / omega(eta + 1, z) over v ~ Exp(1), lengths in units of Lambda.
+
+    That ratio is (eta+v)/(eta+1) (rho_1/rho_v)^d, rho_y = hypot(z, eta+y); its size (rho_1/rho_0)^{d-2} is outside.
+    """
+    rho0, rho1 = math.hypot(z, eta), math.hypot(z, eta + 1.0)
+    if rho0 == 0.0:
+        raise InvalidParam("the distance to the wall point underflows to 0 in units of Lambda")
+    if rho1 == math.inf:  # the lift is lost below the rounding of z or eta
+        return 1.0
+
+    def vg(v: float) -> float:
+        rho = math.hypot(z, eta + v)
+        a = rho1 / rho
+        return v * a * ((eta + v) * a / (eta + 1.0)) * (rho0 / rho) ** (d - 2)
+
+    with np.errstate(over="ignore"):
+        return float(np.float64(rho1 / rho0) ** (d - 2)) * _lifted(vg, rho0)
 
 
 def stopping_time_density(t, Lambda: float, method: str = "closed"):
@@ -59,136 +108,92 @@ def stopping_time_density(t, Lambda: float, method: str = "closed"):
 
     The scaled variable is tau = t / (2 Lambda^2); the density is
     (1/(2 Lambda^2)) [ (pi tau)^{-1/2} - erfcx(sqrt(tau)) ], switching to the
-    asymptotic tail series for tau > 1e4 where the bracket cancels. The
-    "integral" method evaluates the defining z-integral by quadrature and is
-    kept as an independent oracle for the closed form.
+    asymptotic tail series for tau > 1e4 where the bracket cancels; past the
+    float range it is 0 or inf, with a NumericOverflowWarning. The "integral"
+    method averages Levy's first-passage density of level Lambda v over
+    v ~ Exp(1), and is kept as an independent oracle for the closed form.
     """
     lam = _positive(Lambda, "Lambda")
     t_arr = np.asarray(_positive(t, "t"))
     if method == "integral":
-        out = np.empty(t_arr.size)
-        for i, ti in enumerate(np.atleast_1d(t_arr)):
-            f = lambda z: z * math.exp(-z * z / (2 * ti) - z / lam)
-            val, _ = integrate.quad(f, 0, np.inf, epsabs=0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS)
-            out[i] = val / (lam * math.sqrt(2 * math.pi) * ti**1.5)
+        def density(ti: float) -> float:
+            # Lambda v = sqrt(t) at v = scale; the integral is 1 - O(scale), so 1e-200 stands in for less
+            scale = max(math.sqrt(ti) / lam, 1e-200)
+
+            def vg(v: float) -> float:  # v times the Levy density, times sqrt(2 pi t) (Lambda + t/Lambda)
+                w = v / scale
+                e = math.exp(-0.5 * w * w)
+                return w * (w * e) + v * (v * e)
+
+            return _lifted(vg, scale) / math.sqrt(2.0 * math.pi * ti) / (lam + ti / lam)
+
+        out = np.array([density(float(ti)) for ti in np.atleast_1d(t_arr)])
         return out if np.ndim(t) else float(out[0])
     if method != "closed":
         raise InvalidParam(f"unknown method {method!r}")
 
-    tau = t_arr / (2 * lam * lam)
-    out = np.zeros_like(tau)
-
-    overflow = tau > 1e280
-    if np.any(overflow):
-        warnings.warn(
-            "stopping-time density underflows for t/Lambda^2 this large; returning 0",
-            NumericOverflowWarning,
-        )
-    tail = (tau > _TAIL_SWITCH) & ~overflow
-    core = ~tail & ~overflow
-    if np.any(core):
-        tc = tau[core]
-        out[core] = (1.0 / (2 * lam * lam)) * (1.0 / np.sqrt(np.pi * tc) - special.erfcx(np.sqrt(tc)))
-    if np.any(tail):
-        tt = tau[tail]
-        series = 1.0 - 1.5 / tt + 3.75 / tt**2 - 13.125 / tt**3
-        out[tail] = series / (4 * lam * lam * math.sqrt(math.pi) * tt**1.5)
+    with np.errstate(over="ignore"):
+        tau = t_arr / lam / (2.0 * lam)  # not lam * lam, which underflows
+        tail = tau > _TAIL_SWITCH
+        out = np.empty_like(tau)
+        tc, x, tt = tau[~tail], 1.0 / tau[tail], t_arr[tail]
+        out[~tail] = (1.0 / np.sqrt(np.pi * tc) - special.erfcx(np.sqrt(tc))) / lam / (2.0 * lam)
+        # 1/(4 Lambda^2 sqrt(pi) tau^{3/2}) = Lambda/(sqrt(2 pi) t^{3/2}), times a series in 1/tau
+        out[tail] = (1.0 - x * (1.5 - x * (3.75 - 13.125 * x))) * (lam / math.sqrt(2.0 * math.pi)) / tt / np.sqrt(tt)
+    if np.any((out == 0) | np.isinf(out)):
+        warnings.warn("stopping-time density leaves the float range; returning 0 or inf", NumericOverflowWarning)
     return out if np.ndim(t) else float(out)
 
 
 def stopping_time_cdf(t, Lambda: float):
     """P{T <= t} = 1 - erfcx(sqrt(t / (2 Lambda^2))), exact."""
     lam = _positive(Lambda, "Lambda")
-    t_arr = _nonnegative(t, "t")
-    out = 1.0 - special.erfcx(np.sqrt(t_arr / (2 * lam * lam)))
+    with np.errstate(over="ignore"):  # t/Lambda^2 past the float range gives erfcx(inf) = 0
+        out = 1.0 - special.erfcx(np.sqrt(np.asarray(_nonnegative(t, "t")) / lam / (2.0 * lam)))
     return out if np.ndim(t) else float(out)
-
-
-def _z_integral(z: float, d: int, epsrel: float) -> float:
-    """I_d(z) = int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du, for eta and spread_kernel_t.
-
-    For z >= 1 the z^{-d} magnitude is factored out of the integrand first;
-    otherwise quad's absolute-error floor swallows the answer entirely for
-    large z. For z < 1, u = z w keeps the integrand O(1) however small z
-    gets, with the magnitude in the z^{2-d} prefactor; integrating in ln w
-    folds the slow 1/w stretch up to w ~ 1/z into an interval of length
-    ln(1/z), and the split at u = z resolves the near-origin structure that
-    produces the small-z divergence.
-    """
-    opts = dict(epsabs=0.0, epsrel=epsrel, limit=_MAX_SUBDIVISIONS)
-    if z >= 1.0:
-        g = lambda u: u * math.exp(-u) * (1.0 + (u / z) ** 2) ** (-d / 2.0)
-        val, _ = integrate.quad(g, 0, _CUTOFF, **opts)
-        return z ** (-d) * val
-
-    def logw(x: float) -> float:
-        # w^2 e^{-z w} (1+w^2)^{-d/2} at w = e^x, the w carrying dw = w dx
-        w = math.exp(x)
-        return w * w * math.exp(-z * w) * (1.0 + w * w) ** (-d / 2.0)
-
-    val, _ = integrate.quad(logw, -40.0, math.log(_CUTOFF / z), points=[0.0], **opts)
-    return z ** (2.0 - d) * val
 
 
 def eta(z: float, d: int = 2) -> float:
     """Correction factor eta_d(z) = (1+z^2)^{d/2} * int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du."""
     z = _positive(z, "z")
     d = _count(d, "d", 2)
-    return (1 + z * z) ** (d / 2.0) * _z_integral(z, d, 1e-12)
+    return _in_range(_climb(0.0, z, d), "eta")
 
 
 def spread_kernel_t(s, Lambda: float, d: int = 2) -> float:
     """Lateral absorption density t_Lambda(s) for the walk started at the wall origin.
 
-    s is a lateral (d-1)-vector or a scalar lateral distance. Evaluates
-    Gamma(d/2)/(pi^{d/2} Lambda) * int_0^inf z e^{-z/Lambda} (|s|^2+z^2)^{-d/2} dz
-    directly (substituting z = Lambda u). At s = 0 the integral diverges for
-    every d >= 2 (logarithmically for d = 2) and +inf is returned.
+    s is a lateral (d-1)-vector or a scalar lateral distance. The kernel is the
+    harmonic density at |s| from height Lambda v, averaged over v ~ Exp(1):
+    eta(|s|/Lambda) times the density from height Lambda. At s = 0 it diverges
+    for every d >= 2 (logarithmically for d = 2) and +inf is returned.
     """
     lam = _positive(Lambda, "Lambda")
     d = _count(d, "d", 2)
-    r = float(np.linalg.norm(np.atleast_1d(_nonnegative(np.abs(s), "|s|"))))
+    r = math.hypot(*np.atleast_1d(_nonnegative(np.abs(s), "|s|")))
     if r == 0.0:
         return math.inf
-    pref = special.gamma(d / 2.0) / (math.pi ** (d / 2.0) * lam ** (d - 1))
-    return pref * _z_integral(r / lam, d, _REL_TOL)
+    return _in_range(_omega(lam, r, d) * _climb(0.0, r / lam, d), "spread_kernel_t")
 
 
 def absorption_probability_disk(r: float, Lambda: float, d: int = 2) -> float:
     """Probability that the walk from the wall origin is absorbed within |s| <= r.
 
-    Uses P(r) = int_0^inf e^{-u} H_d(r / (Lambda u)) du where H_d is the
-    radial CDF of the half-space harmonic measure, which reduces to the
-    regularized incomplete beta function:
-    H_d(rho) = I(rho^2/(1+rho^2); (d-1)/2, 1/2). Depends on r/Lambda only.
+    P(r) = E H_d(r / (Lambda v)) over v ~ Exp(1), with H_d(rho) = I(rho^2/(1+rho^2);
+    (d-1)/2, 1/2) the mass harmonic measure from height 1 puts within rho.
     """
     lam = _positive(Lambda, "Lambda")
     r = _nonnegative(r, "r")
     d = _count(d, "d", 2)
-    if r == 0.0:
+    ratio = r / lam
+    if ratio == 0.0:
         return 0.0
-    ratio = float(r) / lam
-    a, b = (d - 1) / 2.0, 0.5
-
-    def f(u: float) -> float:
-        rho = ratio / u
-        return math.exp(-u) * special.betainc(a, b, rho * rho / (1.0 + rho * rho))
-
-    # e^{-u} kills the tail; the left edge is smooth (H -> 1 as u -> 0+)
-    pts = sorted({min(ratio, _CUTOFF * 0.5), 1.0})
-    val, _ = integrate.quad(
-        f, 0, _CUTOFF, points=pts, epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS
-    )
-    return min(val, 1.0)
+    a = (d - 1) / 2.0  # rho^2/(1+rho^2) at rho = ratio/v is (ratio/hypot(ratio, v))^2
+    return min(_lifted(lambda v: v * special.betainc(a, 0.5, (ratio / math.hypot(ratio, v)) ** 2), ratio), 1.0)
 
 
-def harmonic_density_halfspace(x, s, d: int | None = None) -> float:
-    """Harmonic measure density of the half-space seen from interior point x.
-
-    x is a d-vector with x[-1] > 0; s gives the lateral coordinates of the
-    boundary point (a (d-1)-vector or scalar for d = 2). Returns
-    Gamma(d/2)/pi^{d/2} * x_d / (|x_par - s|^2 + x_d^2)^{d/2}.
-    """
+def _interior(x, s, d: int | None):
+    """(d, height, lateral distance) of interior point x from boundary point s, both checked."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = _count(len(x) if d is None else d, "d", 2)
     if len(x) != d:
@@ -200,49 +205,29 @@ def harmonic_density_halfspace(x, s, d: int | None = None) -> float:
     _nonnegative(np.abs(s), "|s|")
     if len(s) != d - 1:
         raise InvalidParam("s must have d-1 lateral coordinates")
-    h = x[-1]
-    q = float(np.sum((x[:-1] - s) ** 2)) + h * h
-    return special.gamma(d / 2.0) / math.pi ** (d / 2.0) * h / q ** (d / 2.0)
+    return d, float(x[-1]), math.hypot(*(x[:-1] - s))
 
 
-def spread_density_halfspace(x, s: float, Lambda: float) -> float:
-    """Planar spread density: absorption-point law for the walk from interior x.
+def harmonic_density_halfspace(x, s, d: int | None = None) -> float:
+    """Harmonic measure density Gamma(d/2)/pi^{d/2} x_d/(|x_par - s|^2 + x_d^2)^{d/2} of the half-space.
 
-    Fourier form (1/pi) int_0^inf cos(k (s - x_1)) e^{-k x_2} / (1 + Lambda k) dk,
-    evaluated with the oscillatory-weight quadrature rule. Only the planar
-    case is implemented; Lambda = 0 falls back to the harmonic density.
-
-    Raises SlowConvergence when x_2 / Lambda < _MIN_HEIGHT_RATIO, where the
-    effective frequency cutoff 1/x_2 makes the integral ill-conditioned.
+    x is a d-vector with x[-1] > 0; s gives the d-1 lateral coordinates of the
+    boundary point (a scalar for d = 2).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(x) != 2:
-        raise InvalidParam("only the planar half-space (d = 2) is implemented")
-    _nonnegative(np.abs(x), "|x|")
-    if not x[1] > 0:
-        raise InvalidParam("x must lie strictly inside the half-space")
-    _nonnegative(np.abs(s), "|s|")
+    d, h, r = _interior(x, s, d)
+    return _in_range(_omega(h, r, d), "harmonic density")
+
+
+def spread_density_halfspace(x, s, Lambda: float) -> float:
+    """Spread density: absorption-point law for the walk from interior point x.
+
+    x and s are as for harmonic_density_halfspace. The law is the harmonic
+    density from x lifted by Lambda v, averaged over v ~ Exp(1); in the plane
+    that is (1/pi) int_0^inf cos(k (s - x_1)) e^{-k x_2} / (1 + Lambda k) dk.
+    """
+    d, h, r = _interior(x, s, None)
     lam = _nonnegative(Lambda, "Lambda")
-    if lam == 0:
-        return harmonic_density_halfspace(x, s)
-    h = float(x[1])
-    if h / lam < _MIN_HEIGHT_RATIO:
-        raise SlowConvergence(
-            f"height/Lambda = {h / lam:.3e} below floor {_MIN_HEIGHT_RATIO:.1e}; "
-            "the Fourier integral is ill-conditioned this close to the wall"
-        )
-    u = float(s) - float(x[0])
-    f = lambda k: math.exp(-k * h) / (math.pi * (1.0 + lam * k))
-    if abs(u) * _CUTOFF < 0.5 * h:
-        # less than half a radian of phase across the whole e^{-kh} support:
-        # not an oscillatory integral, and QAWF silently returns ~0 there
-        g = lambda k: f(k) * math.cos(k * u)
-        val, _ = integrate.quad(g, 0, np.inf, epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS)
-        return val
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, _ = integrate.quad(f, 0, np.inf, weight="cos", wvar=u, limit=_MAX_SUBDIVISIONS)
-        except integrate.IntegrationWarning as exc:
-            raise SlowConvergence(f"oscillatory quadrature did not converge: {exc}") from exc
-    return val
+    value = _omega(h + lam, r, d)
+    if lam > 0:
+        value *= _climb(h / lam, r / lam, d)
+    return _in_range(value, "spread density")

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DiagonalSingularity, InvalidParam, TruncationTooCoarse, _count, _nonnegative, _positive, _signed
+from .halfspace import _lifted
 
 __all__ = [
     "AnalyticSpectrum",
@@ -63,7 +63,12 @@ def poisson_kernel_disk(r: float, theta: float) -> float:
     if not r < 1.0:
         raise InvalidParam("r must lie in [0, 1)")
     _signed(theta, "theta")
-    return (1.0 - r * r) / (2.0 * math.pi * (1.0 - 2.0 * r * math.cos(theta) + r * r))
+    return _poisson(r, 1.0 - r, math.sin(theta / 2.0) ** 2)
+
+
+def _poisson(r: float, one_m_r: float, sin2: float) -> float:
+    # (1 - r^2)/(2 pi |1 - r e^{i theta}|^2) for r = 1 - one_m_r and sin2 = sin^2(theta/2), free of cancellation
+    return one_m_r * (1.0 + r) / (2.0 * math.pi * (one_m_r * one_m_r + 4.0 * r * sin2))
 
 
 def _terms(tail, what: str) -> int:
@@ -98,13 +103,14 @@ def disk_spreading_kernel(theta: float, theta_p: float, Lambda: float, method: s
     """Boundary-to-boundary absorption kernel of the unit circle.
 
     The defining cosine series (1/2pi) sum e^{i a (theta-theta_p)}/(1+Lambda|a|)
-    converges only conditionally, so the default route resums the angular sum
-    in closed form first: with q = e^{-Lambda v + i delta},
-    sum_{a>=1} q^a = q/(1-q), leaving a smooth one-dimensional Laplace-type
-    integral over v that behaves for every Lambda > 0. The "series" method
-    keeps the literal truncation (tail estimated by the Dirichlet test) and
-    exists as an independent cross-check; it cannot reach small Lambda at
-    sane term counts and raises TruncationTooCoarse there instead of lying.
+    converges only conditionally, so the default route resums it first: as
+    1/(1 + Lambda|a|) = E e^{-Lambda|a| v} over v ~ Exp(1), the kernel is the
+    Poisson kernel from radius e^{-Lambda v}, the boundary point lifted into
+    the disk by the threshold, averaged over v by halfspace._lifted. The
+    "series" method keeps the literal truncation (tail estimated by the
+    Dirichlet test) as an independent cross-check; it cannot reach small
+    Lambda at sane term counts and raises TruncationTooCoarse there instead
+    of lying.
     """
     lam = _positive(Lambda, "Lambda")
     _nonnegative(np.abs([theta, theta_p]), "|theta|, |theta_p|")
@@ -114,20 +120,9 @@ def disk_spreading_kernel(theta: float, theta_p: float, Lambda: float, method: s
     delta = abs(delta)
 
     if method == "resummed":
-        s2 = 2.0 * math.sin(delta / 2.0) ** 2  # 1 - cos(delta), cancellation-free
-
-        def f(v: float) -> float:
-            q = math.exp(-lam * v)
-            one_m_q = -math.expm1(-lam * v)
-            num = q * (one_m_q - s2)
-            den = one_m_q * one_m_q + 2.0 * q * s2
-            return math.exp(-v) * num / den
-
-        # integrand varies on the v ~ delta/Lambda scale near the origin
-        pts = sorted({min(delta / lam, 40.0), 1.0})
-        head, _ = integrate.quad(f, 0, pts[-1] * 2, points=pts, epsabs=0.0, epsrel=1e-11, limit=400)
-        tail, _ = integrate.quad(f, pts[-1] * 2, np.inf, epsabs=0.0, epsrel=1e-11, limit=400)
-        return (1.0 + 2.0 * (head + tail)) / (2.0 * math.pi)
+        sin2 = math.sin(delta / 2.0) ** 2
+        # the Poisson kernel turns over once 1 - e^{-Lambda v} passes delta
+        return _lifted(lambda v: v * _poisson(math.exp(-lam * v), -math.expm1(-lam * v), sin2), delta / lam)
 
     if method != "series":
         raise InvalidParam(f"unknown method {method!r}")

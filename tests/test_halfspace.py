@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from prbm import halfspace as hs
-from prbm.errors import InvalidParam, SlowConvergence
+from prbm.errors import InvalidParam, NumericOverflowWarning, SlowConvergence
 
 EULER_GAMMA = 0.5772156649015329
 
 
 def test_stopping_time_density_routes_agree():
-    """The closed erfcx form tracks the defining quadrature over six decades."""
-    ts = np.geomspace(1e-3, 1e3, 13)
+    """The closed erfcx form tracks the defining quadrature from t = 1e-300 to 1e200."""
+    ts = np.geomspace(1e-300, 1e200, 51)
     for lam in (0.5, 2.0):
         closed = hs.stopping_time_density(ts, lam)
         by_quad = np.array(
@@ -49,6 +49,16 @@ def test_stopping_time_asymptotics():
     )
 
 
+def test_stopping_time_survives_lambda_squared_underflow():
+    """Lambda^2 underflows at Lambda = 1e-200; tau = (t/Lambda)/(2 Lambda) does not."""
+    assert hs.stopping_time_cdf(1.0, 1e-200) == 1.0
+    # the tail Lambda/(sqrt(2 pi) t^{3/2}) is representable here
+    assert hs.stopping_time_density(1.0, 1e-200) == pytest.approx(1e-200 / math.sqrt(2.0 * math.pi), rel=1e-12)
+    # and underflows here, which is said
+    with pytest.warns(NumericOverflowWarning):
+        assert hs.stopping_time_density(1e300, 1.0) == 0.0
+
+
 def test_stopping_time_tail_switch_is_seamless():
     lam = 1.0
     t_switch = 2.0 * lam * lam * 1e4
@@ -77,6 +87,36 @@ def test_eta_reference_asymptotics():
     # z -> infinity: the kernel degenerates to plain harmonic measure
     assert hs.eta(1e3, 2) == pytest.approx(1.0, abs=1e-4)
     assert hs.eta(1e3, 3) == pytest.approx(1.0, abs=1e-4)
+
+
+_EXTREMES = {
+    "eta_z1e-160": (lambda: hs.eta(1e-160, 2), -math.log(1e-160) - EULER_GAMMA),
+    "eta_z1e100": (lambda: hs.eta(1e100, 2), 1.0),
+    "eta_z1e150_d3": (lambda: hs.eta(1e150, 3), 1.0),
+    "eta_z1e200": (lambda: hs.eta(1e200, 2), 1.0),
+    "eta_z1e300_d3": (lambda: hs.eta(1e300, 3), 1.0),
+    "eta_past_float_range": (lambda: hs.eta(1e-300, 5), math.inf),
+    "absorption_r1e154": (lambda: hs.absorption_probability_disk(1e154, 1.0, 2), 1.0),
+    "absorption_r1e300": (lambda: hs.absorption_probability_disk(1e300, 1.0, 3), 1.0),
+    "kernel_s1e-170": (lambda: hs.spread_kernel_t(1e-170, 1.0, 2), (-math.log(1e-170) - EULER_GAMMA) / math.pi),
+    "harmonic_h1e-200": (lambda: hs.harmonic_density_halfspace([0.0, 1e-200], 0.0), 1.0 / (math.pi * 1e-200)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXTREMES))
+def test_extreme_inputs_keep_their_limits(case):
+    """No NaN, no bare OverflowError, no IntegrationWarning: the limit, or inf with a warning."""
+    law, expected = _EXTREMES[case]
+    if expected == math.inf:
+        with pytest.warns(NumericOverflowWarning):
+            assert law() == math.inf
+    else:
+        assert law() == pytest.approx(expected, rel=1e-12)
+
+
+def test_lifted_refuses_a_missed_tolerance():
+    with pytest.raises(SlowConvergence):
+        hs._lifted(lambda v: v * math.sin(1e7 * v), 1.0)
 
 
 def test_eta_dips_below_one_then_recovers():
@@ -203,7 +243,7 @@ def test_spread_density_symmetry_and_continuity():
     left = hs.spread_density_halfspace(x, 0.5 - 0.9, lam)
     right = hs.spread_density_halfspace(x, 0.5 + 0.9, lam)
     assert left == pytest.approx(right, rel=1e-10)
-    # the u = 0 branch (plain Laplace integral) meets the oscillatory branch
+    # the centre meets its neighbourhood continuously
     center = hs.spread_density_halfspace(x, 0.5, lam)
     near = hs.spread_density_halfspace(x, 0.5 + 1e-7, lam)
     assert center == pytest.approx(near, rel=1e-5)
@@ -220,9 +260,40 @@ def test_spread_density_mass_and_spreading():
     assert hs.spread_density_halfspace(x, 0.0, lam) < hs.harmonic_density_halfspace(x, 0.0)
 
 
+@pytest.mark.parametrize("ratio", [1e-9, 1e-6, 1e-3, 0.1, 1.0, 7.0, 50.0])
+def test_spread_density_centre_is_exponential_integral(ratio):
+    """Straight below the start the planar law is (1/(pi Lambda)) e^{h/Lambda} E1(h/Lambda)."""
+    lam = 0.8
+    expected = math.exp(ratio) * special.exp1(ratio) / (math.pi * lam)
+    assert hs.spread_density_halfspace([0.3, ratio * lam], 0.3, lam) == pytest.approx(expected, rel=1e-12)
+
+
+def test_spread_density_tail_follows_its_asymptote():
+    """Far out the planar law is (h + Lambda)/(pi u^2), less a deviation falling as u^-2."""
+    h, lam = 0.1, 0.3
+    dev = [hs.spread_density_halfspace([0.0, h], u, lam) * math.pi * u * u / (h + lam) - 1.0 for u in (1e2, 1e3, 1e4)]
+    assert all(d < 0 for d in dev)
+    assert dev[0] / dev[1] > 50 and dev[1] / dev[2] > 50
+
+
+def test_spread_density_in_three_dimensions():
+    """The 3-D law has mass 1, and from a start on the wall it is spread_kernel_t."""
+    lam, h = 0.7, 0.4
+    mass, _ = integrate.quad(
+        lambda u: 2 * math.pi * u * hs.spread_density_halfspace([0.0, 0.0, h], [u, 0.0], lam), 0, np.inf, limit=200
+    )
+    assert mass == pytest.approx(1.0, abs=1e-8)
+    for u in (0.05, 0.5, 3.0):
+        assert hs.spread_density_halfspace([0.0, 0.0, 1e-10], [u, 0.0], lam) == pytest.approx(
+            hs.spread_kernel_t([u, 0.0], lam, 3), rel=1e-8
+        )
+
+
 def test_spread_density_guards():
-    with pytest.raises(SlowConvergence):
-        hs.spread_density_halfspace([0.0, 1e-9], 0.0, 1.0)
+    # a start 1e-9 Lambda above the wall is admissible
+    assert hs.spread_density_halfspace([0.0, 1e-9], 0.0, 1.0) == pytest.approx(
+        math.exp(1e-9) * special.exp1(1e-9) / math.pi, rel=1e-12
+    )
     with pytest.raises(InvalidParam):
         hs.spread_density_halfspace([0.0, 0.0, 1.0], 0.0, 1.0)
     with pytest.raises(InvalidParam):

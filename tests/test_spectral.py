@@ -19,6 +19,9 @@ def test_poisson_kernel_disk():
     assert sp.poisson_kernel_disk(0.0, 1.7) == pytest.approx(1.0 / TWO_PI)
     mass, _ = integrate.quad(lambda th: sp.poisson_kernel_disk(0.85, th), 0, TWO_PI)
     assert mass == pytest.approx(1.0, abs=1e-9)
+    # beside the circle 1 - 2 r cos(theta) + r^2 cancels to 0; (1 - r)^2 + 4 r sin^2(theta/2) does not
+    r = 1.0 - 2.0**-53
+    assert sp.poisson_kernel_disk(r, 0.0) == pytest.approx((1.0 + r) / (TWO_PI * (1.0 - r)), rel=1e-15)
     with pytest.raises(InvalidParam):
         sp.poisson_kernel_disk(1.0, 0.0)
     with pytest.raises(InvalidParam):
