@@ -79,8 +79,10 @@ def _in_range(value: float, what: str) -> float:
 def _omega(h: float, r: float, d: int) -> float:
     """Harmonic density Gamma(d/2)/pi^{d/2} h/rho^d, rho = hypot(r, h), at lateral distance r from height h."""
     rho = math.hypot(r, h)
-    with np.errstate(over="ignore"):  # rho^{1-d} overflows to inf, where float ** raises OverflowError
-        return float(special.gamma(d / 2.0) / math.pi ** (d / 2.0) * (h / rho) * np.float64(1.0 / rho) ** (d - 1))
+    # in logs: Gamma(d/2), pi^{d/2} and rho^{d-1} each leave the float range long before the density
+    log_c = special.gammaln(d / 2.0) - d / 2.0 * math.log(math.pi) - (d - 1) * math.log(rho)
+    with np.errstate(over="ignore"):
+        return float(h / rho * np.exp(log_c))
 
 
 def _climb(eta: float, z: float, d: int) -> float:
@@ -107,8 +109,8 @@ def stopping_time_density(t, Lambda: float, method: str = "closed"):
     """Density of the absorption time for the half-space walk started on the wall.
 
     The scaled variable is tau = t / (2 Lambda^2); the density is
-    (1/(2 Lambda^2)) [ (pi tau)^{-1/2} - erfcx(sqrt(tau)) ], switching to the
-    asymptotic tail series for tau > 1e4 where the bracket cancels; past the
+    1/(Lambda sqrt(2 pi t)) - erfcx(sqrt(tau))/(2 Lambda^2), switching to the
+    asymptotic tail series for tau > 1e4 where the two terms cancel; past the
     float range it is 0 or inf, with a NumericOverflowWarning. The "integral"
     method averages Levy's first-passage density of level Lambda v over
     v ~ Exp(1), and is kept as an independent oracle for the closed form.
@@ -137,7 +139,8 @@ def stopping_time_density(t, Lambda: float, method: str = "closed"):
         tail = tau > _TAIL_SWITCH
         out = np.empty_like(tau)
         tc, x, tt = tau[~tail], 1.0 / tau[tail], t_arr[tail]
-        out[~tail] = (1.0 / np.sqrt(np.pi * tc) - special.erfcx(np.sqrt(tc))) / lam / (2.0 * lam)
+        # 1/sqrt(pi tau) from t, not from tau, which is subnormal for t << Lambda^2
+        out[~tail] = 1.0 / lam / np.sqrt(2.0 * np.pi * t_arr[~tail]) - special.erfcx(np.sqrt(tc)) / lam / (2.0 * lam)
         # 1/(4 Lambda^2 sqrt(pi) tau^{3/2}) = Lambda/(sqrt(2 pi) t^{3/2}), times a series in 1/tau
         out[tail] = (1.0 - x * (1.5 - x * (3.75 - 13.125 * x))) * (lam / math.sqrt(2.0 * math.pi)) / tt / np.sqrt(tt)
     if np.any((out == 0) | np.isinf(out)):

@@ -9,18 +9,21 @@ a contact reflects with probability exactly epsilon = Lambda/(Lambda + a w).
 
 Every ensemble runs through one vectorized loop, _walk, which owns the
 threshold, the exits to the source and past the escape radius, the reflection
-tally and censoring at max_steps. A domain supplies only its start rows and
-one step of its hitting law: the jump to the wall of the half-space (the
-Cauchy inverse CDF of one uniform in the plane), the Mobius image of a
-uniform angle on the disk (one real scaling in the half-angle chart), the
-zonal inverse CDF in a per-walker frame on the ball, walk on circles in the
-annulus, and a nearest-neighbour step on a lattice. A square-lattice walker
-far from every face and wall instead crosses the largest free square of
-power-of-two half-width around it in one draw from the exact exit law of the
-lattice walk, solved once per size and cached for the process; faces are only
-ever met in plain steps, so the law of the walk is that of the plain
-nearest-neighbour walk. Chunks run on disjoint counter blocks of one stream
-and merge in fixed order, which makes every estimate a pure function of
+tally and censoring at max_steps. Where every step spends the same hazard, a
+walker's reflection count is known before it moves, so the loop sorts the
+walkers by it once and steps only the live prefix; elsewhere it compacts the
+survivors by a mask at every step. Either way every contact is drawn. A domain
+supplies only its start rows and one step of its hitting law: the jump to the
+wall of the half-space (the Cauchy inverse CDF of one uniform in the plane),
+the Mobius image of a uniform angle on the disk (one real scaling in the
+half-angle chart), the zonal inverse CDF in a per-walker frame on the ball,
+walk on circles in the annulus, and a nearest-neighbour step on a lattice. A
+square-lattice walker far from every face and wall instead crosses the largest
+free square of power-of-two half-width around it in one draw from the exact
+exit law of the lattice walk, solved once per size and cached for the process;
+faces are only ever met in plain steps, so the law of the walk is that of the
+plain nearest-neighbour walk. Chunks run on disjoint counter blocks of one
+stream and merge in fixed order, which makes every estimate a pure function of
 (seed, stream_id, chunk_size) regardless of thread count.
 """
 
@@ -270,9 +273,11 @@ def _resolve_site(dom: LatticeDomain, start) -> int:
 
 # -- vectorized ensembles ------------------------------------------------------
 #
-# A kernel is (edges, n_bins, init, hit, to_bin). init(gen, n) returns the
-# start rows of n walkers. hit(gen, rows, first) advances every live walker
-# by one step of the domain's exact law and returns
+# A kernel is (edges, n_bins, steady, init, hit, to_bin). steady is the hazard
+# every step spends when that is one constant (the half-space, the disks and
+# the ball interior), else None. init(gen, n) returns the start rows of n
+# walkers. hit(gen, rows, first) advances every live walker by one step of
+# the domain's exact law and returns
 #   rows     the walkers' rows after the step, as if every contact reflected;
 #   where    the raw contact coordinate, one row per walker;
 #   hazard   the share of the threshold the step spends, scalar or per walker:
@@ -284,23 +289,45 @@ def _resolve_site(dom: LatticeDomain, start) -> int:
 # start height or radius; afterwards it sits at distance a off the boundary.
 
 
-def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to):
+def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to, steady):
     """Run n walkers, each with its unit exponential threshold, to absorption, exit or censoring.
+
+    Each step compacts the survivors by a mask, unless the hazard is steady:
+    then each walker's reflection count floor(E/steady) is known before it
+    moves, the counts are sorted once, longest first, and step k ends the
+    tail of the live prefix whose count is k. Only walkers past the
+    escape radius are masked out there. Every step of every walker is drawn.
 
     Returns (counts, source, censored, total_reflections, reflection_counts).
     """
     rows = init(gen, n)
     left = gen.standard_exponential(n)
+    if steady:
+        # minus the reflection counts, ascending; floor(E/inf) = 0 at Lambda = 0. A
+        # start row is independent of its threshold, so the rows need no reordering
+        left = -np.floor(left / steady)
+        left.sort()
     counts = np.zeros(n_bins, dtype=np.int64)
-    source = 0
-    censored = 0
-    total_refl = 0
-    nrefl = np.zeros(n, dtype=np.int64) if count_to is not None else None
+    source = censored = total_refl = 0
+    nrefl = np.zeros(n, dtype=np.int64) if count_to is not None and not steady else None
     refl_counts = np.zeros(count_to + 2, dtype=np.int64) if count_to is not None else None
     for step in range(max_steps):
         if len(rows) == 0:
             break
         rows, where, hazard, src, far = hit(gen, rows, step == 0)
+        if steady:
+            # the walkers whose count is step end now, the tail past cut
+            cut = int(np.searchsorted(left, -step))
+            counts += np.bincount(to_bin(where[cut:]), minlength=n_bins)
+            total_refl += cut
+            if count_to is not None:
+                refl_counts[min(step, count_to + 1)] += len(rows) - cut
+            rows, left = rows[:cut], left[:cut]
+            if far is not None and far[:cut].any():
+                keep = ~far[:cut]
+                censored += cut - int(keep.sum())
+                rows, left = rows[keep], left[keep]
+            continue
         left -= hazard
         absorbed = left < 0
         keep = ~absorbed
@@ -320,8 +347,7 @@ def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to):
             keep = keep & ~far
         if count_to is not None:
             nrefl = (nrefl + reflected)[keep]
-        rows = rows[keep]
-        left = left[keep]
+        rows, left = rows[keep], left[keep]
     censored += len(rows)
     return counts, source, censored, total_refl, refl_counts
 
@@ -366,7 +392,7 @@ def _halfspace_kernel(dom, x, params, bins, window):
         idx = np.clip(np.searchsorted(edges, coord, side="right") - 1, 0, bins - 1)
         return np.where(out, bins, idx)
 
-    return edges, bins + 1, init, hit, to_bin
+    return edges, bins + 1, hazard, init, hit, to_bin
 
 
 def _disk_kernel(dom, x, params, bins):
@@ -384,7 +410,7 @@ def _disk_kernel(dom, x, params, bins):
         theta = ang + _mobius_angle(rho0 if first else rho, gen.random(len(ang)) * _TWO_PI)
         return theta, theta, hazard, None, None
 
-    return edges, bins, init, hit, to_bin
+    return edges, bins, hazard, init, hit, to_bin
 
 
 def _ball_kernel(dom, x, params, bins):
@@ -414,7 +440,7 @@ def _ball_kernel(dom, x, params, bins):
     def to_bin(s):
         return np.clip(((s[:, 2] + 1.0) / 2.0 * bins).astype(np.int64), 0, bins - 1)
 
-    return edges, bins, init, hit, to_bin
+    return edges, bins, hazard if interior else None, init, hit, to_bin
 
 
 def _annulus_kernel(dom, x, params, bins):
@@ -438,7 +464,7 @@ def _annulus_kernel(dom, x, params, bins):
         nxt[contact] = p[contact] * ((1.0 + a) / r[contact])
         return nxt, p, np.where(contact, hazard, 0.0), src, None
 
-    return edges, bins, init, hit, lambda p: angle_bin(np.angle(p))
+    return edges, bins, None, init, hit, lambda p: angle_bin(np.angle(p))
 
 
 # -- multiscale lattice jumps --------------------------------------------------
@@ -560,7 +586,7 @@ def _lattice_kernel(dom, start, params):
         moved = np.where(is_bulk[code], code, sites)
         return moved, code, hazard_of[code], is_source[code], None
 
-    return None, len(working), init, hit, lambda code: bin_of[code]
+    return None, len(working), None, init, hit, lambda code: bin_of[code]
 
 
 def _kernel(dom, start, params: JumpParams, bins: int, window: float | None):
@@ -627,12 +653,12 @@ def estimate_spread_measure(
     threads = _count(threads, "threads", 1)
 
     start = _check_start(dom, start, params)
-    edges, n_bins, init, hit, to_bin = _kernel(dom, start, params, bins, window)
+    edges, n_bins, steady, init, hit, to_bin = _kernel(dom, start, params, bins, window)
 
     def run_chunk(ci: int, cn: int):
         return _walk(
             rng.generator(block=ci), cn, init, hit, to_bin, n_bins,
-            params.max_steps, count_reflections_to,
+            params.max_steps, count_reflections_to, steady,
         )
 
     n_chunks = (n_walkers + chunk_size - 1) // chunk_size

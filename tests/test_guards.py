@@ -38,7 +38,7 @@ _MU, _W = np.array([0.5, 1.0]), np.array([0.3, 0.2])
 
 
 def _halfplane(**kw):
-    # with max_steps=2, 984 of these 1,000 walkers are censored
+    # with max_steps=2, a share eps^2 = 1/1.01^2 ~ 0.980 of these walkers is censored
     hp = geo.make_canonical("half_space", dimension=2)
     params = walkers.JumpParams(Lambda=1.0, a=0.01, max_steps=kw.pop("max_steps", 10_000_000))
     return walkers.estimate_spread_measure(hp, (0.0, 1.0), params, kw.pop("n_walkers", 1_000), RngStream(0), **kw)

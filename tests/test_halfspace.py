@@ -25,6 +25,16 @@ def test_stopping_time_density_routes_agree():
         assert np.max(np.abs(closed - by_quad) / closed) < 1e-10
 
 
+def test_stopping_time_density_at_subnormal_tau():
+    """At t = 1e-300 and Lambda = 1e10, tau = 5e-321 is subnormal.
+
+    1/sqrt(pi tau) would keep only a few digits there, so the closed form
+    takes its first term from t and still meets the quadrature.
+    """
+    closed = hs.stopping_time_density(1e-300, 1e10)
+    assert closed == pytest.approx(hs.stopping_time_density(1e-300, 1e10, method="integral"), rel=1e-12)
+
+
 def test_stopping_time_cdf_integrates_density():
     for lam, horizon in ((0.7, 2.0), (1.5, 30.0)):
         mass, _ = integrate.quad(
@@ -164,6 +174,28 @@ def test_spread_kernel_factorizes_through_eta():
 def test_spread_kernel_center_diverges():
     assert hs.spread_kernel_t(0.0, 1.0, 2) == math.inf
     assert hs.spread_kernel_t([0.0, 0.0], 1.0, 3) == math.inf
+
+
+@pytest.mark.parametrize("d", [400, 1300])
+def test_spread_kernel_in_high_dimension(d):
+    """Gamma(d/2)/pi^{d/2} and rho^{-d} each leave the float range here.
+
+    The log-space reference at s = Lambda = 1 is log Gamma(d/2) -
+    (d/2) log pi + log E v (1 + v^2)^{-d/2} over v ~ Exp(1); the mean
+    comes from [0, 1], past which its integrand is below 2^{-d/2}. At
+    d = 400 the kernel is finite; at d = 1300 the reference is past the
+    float range, and the kernel is inf with a warning.
+    """
+    mean, _ = integrate.quad(
+        lambda v: v * math.exp(-v - d / 2 * math.log1p(v * v)), 0.0, 1.0,
+        points=[d**-0.5], epsabs=0.0, epsrel=1e-13,
+    )
+    log_ref = special.gammaln(d / 2) - d / 2 * math.log(math.pi) + math.log(mean)
+    if log_ref < math.log(np.finfo(float).max):
+        assert hs.spread_kernel_t(1.0, 1.0, d) == pytest.approx(math.exp(log_ref), rel=1e-10)
+    else:
+        with pytest.warns(NumericOverflowWarning):
+            assert hs.spread_kernel_t(1.0, 1.0, d) == math.inf
 
 
 def test_spread_kernel_even_in_s():

@@ -377,6 +377,69 @@ def test_estimate_deterministic_and_thread_invariant(where):
         assert runs[0].total_reflections == other.total_reflections
 
 
+@pytest.mark.parametrize(
+    "where", ["halfplane", "halfplane_capped", "halfspace3", "disk_interior", "disk_exterior", "ball_interior"]
+)
+def test_prefix_kernels_deterministic_and_thread_invariant(where):
+    """The kernels whose every step spends the same hazard, which step a sorted prefix.
+
+    halfplane_capped is the set-up of test_halfspace_escape_cap_censors,
+    where a quarter of the walkers pass the escape cap.
+    """
+    dom, start, p = {
+        "halfplane": (make_canonical("half_space", dimension=2), (0.0, 0.2), wk.JumpParams(Lambda=0.3, a=0.05)),
+        "halfplane_capped": (make_canonical("half_space", dimension=2), (0.0, 1.0), wk.JumpParams(Lambda=1e-4, a=1e-4)),
+        "halfspace3": (make_canonical("half_space", dimension=3), (0.0, 0.0, 0.2), wk.JumpParams(Lambda=0.3, a=0.05)),
+        "disk_interior": (make_canonical("disk_interior"), (0.5, 0.1), wk.JumpParams(Lambda=0.3, a=0.05)),
+        "disk_exterior": (make_canonical("disk_exterior"), (1.5, 0.0), wk.JumpParams(Lambda=0.3, a=0.05)),
+        "ball_interior": (make_canonical("ball_interior"), (0.0, 0.3, 0.4), wk.JumpParams(Lambda=0.3, a=0.05)),
+    }[where]
+    runs = [
+        wk.estimate_spread_measure(
+            dom, start, p, 60_000, RngStream(4),
+            chunk_size=20_000, threads=t, censored_ceiling=1.0, count_reflections_to=10,
+        )
+        for t in (1, 3, 1)
+    ]
+    assert runs[0].reflection_counts.sum() == runs[0].working_absorbed
+    if where == "halfplane_capped":
+        assert runs[0].censored > 10_000
+    for other in runs[1:]:
+        assert np.array_equal(runs[0].counts, other.counts)
+        assert np.array_equal(runs[0].reflection_counts, other.reflection_counts)
+        assert runs[0].censored == other.censored
+        assert runs[0].total_reflections == other.total_reflections
+
+
+@pytest.mark.parametrize("where", ["halfplane", "ball_interior"])
+def test_step_cap_censors_eps_to_the_k(where):
+    """At max_steps = K a walker is censored when its first K contacts all reflect.
+
+    That share is eps^K; the half-plane adds the walkers that pass the
+    escape cap 3000 on some step, below 3e-4 of them from height 1. The
+    absorbed walkers follow the truncated geometric law (1 - eps) eps^k,
+    k < K, on the ball interior too, and no walker is absorbed after K
+    reflections.
+    """
+    K, lam, a, n = 3, 0.3, 0.1, 100_000
+    dom, start = {
+        "halfplane": (make_canonical("half_space", dimension=2), (0.0, 1.0)),
+        "ball_interior": (make_canonical("ball_interior"), (0.0, 0.0, 0.5)),
+    }[where]
+    p = wk.JumpParams(Lambda=lam, a=a, max_steps=K)
+    hist = wk.estimate_spread_measure(
+        dom, start, p, n, RngStream(41), censored_ceiling=1.0, count_reflections_to=K,
+    )
+    eps = p.epsilon
+    share = eps**K
+    assert abs(hist.censored / n - share) < 4.0 * math.sqrt(share * (1.0 - share) / n)
+    pk = (1.0 - eps) * eps ** np.arange(K)
+    z = (hist.reflection_counts[:K] - pk * n) / np.sqrt(pk * (1.0 - pk) * n)
+    assert np.max(np.abs(z)) < 4.0
+    assert hist.reflection_counts[K:].sum() == 0
+    assert hist.total_reflections == pytest.approx(n * sum(eps**k for k in range(1, K + 1)), rel=0.01)
+
+
 # -- multiscale lattice jumps --------------------------------------------------
 
 
