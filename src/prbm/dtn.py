@@ -41,7 +41,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidParam, SingularSystem, SolveFailure, _nonnegative, _positive
-from .geometry import LatticeDomain, _components
+from .geometry import LatticeDomain
 from .spectral import impedance_from_spectrum
 
 __all__ = [
@@ -151,7 +151,7 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
     # a component with no absorbing face leaves I - P singular
     absorbing = np.zeros(nb, dtype=bool)
     absorbing[inward] = True
-    _, labels = _components(table)
+    _, labels = dom._index().components
     sizes = np.bincount(labels)
     dry = np.flatnonzero(np.bincount(labels[absorbing], minlength=len(sizes)) == 0)
     if len(dry):

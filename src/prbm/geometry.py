@@ -22,6 +22,7 @@ true arclength instead of the inflated staircase length.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import math
@@ -128,7 +129,9 @@ class LatticeDomain:
 
     Sites are integer lattice coordinates; physical position is site * mesh.
     face_exterior[i] is the boundary site (outside the bulk), face_inward[i]
-    its unique bulk neighbour, i.e. the reflection target s + a n(s).
+    its unique bulk neighbour, i.e. the reflection target s + a n(s). The
+    site graph belongs to the site index _lookup: a builder passes the index
+    it built the faces with, and a hand-built domain makes one when first read.
     """
 
     mesh: float
@@ -195,13 +198,14 @@ class LatticeDomain:
         Entry values: 0 <= v < n_bulk is a bulk neighbour; n_bulk <= v is the
         boundary face v - n_bulk; MISSING_NEIGHBOR marks a reflecting wall
         (possible only in hand-built domains; rasterize seals the region).
-        Columns follow _axis_offsets: +x, -x, +y, -y, ...
+        Columns follow _axis_offsets: +x, -x, +y, -y, ... It is the site
+        index's table with the face codes written into its off-set slots.
         """
         if self._neighbors is not None:
             return self._neighbors
         nb, two_d = self.n_bulk, 2 * self.dimension
         # a missing site indexes as -1, which is MISSING_NEIGHBOR
-        _, table = _site_neighbors(self.bulk_sites, self.site_index)
+        table = self._index().neighbors
         # a face fills its inward site's slot in its direction unless a bulk
         # neighbour holds it; of faces sharing a slot the last one wins
         step = self.face_exterior - self.face_inward
@@ -236,11 +240,8 @@ class LatticeDomain:
             raise DegenerateGeometry("face exterior site lies in the bulk")
         if self.n_faces and not np.all(_positive(self.face_weight, "face weights") <= 1.0 + 1e-12):
             raise InvalidParam("face weights must lie in (0, 1]")
-        if check_connected and not self._connected():
+        if check_connected and self._index().components[0] != 1:
             raise MeshTooCoarse("bulk sites do not form a connected set")
-
-    def _connected(self) -> bool:
-        return _components(self.neighbor_table())[0] == 1
 
 
 def _axis_offsets(d: int) -> np.ndarray:
@@ -252,7 +253,7 @@ def _axis_offsets(d: int) -> np.ndarray:
 
 
 class _SiteIndex:
-    """Bulk index of integer lattice sites, -1 for sites off the set.
+    """Bulk index of integer lattice sites, -1 for sites off the set, and their graph.
 
     A site's key is its row-major offset (site - lo) @ stride in the
     bounding box [lo, hi] of the set, computed from its coordinates; no
@@ -260,10 +261,15 @@ class _SiteIndex:
     site maps to its last row, as a dict built in row order would. A lookup
     is one box test and one searchsorted. A set whose bounding box has more
     cells than an int64 can count raises DegenerateGeometry.
+
+    The index owns the set's graph: the (n, 2d) neighbour table and the
+    component labels, each computed on first use and kept. A LatticeDomain
+    built from the set holds its index and writes its face codes into the
+    table's off-set slots in place, so a domain keeps one table.
     """
 
     def __init__(self, sites: np.ndarray) -> None:
-        sites = np.asarray(sites, dtype=np.int64)
+        self.sites = sites = np.asarray(sites, dtype=np.int64)
         self.dimension = sites.shape[1]
         self.n_distinct = 0
         if not len(sites):
@@ -283,17 +289,61 @@ class _SiteIndex:
         if not self.n_distinct:
             return np.full(len(q), -1, dtype=np.int64)
         inside = np.all((q >= self._lo) & (q <= self._hi), axis=1)
-        key = np.where(inside, (q - self._lo) @ self._stride, -1)
+        return self._find(np.where(inside, (q - self._lo) @ self._stride, -1))
+
+    def _find(self, key: np.ndarray) -> np.ndarray:
+        """Row of each key, -1 for a key off the set (or -1 itself)."""
         # at is the last key <= key, the last row of a duplicated site; at = -1
         # reads keys[-1], the largest key, which a key below them all never equals
         at = np.searchsorted(self._keys, key, side="right") - 1
         return np.where(self._keys[at] == key, self._order[at], -1)
 
+    @functools.cached_property
+    def neighbors(self) -> np.ndarray:
+        """(n, 2d) index of each site's neighbours in _axis_offsets order.
 
-def _site_neighbors(sites: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 2d, d) neighbour sites in _axis_offsets order and their (n, 2d) indices."""
-    targets = sites[:, None, :] + _axis_offsets(sites.shape[1])
-    return targets, index(targets).reshape(targets.shape[:2])
+        Entries in [0, n) are sites of the set; -1 (or, once a LatticeDomain
+        has filled it, a face code n + f) is off it.
+        """
+        return _site_neighbors(self)
+
+    @functools.cached_property
+    def components(self) -> tuple[int, np.ndarray]:
+        """Component count of the set and each site's label."""
+        return _components(self.neighbors)
+
+    def restrict(self, keep: np.ndarray) -> _SiteIndex:
+        """Index of the sites under the boolean mask keep, with the graph carried over.
+
+        keep must select whole components: then a kept site's neighbours are
+        all kept, the table remaps exactly and nothing is looked up again.
+        """
+        sub = _SiteIndex(self.sites[keep])
+        renumber = np.cumsum(keep) - 1
+        table = self.neighbors[keep]
+        sub.neighbors = np.where(table >= 0, renumber[table], MISSING_NEIGHBOR)
+        # connected_components numbers components by their first site, and
+        # relabelling the kept labels in sorted order keeps that numbering
+        kept, labels = np.unique(self.components[1][keep], return_inverse=True)
+        sub.components = (len(kept), labels)
+        return sub
+
+
+def _site_neighbors(index: _SiteIndex) -> np.ndarray:
+    """(n, 2d) index of each site's neighbours in _axis_offsets order, -1 off the set.
+
+    A unit step along an axis moves a site's key by that axis's stride, and
+    only that coordinate can leave the bounding box.
+    """
+    sites, d = index.sites, index.dimension
+    table = np.full((len(sites), 2 * d), MISSING_NEIGHBOR, dtype=np.int64)
+    if index.n_distinct:
+        key = (sites - index._lo) @ index._stride
+        for col, (axis, step) in enumerate(itertools.product(range(d), (1, -1))):
+            c = sites[:, axis] + step
+            inside = (c >= index._lo[axis]) & (c <= index._hi[axis])
+            table[:, col] = index._find(np.where(inside, key + step * index._stride[axis], -1))
+    return table
 
 
 def _components(table: np.ndarray) -> tuple[int, np.ndarray]:
@@ -308,16 +358,16 @@ def _components(table: np.ndarray) -> tuple[int, np.ndarray]:
     return connected_components(adjacency, directed=False)
 
 
-def _boundary_faces(bulk: np.ndarray, index, keep=None) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_faces(bulk: np.ndarray, index: _SiteIndex, keep=None) -> tuple[np.ndarray, np.ndarray]:
     """Faces (inward, exterior) of a bulk set whose index is given.
 
     One face per bulk site and axis step that leaves the set, bulk-site-major
     and in _axis_offsets order within a site. keep(exterior) -> bool mask
     drops faces; a side wall with no faces reflects.
     """
-    targets, nbr = _site_neighbors(bulk, index)
-    s, k = np.nonzero(nbr < 0)
-    inward, exterior = bulk[s], targets[s, k]
+    s, k = np.nonzero(index.neighbors < 0)
+    inward = bulk[s]
+    exterior = inward + _axis_offsets(bulk.shape[1])[k]
     if keep is not None:
         kept = keep(exterior)
         inward, exterior = inward[kept], exterior[kept]

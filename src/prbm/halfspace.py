@@ -76,33 +76,38 @@ def _in_range(value: float, what: str) -> float:
     return value
 
 
-def _omega(h: float, r: float, d: int) -> float:
-    """Harmonic density Gamma(d/2)/pi^{d/2} h/rho^d, rho = hypot(r, h), at lateral distance r from height h."""
+def _omega(h: float, r: float, d: int, log_factor: float = 0.0) -> float:
+    """Harmonic density Gamma(d/2)/pi^{d/2} h/rho^d, rho = hypot(r, h), at lateral distance r from height h.
+
+    The density is multiplied by e^{log_factor} (a _climb) before the one exp.
+    """
     rho = math.hypot(r, h)
-    # in logs: Gamma(d/2), pi^{d/2} and rho^{d-1} each leave the float range long before the density
-    log_c = special.gammaln(d / 2.0) - d / 2.0 * math.log(math.pi) - (d - 1) * math.log(rho)
+    # in logs: Gamma(d/2), pi^{d/2}, rho^{d-1} and a climb's size each leave
+    # the float range long before their product
+    log_c = special.gammaln(d / 2.0) - d / 2.0 * math.log(math.pi) - (d - 1) * math.log(rho) + log_factor
     with np.errstate(over="ignore"):
         return float(h / rho * np.exp(log_c))
 
 
 def _climb(eta: float, z: float, d: int) -> float:
-    """E omega(eta + v, z) / omega(eta + 1, z) over v ~ Exp(1), lengths in units of Lambda.
+    """Log of E omega(eta + v, z) / omega(eta + 1, z) over v ~ Exp(1), lengths in units of Lambda.
 
-    That ratio is (eta+v)/(eta+1) (rho_1/rho_v)^d, rho_y = hypot(z, eta+y); its size (rho_1/rho_0)^{d-2} is outside.
+    That ratio is (eta+v)/(eta+1) (rho_1/rho_v)^d, rho_y = hypot(z, eta+y). Its
+    size (rho_1/rho_0)^{d-2} is added as a log, and only the mean of what is
+    left is a quadrature.
     """
     rho0, rho1 = math.hypot(z, eta), math.hypot(z, eta + 1.0)
     if rho0 == 0.0:
         raise InvalidParam("the distance to the wall point underflows to 0 in units of Lambda")
     if rho1 == math.inf:  # the lift is lost below the rounding of z or eta
-        return 1.0
+        return 0.0
 
     def vg(v: float) -> float:
         rho = math.hypot(z, eta + v)
         a = rho1 / rho
         return v * a * ((eta + v) * a / (eta + 1.0)) * (rho0 / rho) ** (d - 2)
 
-    with np.errstate(over="ignore"):
-        return float(np.float64(rho1 / rho0) ** (d - 2)) * _lifted(vg, rho0)
+    return (d - 2) * (math.log(rho1) - math.log(rho0)) + math.log(_lifted(vg, rho0))
 
 
 def stopping_time_density(t, Lambda: float, method: str = "closed"):
@@ -160,7 +165,8 @@ def eta(z: float, d: int = 2) -> float:
     """Correction factor eta_d(z) = (1+z^2)^{d/2} * int_0^inf u e^{-u} (u^2+z^2)^{-d/2} du."""
     z = _positive(z, "z")
     d = _count(d, "d", 2)
-    return _in_range(_climb(0.0, z, d), "eta")
+    with np.errstate(over="ignore"):
+        return _in_range(float(np.exp(_climb(0.0, z, d))), "eta")
 
 
 def spread_kernel_t(s, Lambda: float, d: int = 2) -> float:
@@ -176,7 +182,7 @@ def spread_kernel_t(s, Lambda: float, d: int = 2) -> float:
     r = math.hypot(*np.atleast_1d(_nonnegative(np.abs(s), "|s|")))
     if r == 0.0:
         return math.inf
-    return _in_range(_omega(lam, r, d) * _climb(0.0, r / lam, d), "spread_kernel_t")
+    return _in_range(_omega(lam, r, d, _climb(0.0, r / lam, d)), "spread_kernel_t")
 
 
 def absorption_probability_disk(r: float, Lambda: float, d: int = 2) -> float:
@@ -230,7 +236,5 @@ def spread_density_halfspace(x, s, Lambda: float) -> float:
     """
     d, h, r = _interior(x, s, None)
     lam = _nonnegative(Lambda, "Lambda")
-    value = _omega(h + lam, r, d)
-    if lam > 0:
-        value *= _climb(h / lam, r / lam, d)
-    return _in_range(value, "spread density")
+    climb = _climb(h / lam, r / lam, d) if lam > 0 else 0.0
+    return _in_range(_omega(h + lam, r, d, climb), "spread density")

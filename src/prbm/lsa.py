@@ -28,9 +28,7 @@ from .geometry import (
     LatticeDomain,
     _assemble,
     _boundary_faces,
-    _components,
     _face_geometry,
-    _site_neighbors,
     _SiteIndex,
     _sites_inside,
     load_polyline,
@@ -142,11 +140,10 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float) -> L
     if not top.any():
         raise DegenerateGeometry("no bulk site touches the source")
     index = _SiteIndex(bulk)
-    n_comp, label = _components(_site_neighbors(bulk, index)[1])
+    n_comp, label = index.components
     if n_comp > 1:
-        fed = np.isin(label, label[top])
-        bulk = bulk[fed]
-        index = _SiteIndex(bulk)
+        index = index.restrict(np.isin(label, label[top]))
+        bulk = index.sites
     # reflecting side walls get no faces at all
     inward, exterior = _boundary_faces(bulk, index, keep=lambda t: (t[:, 0] >= i_lo) & (t[:, 0] < i_hi))
     tags = np.where(exterior[:, 1] >= j_top, BoundaryTag.SOURCE, BoundaryTag.WORKING)

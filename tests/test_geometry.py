@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prbm import dtn, lsa, walkers
 from prbm import geometry as geo
 from prbm.errors import DegenerateGeometry, InvalidParam, MeshTooCoarse
+from prbm.rng import RngStream
 
 
 def test_make_canonical_natural_dimensions():
@@ -604,3 +606,90 @@ def test_face_builder_matches_set_enumeration(cells, jump, wall):
     else:
         with pytest.raises(MeshTooCoarse):
             dom.validate()
+
+
+# -- one site graph per domain -------------------------------------------------
+
+
+def _koch3_strip():
+    return lsa._channel_domain(lsa.koch_polyline(3), 1.0, 1.0 / 128.0)
+
+
+def _chorded_koch3_strip():
+    """At Lambda = 0.4229 the chords seal one bulk site off from the source."""
+    return lsa._channel_domain(lsa.coarse_grain(lsa.koch_polyline(3), 0.4229), 1.0, 1.0 / 128.0)
+
+
+@pytest.mark.parametrize(
+    "build, restricted",
+    [
+        pytest.param(lambda: geo.rasterize(geo.circle_polyline(1.0, 512), geo.circle_polyline(3.0, 512), 1.0 / 16.0),
+                     0, id="rasterize_annulus"),
+        pytest.param(lambda: geo.rasterize_loop(geo.circle_polyline(1.0, 512), 1.0 / 16.0), 0, id="rasterize_loop"),
+        pytest.param(lambda: geo.lattice_box(9, 7, 0.125), 0, id="lattice_box"),
+        pytest.param(lambda: geo.lattice_channel(12, 0.1, width=3), 0, id="lattice_channel"),
+        pytest.param(_koch3_strip, 0, id="koch3_strip"),
+        pytest.param(_chorded_koch3_strip, 1, id="chorded_koch3_strip"),
+    ],
+)
+def test_built_graph_matches_a_fresh_domain(monkeypatch, build, restricted):
+    """A builder's shared site graph equals the one a cacheless domain computes.
+
+    The chorded strip takes the pocket-filter path, whose table is the
+    unfiltered one renumbered rather than looked up again.
+    """
+    restrict = geo._SiteIndex.restrict
+    calls = []
+    monkeypatch.setattr(geo._SiteIndex, "restrict", lambda self, keep: calls.append(1) or restrict(self, keep))
+    dom = build()
+    assert len(calls) == restricted
+    fresh = geo.LatticeDomain(
+        mesh=dom.mesh,
+        dimension=dom.dimension,
+        bulk_sites=dom.bulk_sites.copy(),
+        face_exterior=dom.face_exterior.copy(),
+        face_inward=dom.face_inward.copy(),
+        face_tag=dom.face_tag.copy(),
+        face_weight=dom.face_weight.copy(),
+    )
+    fresh.validate()
+    assert np.array_equal(dom.neighbor_table(), fresh.neighbor_table())
+    count, labels = dom._index().components
+    assert count == fresh._index().components[0] == 1
+    assert np.array_equal(labels, fresh._index().components[1])
+
+
+@pytest.fixture
+def graph_calls(monkeypatch):
+    """Calls of the one neighbour lookup and the one component labelling."""
+    calls = {"_site_neighbors": 0, "_components": 0}
+    for name in calls:
+        def spy(*args, _name=name, _f=getattr(geo, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(geo, name, spy)
+    return calls
+
+
+def test_compare_flux_builds_each_strip_graph_once(graph_calls):
+    lsa.compare_flux(lsa.koch_polyline(2), 1.0, 0.25, 1.0 / 64.0)
+    assert graph_calls == {"_site_neighbors": 2, "_components": 2}
+
+
+def test_operator_and_walker_chain_builds_the_graph_once(graph_calls):
+    def annulus():
+        return geo.rasterize(geo.circle_polyline(1.0, 256), geo.circle_polyline(3.0, 256), 1.0 / 8.0)
+
+    def walk(dom):
+        params = walkers.JumpParams(Lambda=0.5, a=1.0 / 8.0)
+        walkers.estimate_spread_measure(dom, "source", params, 2_000, RngStream(0))
+
+    # the walkers' jump exit laws are boxes of their own, solved once per process
+    walk(annulus())
+    graph_calls.update(dict.fromkeys(graph_calls, 0))
+    dom = annulus()
+    dtn.build_Q(dom)
+    dtn.hitting_distribution(dom)
+    dtn.absorption_law(dom, 0.5)
+    walk(dom)
+    assert graph_calls == {"_site_neighbors": 1, "_components": 1}

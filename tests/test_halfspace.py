@@ -176,26 +176,37 @@ def test_spread_kernel_center_diverges():
     assert hs.spread_kernel_t([0.0, 0.0], 1.0, 3) == math.inf
 
 
-@pytest.mark.parametrize("d", [400, 1300])
-def test_spread_kernel_in_high_dimension(d):
+@pytest.mark.parametrize(
+    "s, lam, d",
+    [
+        pytest.param(1.0, 1.0, 400, id="400"),
+        pytest.param(1.0, 1.0, 1300, id="1300"),
+        pytest.param(1.0, 1e3, 200, id="s1_lam1e3_d200"),
+        pytest.param(1.0, 10.0, 400, id="s1_lam10_d400"),
+    ],
+)
+def test_spread_kernel_in_high_dimension(s, lam, d):
     """Gamma(d/2)/pi^{d/2} and rho^{-d} each leave the float range here.
 
-    The log-space reference at s = Lambda = 1 is log Gamma(d/2) -
-    (d/2) log pi + log E v (1 + v^2)^{-d/2} over v ~ Exp(1); the mean
-    comes from [0, 1], past which its integrand is below 2^{-d/2}. At
-    d = 400 the kernel is finite; at d = 1300 the reference is past the
-    float range, and the kernel is inf with a warning.
+    The log-space reference is log Gamma(d/2) - (d/2) log pi - d log s +
+    log E Lambda v (1 + (Lambda v/s)^2)^{-d/2} over v ~ Exp(1). In u =
+    Lambda v/s that mean is (s^2/Lambda) int e^{-s u/Lambda} u (1 + u^2)^{-d/2} du,
+    which comes from u in [0, 1], past which its integrand is below 2^{-d/2}. At d = 400 the kernel is finite; at d = 1300 the
+    reference is past the float range, and the kernel is inf with a
+    warning. With s << Lambda the density from height Lambda underflows
+    and the climb's size (Lambda/s)^{d-2} overflows, while the kernel is
+    finite (about e^232 and e^621 in the last two cases).
     """
     mean, _ = integrate.quad(
-        lambda v: v * math.exp(-v - d / 2 * math.log1p(v * v)), 0.0, 1.0,
+        lambda u: u * math.exp(-s * u / lam - d / 2 * math.log1p(u * u)), 0.0, 1.0,
         points=[d**-0.5], epsabs=0.0, epsrel=1e-13,
     )
-    log_ref = special.gammaln(d / 2) - d / 2 * math.log(math.pi) + math.log(mean)
+    log_ref = special.gammaln(d / 2) - d / 2 * math.log(math.pi) - d * math.log(s) + math.log(s * s / lam * mean)
     if log_ref < math.log(np.finfo(float).max):
-        assert hs.spread_kernel_t(1.0, 1.0, d) == pytest.approx(math.exp(log_ref), rel=1e-10)
+        assert hs.spread_kernel_t(s, lam, d) == pytest.approx(math.exp(log_ref), rel=1e-10)
     else:
         with pytest.warns(NumericOverflowWarning):
-            assert hs.spread_kernel_t(1.0, 1.0, d) == math.inf
+            assert hs.spread_kernel_t(s, lam, d) == math.inf
 
 
 def test_spread_kernel_even_in_s():
