@@ -312,28 +312,13 @@ class _SiteIndex:
         """Component count of the set and each site's label."""
         return _components(self.neighbors)
 
-    def restrict(self, keep: np.ndarray) -> _SiteIndex:
-        """Index of the sites under the boolean mask keep, with the graph carried over.
-
-        keep must select whole components: then a kept site's neighbours are
-        all kept, the table remaps exactly and nothing is looked up again.
-        """
-        sub = _SiteIndex(self.sites[keep])
-        renumber = np.cumsum(keep) - 1
-        table = self.neighbors[keep]
-        sub.neighbors = np.where(table >= 0, renumber[table], MISSING_NEIGHBOR)
-        # connected_components numbers components by their first site, and
-        # relabelling the kept labels in sorted order keeps that numbering
-        kept, labels = np.unique(self.components[1][keep], return_inverse=True)
-        sub.components = (len(kept), labels)
-        return sub
-
 
 def _site_neighbors(index: _SiteIndex) -> np.ndarray:
     """(n, 2d) index of each site's neighbours in _axis_offsets order, -1 off the set.
 
     A unit step along an axis moves a site's key by that axis's stride, and
-    only that coordinate can leave the bounding box.
+    only that coordinate can leave the bounding box, so no (n, 2d, d) array
+    of neighbour coordinates is formed.
     """
     sites, d = index.sites, index.dimension
     table = np.full((len(sites), 2 * d), MISSING_NEIGHBOR, dtype=np.int64)
@@ -358,16 +343,18 @@ def _components(table: np.ndarray) -> tuple[int, np.ndarray]:
     return connected_components(adjacency, directed=False)
 
 
-def _boundary_faces(bulk: np.ndarray, index: _SiteIndex, keep=None) -> tuple[np.ndarray, np.ndarray]:
-    """Faces (inward, exterior) of a bulk set whose index is given.
+def _boundary_faces(index: _SiteIndex, keep=None) -> tuple[np.ndarray, np.ndarray]:
+    """Faces (inward, exterior) of the bulk set of a site index.
 
     One face per bulk site and axis step that leaves the set, bulk-site-major
     and in _axis_offsets order within a site. keep(exterior) -> bool mask
-    drops faces; a side wall with no faces reflects.
+    drops faces; a side wall with no faces reflects. A table slot is off the
+    set whether it still holds -1 or a domain has written a face code there.
     """
-    s, k = np.nonzero(index.neighbors < 0)
-    inward = bulk[s]
-    exterior = inward + _axis_offsets(bulk.shape[1])[k]
+    table = index.neighbors
+    s, k = np.nonzero((table < 0) | (table >= len(table)))
+    inward = index.sites[s]
+    exterior = inward + _axis_offsets(index.dimension)[k]
     if keep is not None:
         kept = keep(exterior)
         inward, exterior = inward[kept], exterior[kept]
@@ -442,15 +429,15 @@ def _sites_inside(loops: list[np.ndarray], lo, hi, mesh: float) -> np.ndarray:
     return np.column_stack((i + lo[0], j + lo[1])).astype(np.int64)
 
 
-def _assemble(mesh, bulk, index, inward, exterior, tag, weight, arc=None) -> LatticeDomain:
-    """Validated 2D domain; with arclengths, faces sort by (tag, arclength)."""
+def _assemble(mesh, index, inward, exterior, tag, weight, arc=None) -> LatticeDomain:
+    """Validated 2D domain on the sites of index; with arclengths, faces sort by (tag, arclength)."""
     if arc is not None:
         order = np.lexsort((arc, tag))
         inward, exterior, tag, weight, arc = (x[order] for x in (inward, exterior, tag, weight, arc))
     dom = LatticeDomain(
         mesh=_positive(mesh, "mesh"),
         dimension=2,
-        bulk_sites=bulk,
+        bulk_sites=index.sites,
         face_exterior=exterior,
         face_inward=inward,
         face_tag=tag.astype(np.uint8),
@@ -645,7 +632,7 @@ def _rasterize(loops, curves, mesh: float, empty: str) -> LatticeDomain:
     if len(bulk) == 0:
         raise DegenerateGeometry(empty)
     index = _SiteIndex(bulk)
-    inward, exterior = _boundary_faces(bulk, index)
+    inward, exterior = _boundary_faces(index)
     if len(curves) == 1:
         _, arc, weight = _face_geometry(inward, exterior, mesh, curves[0])
         tags = np.full(len(arc), int(BoundaryTag.WORKING))
@@ -658,7 +645,7 @@ def _rasterize(loops, curves, mesh: float, empty: str) -> LatticeDomain:
         tags = np.where(working, BoundaryTag.WORKING, BoundaryTag.SOURCE)
         arc = np.where(working, arc_w, arc_s)
         weight = np.where(working, weight_w, weight_s)
-    return _assemble(mesh, bulk, index, inward, exterior, tags, weight, arc)
+    return _assemble(mesh, index, inward, exterior, tags, weight, arc)
 
 
 def _join_open(work: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -695,12 +682,12 @@ def lattice_box(
         raise InvalidParam(f"source_side must be one of {sorted(sides)}")
     bulk = _grid_sites((0, 0), (nx, ny))
     index = _SiteIndex(bulk)
-    inward, exterior = _boundary_faces(bulk, index)
+    inward, exterior = _boundary_faces(index)
     x, y = exterior.T
     on_side = {"left": x < 0, "right": x >= nx, "bottom": y < 0, "top": y >= ny}
     source = on_side[source_side] if source_side is not None else np.zeros(len(x), dtype=bool)
     tags = np.where(source, BoundaryTag.SOURCE, BoundaryTag.WORKING)
-    return _assemble(mesh, bulk, index, inward, exterior, tags, np.ones(len(tags)))
+    return _assemble(mesh, index, inward, exterior, tags, np.ones(len(tags)))
 
 
 def rasterize_loop(polyline, mesh: float) -> LatticeDomain:
@@ -735,7 +722,7 @@ def lattice_channel(
         raise InvalidParam(f"source_top must be a bool, not {source_top!r}")
     bulk = _grid_sites((0, 0), (width, n_rows))
     index = _SiteIndex(bulk)
-    inward, exterior = _boundary_faces(bulk, index, keep=lambda t: (t[:, 0] >= 0) & (t[:, 0] < width))
+    inward, exterior = _boundary_faces(index, keep=lambda t: (t[:, 0] >= 0) & (t[:, 0] < width))
     source = (exterior[:, 1] >= n_rows) & source_top
     tags = np.where(source, BoundaryTag.SOURCE, BoundaryTag.WORKING)
-    return _assemble(mesh, bulk, index, inward, exterior, tags, np.ones(len(tags)))
+    return _assemble(mesh, index, inward, exterior, tags, np.ones(len(tags)))

@@ -142,10 +142,9 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float) -> L
     index = _SiteIndex(bulk)
     n_comp, label = index.components
     if n_comp > 1:
-        index = index.restrict(np.isin(label, label[top]))
-        bulk = index.sites
+        index = _SiteIndex(bulk[np.isin(label, label[top])])
     # reflecting side walls get no faces at all
-    inward, exterior = _boundary_faces(bulk, index, keep=lambda t: (t[:, 0] >= i_lo) & (t[:, 0] < i_hi))
+    inward, exterior = _boundary_faces(index, keep=lambda t: (t[:, 0] >= i_lo) & (t[:, 0] < i_hi))
     tags = np.where(exterior[:, 1] >= j_top, BoundaryTag.SOURCE, BoundaryTag.WORKING)
     weight = np.ones(len(tags))
     arc = np.zeros(len(tags))
@@ -153,7 +152,7 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float) -> L
     if not working.any():
         raise DegenerateGeometry("the curve produced no working faces")
     _, arc[working], weight[working] = _face_geometry(inward[working], exterior[working], mesh, profile)
-    return _assemble(mesh, bulk, index, inward, exterior, tags, weight, arc)
+    return _assemble(mesh, index, inward, exterior, tags, weight, arc)
 
 
 def _total_flux(dom: LatticeDomain, Lambda: float, D: float) -> float:

@@ -404,12 +404,12 @@ def _random_blob(seed: int, n_sites: int, p_source: float):
             sites.append((i + di, j + dj))
     bulk = np.array(sites, dtype=np.int64)
     index = geo._SiteIndex(bulk)
-    inward, exterior = geo._boundary_faces(bulk, index)
+    inward, exterior = geo._boundary_faces(index)
     source = rng.random(len(inward)) < p_source
     source[rng.integers(len(inward))] = False
     tags = np.where(source, geo.BoundaryTag.SOURCE, geo.BoundaryTag.WORKING)
     weight = rng.uniform(0.05, 1.0, len(inward))
-    return geo._assemble(0.25, bulk, index, inward, exterior, tags, weight), rng
+    return geo._assemble(0.25, index, inward, exterior, tags, weight), rng
 
 
 @settings(max_examples=150, deadline=None)

@@ -561,7 +561,7 @@ def test_face_builder_matches_set_enumeration(cells, jump, wall):
                 f_in.append(s)
                 f_ext.append(t)
     keep = None if wall is None else (lambda t: t[:, 0] >= wall)
-    inward, exterior = geo._boundary_faces(bulk, geo._SiteIndex(bulk), keep=keep)
+    inward, exterior = geo._boundary_faces(geo._SiteIndex(bulk), keep=keep)
     assert inward.tolist() == [list(s) for s in f_in]
     assert exterior.tolist() == [list(t) for t in f_ext]
 
@@ -621,28 +621,24 @@ def _chorded_koch3_strip():
 
 
 @pytest.mark.parametrize(
-    "build, restricted",
+    "build",
     [
         pytest.param(lambda: geo.rasterize(geo.circle_polyline(1.0, 512), geo.circle_polyline(3.0, 512), 1.0 / 16.0),
-                     0, id="rasterize_annulus"),
-        pytest.param(lambda: geo.rasterize_loop(geo.circle_polyline(1.0, 512), 1.0 / 16.0), 0, id="rasterize_loop"),
-        pytest.param(lambda: geo.lattice_box(9, 7, 0.125), 0, id="lattice_box"),
-        pytest.param(lambda: geo.lattice_channel(12, 0.1, width=3), 0, id="lattice_channel"),
-        pytest.param(_koch3_strip, 0, id="koch3_strip"),
-        pytest.param(_chorded_koch3_strip, 1, id="chorded_koch3_strip"),
+                     id="rasterize_annulus"),
+        pytest.param(lambda: geo.rasterize_loop(geo.circle_polyline(1.0, 512), 1.0 / 16.0), id="rasterize_loop"),
+        pytest.param(lambda: geo.lattice_box(9, 7, 0.125), id="lattice_box"),
+        pytest.param(lambda: geo.lattice_channel(12, 0.1, width=3), id="lattice_channel"),
+        pytest.param(_koch3_strip, id="koch3_strip"),
+        pytest.param(_chorded_koch3_strip, id="chorded_koch3_strip"),
     ],
 )
-def test_built_graph_matches_a_fresh_domain(monkeypatch, build, restricted):
+def test_built_graph_matches_a_fresh_domain(build):
     """A builder's shared site graph equals the one a cacheless domain computes.
 
-    The chorded strip takes the pocket-filter path, whose table is the
-    unfiltered one renumbered rather than looked up again.
+    The chorded strip takes the pocket-filter path, which drops a sealed
+    component and indexes the sites it keeps afresh.
     """
-    restrict = geo._SiteIndex.restrict
-    calls = []
-    monkeypatch.setattr(geo._SiteIndex, "restrict", lambda self, keep: calls.append(1) or restrict(self, keep))
     dom = build()
-    assert len(calls) == restricted
     fresh = geo.LatticeDomain(
         mesh=dom.mesh,
         dimension=dom.dimension,

@@ -538,7 +538,7 @@ def test_jump_levels_on_boxes_and_walled_channels(shape, walled):
 def test_jump_levels_stay_zero_off_the_square_lattice():
     bulk = np.array([[0, 0, 0], [1, 0, 0]], dtype=np.int64)
     index = geo._SiteIndex(bulk)
-    inward, exterior = geo._boundary_faces(bulk, index)
+    inward, exterior = geo._boundary_faces(index)
     dom = geo.LatticeDomain(
         mesh=0.5, dimension=3, bulk_sites=bulk, face_exterior=exterior, face_inward=inward,
         face_tag=np.zeros(len(inward), dtype=np.uint8), face_weight=np.ones(len(inward)),
