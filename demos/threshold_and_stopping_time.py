@@ -16,7 +16,6 @@ from prbm import (
     absorption_probability_disk,
     estimate_stopping_time,
     eta,
-    sample_threshold,
     stopping_time_cdf,
     stopping_time_density,
 )
@@ -24,7 +23,7 @@ from prbm import (
 LAMBDA = 0.8
 
 gen = RngStream(seed=42, stream_id=0).generator()
-chi = np.array([sample_threshold(LAMBDA, gen) for _ in range(20_000)])
+chi = gen.exponential(LAMBDA, 20_000)
 print(f"threshold samples: mean {chi.mean():.4f} (target {LAMBDA}), "
       f"min {chi.min():.2e}")
 

@@ -262,23 +262,22 @@ def spreading_operator(M: np.ndarray, Lambda: float, weight: np.ndarray | None =
     return T
 
 
-def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, factor=None) -> np.ndarray:
-    """Per-working-face absorption masses of a source launch under reflection probabilities eps.
+def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, factor=None, start="source") -> np.ndarray:
+    """Per-working-face absorption masses of a launch from start under reflection probabilities eps.
 
-    Solved on factor = (lu, inward) when given, else on a fresh _factor(dom, eps).
+    start is resolved by LatticeDomain._launch, as the lattice walkers resolve
+    theirs. Solved on factor = (lu, inward) when given, else on a fresh _factor(dom, eps).
     """
-    source = np.flatnonzero(dom.source_mask())
-    if len(source) == 0:
-        raise InvalidParam("absorption law needs a source")
+    launch = dom._launch(start)
     lu, inward = factor if factor is not None else _factor(dom, eps)
     working = np.flatnonzero(dom.working_mask())
-    # walkers start uniformly on the bulk neighbours of the source faces
-    start = np.zeros(dom.n_bulk)
-    np.add.at(start, inward[source], 1.0 / len(source))
+    # walkers start uniformly on the launch sites
+    pi = np.zeros(dom.n_bulk)
+    np.add.at(pi, launch, 1.0 / len(launch))
     # G^T pi at a face's inward site is the mean number of visits there;
     # each visit steps into the face with probability 1/(2d) and is
     # absorbed there with probability 1 - eps
-    g = lu.solve(start, trans="T")
+    g = lu.solve(pi, trans="T")
     return g[inward[working]] * (1.0 - eps[working]) / (2 * dom.dimension)
 
 

@@ -132,6 +132,7 @@ class LatticeDomain:
     its unique bulk neighbour, i.e. the reflection target s + a n(s). The
     site graph belongs to the site index _lookup: a builder passes the index
     it built the faces with, and a hand-built domain makes one when first read.
+    The faces' inward sites are looked up in it once, when first read, and kept.
     """
 
     mesh: float
@@ -144,6 +145,7 @@ class LatticeDomain:
     face_arclength: np.ndarray | None = None  # (nf,) coordinate along the source polyline
     _neighbors: np.ndarray | None = field(default=None, repr=False)
     _lookup: _SiteIndex | None = field(default=None, repr=False)
+    _inward: np.ndarray | None = field(default=None, repr=False)
     # (face_tag solved for, per-working-face hitting masses of the source
     # launch), filled by dtn.build_Q and dtn.hitting_distribution
     _hitting_masses: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -185,12 +187,47 @@ class LatticeDomain:
         """Bulk index of each site (rows of d integer coordinates), -1 off the bulk."""
         return self._index()(sites)
 
+    def _inward_sites(self) -> np.ndarray:
+        """Bulk index of each face's inward site, -1 off the bulk; read-only and kept."""
+        if self._inward is None:
+            self._inward = self.site_index(self.face_inward)
+            self._inward.flags.writeable = False
+        return self._inward
+
     def inward_indices(self) -> np.ndarray:
         """Bulk index of each face's inward neighbour."""
-        index = self.site_index(self.face_inward)
+        index = self._inward_sites()
         if np.any(index < 0):
             raise DegenerateGeometry("face inward neighbour is not a bulk site")
         return index
+
+    def _launch(self, start) -> np.ndarray:
+        """Bulk sites a walk from start begins at, each equally likely.
+
+        start is "source", the inward site of each source face (a site
+        shared by two faces appears twice), a bulk index, or the integer
+        coordinates of one bulk site. Anything else raises InvalidParam.
+        """
+        if isinstance(start, str):
+            if start != "source":
+                raise InvalidParam(f"unknown start mode {start!r}")
+            if not self.source_mask().any():
+                raise InvalidParam("start='source' needs source faces")
+            return self.inward_indices()[self.source_mask()]
+        if isinstance(start, (int, np.integer)) and not isinstance(start, bool):
+            if _count(start, "bulk site index", 0) >= self.n_bulk:
+                raise InvalidParam(f"bulk site index {start} out of range")
+            return np.array([start], dtype=np.int64)
+        site = np.asarray(start).ravel()
+        integral = site.dtype.kind in "iu" or (
+            site.dtype.kind == "f" and not np.any(_nonnegative(np.abs(site), "|start|") % 1)
+        )
+        if not integral:  # a bool is no index, and a fractional coordinate no site
+            raise InvalidParam(f"lattice start {start!r} is neither a bulk index nor integer coordinates")
+        index = self.site_index(site) if len(site) == self.dimension else [-1]
+        if index[0] < 0:
+            raise InvalidParam(f"lattice start {site.tolist()} is not a bulk site")
+        return np.asarray(index, dtype=np.int64)
 
     def neighbor_table(self) -> np.ndarray:
         """(n_bulk, 2d) table of neighbour codes for walks and solves.
@@ -209,7 +246,7 @@ class LatticeDomain:
         # a face fills its inward site's slot in its direction unless a bulk
         # neighbour holds it; of faces sharing a slot the last one wins
         step = self.face_exterior - self.face_inward
-        owner = self.site_index(self.face_inward)
+        owner = self._inward_sites()
         f = np.flatnonzero((np.abs(step).sum(axis=1) == 1) & (owner >= 0))
         axis = np.abs(step[f]).argmax(axis=1)
         slot = owner[f] * two_d + 2 * axis + (step[f, axis] < 0)
@@ -285,7 +322,15 @@ class _SiteIndex:
         self.n_distinct = 1 + int(np.count_nonzero(np.diff(self._keys)))
 
     def __call__(self, sites) -> np.ndarray:
-        q = np.asarray(sites, dtype=np.int64).reshape(-1, self.dimension)
+        q = np.asarray(sites)
+        if q.dtype != np.int64:
+            # read as Python numbers, so that no coordinate rounds or wraps; a row
+            # with one past the int64 range is off the set, like any row off the box
+            q = np.asarray(sites, dtype=object).reshape(-1, self.dimension)
+            with np.errstate(invalid="ignore"):  # NaN is off the set too
+                fits = np.all((q >= -(2**63)) & (q < 2**63), axis=1).astype(bool)
+            return np.where(fits, self(np.where(fits[:, None], q, 0).astype(np.int64)), -1)
+        q = q.reshape(-1, self.dimension)
         if not self.n_distinct:
             return np.full(len(q), -1, dtype=np.int64)
         inside = np.all((q >= self._lo) & (q <= self._hi), axis=1)

@@ -13,18 +13,20 @@ tally and censoring at max_steps. Where every step spends the same hazard, a
 walker's reflection count is known before it moves, so the loop sorts the
 walkers by it once and steps only the live prefix; elsewhere it compacts the
 survivors by a mask at every step. Either way every contact is drawn. A domain
-supplies only its start rows and one step of its hitting law: the jump to the
-wall of the half-space (the Cauchy inverse CDF of one uniform in the plane),
-the Mobius image of a uniform angle on the disk (one real scaling in the
-half-angle chart), the zonal inverse CDF in a per-walker frame on the ball,
-walk on circles in the annulus, and a nearest-neighbour step on a lattice. A
-square-lattice walker far from every face and wall instead crosses the largest
-free square of power-of-two half-width around it in one draw from the exact
-exit law of the lattice walk, solved once per size and cached for the process;
-faces are only ever met in plain steps, so the law of the walk is that of the
-plain nearest-neighbour walk. Chunks run on disjoint counter blocks of one
-stream and merge in fixed order, which makes every estimate a pure function of
-(seed, stream_id, chunk_size) regardless of thread count.
+supplies only its start rows and one step of its hitting law, and its kernel
+refuses a start the domain cannot use; the lattice kernel takes its launch
+sites from LatticeDomain._launch, as dtn's exact solves do. The laws are the
+jump to the wall of the half-space (the Cauchy inverse CDF of one uniform in
+the plane), the Mobius image of a uniform angle on the disk (one real scaling
+in the half-angle chart), the zonal inverse CDF in a per-walker frame on the
+ball, walk on circles in the annulus, and a nearest-neighbour step on a
+lattice. A square-lattice walker far from every face and wall instead crosses
+the largest free square of power-of-two half-width around it in one draw from
+the exact exit law of the lattice walk, solved once per size and cached for
+the process; faces are only ever met in plain steps, so the law of the walk is
+that of the plain nearest-neighbour walk. Chunks run on disjoint counter
+blocks of one stream and merge in fixed order, which makes every estimate a
+pure function of (seed, stream_id, chunk_size) regardless of thread count.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .dtn import _factor, _reflection_probabilities
-from .errors import ExcessiveCensoring, InvalidParam, _count, _nonnegative, _positive
+from .dtn import _absorbed_masses, _reflection_probabilities
+from .errors import ExcessiveCensoring, InvalidParam, _count, _nonnegative, _numbers, _positive
 from .geometry import DomainKind, DomainSpec, LatticeDomain, lattice_box
 from .rng import RngStream
 
 __all__ = [
     "JumpParams",
     "MeasureHistogram",
-    "sample_threshold",
     "estimate_spread_measure",
     "estimate_stopping_time",
 ]
@@ -136,23 +137,6 @@ class MeasureHistogram:
         return self.total_reflections / self.total
 
 
-def sample_threshold(Lambda: float, rng: np.random.Generator) -> float:
-    """Draw the absorption threshold chi, exponential with mean Lambda.
-
-    rng is a numpy Generator that successive calls share; an RngStream is
-    rejected, since each of its .generator() calls restarts the same block.
-    Lambda = 0 degenerates to chi = 0: absorption at the first contact.
-    """
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidParam(
-            "sample_threshold needs a Generator: call stream.generator() once and reuse it"
-        )
-    lam = _nonnegative(Lambda, "Lambda")
-    if lam == 0:
-        return 0.0
-    return float(rng.exponential(lam))
-
-
 # -- exact hitting laws --------------------------------------------------------
 
 
@@ -189,86 +173,6 @@ def _zonal_point(axis: np.ndarray, cos_t, phi) -> np.ndarray:
     e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
     e2 = np.cross(axis, e1)
     return cos_t * axis + sin_t * (np.cos(phi) * e1 + np.sin(phi) * e2)
-
-
-# (interior?, name) of the unit disks and balls
-_ROUND = {
-    DomainKind.DISK_INTERIOR: (True, "disk"),
-    DomainKind.DISK_EXTERIOR: (False, "disk"),
-    DomainKind.BALL_INTERIOR: (True, "ball"),
-    DomainKind.BALL_EXTERIOR: (False, "ball"),
-}
-
-
-def _check_start(dom, start, params: JumpParams):
-    """Validate a start against its domain and return it normalized.
-
-    A canonical start comes back as a float vector strictly inside the
-    domain; a lattice start as "source" or a bulk-site index.
-    """
-    if isinstance(dom, LatticeDomain):
-        if abs(params.a - dom.mesh) > 1e-12 * max(params.a, dom.mesh):
-            raise InvalidParam("params.a must equal the lattice mesh")
-        if not isinstance(start, str):
-            return _resolve_site(dom, start)
-        if start != "source":
-            raise InvalidParam(f"unknown start mode {start!r}")
-        if not dom.source_mask().any():
-            raise InvalidParam("start='source' needs source faces")
-        return start
-    if not isinstance(dom, DomainSpec):
-        raise InvalidParam("dom must be a DomainSpec or LatticeDomain")
-    kind = dom.kind
-    try:
-        x = np.asarray(start, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParam(f"start must be a point, not {start!r}") from exc
-    d = dom.dimension
-    if x.shape != (d,):
-        raise InvalidParam(f"start must be a {d}-vector")
-    _nonnegative(np.abs(x), "|start|")
-    a = params.a
-    r = float(np.linalg.norm(x))
-    if kind is DomainKind.HALF_SPACE:
-        if not x[-1] > 0:
-            raise InvalidParam("start must lie strictly above the boundary")
-    elif kind is DomainKind.ANNULUS:
-        R = dom.outer_radius
-        if R is None:
-            raise InvalidParam("annulus spec is missing its outer radius")
-        if not 1.0 < r < R:
-            raise InvalidParam("start must lie strictly between the circles")
-        if not a < R - 1.0:
-            raise InvalidParam("jump distance must fit inside the gap")
-    else:
-        interior, body = _ROUND[kind]
-        if interior and not r < 1.0:
-            raise InvalidParam(f"start must lie strictly inside the unit {body}")
-        if not interior and not r > 1.0:
-            raise InvalidParam(f"start must lie strictly outside the unit {body}")
-        if interior and not a < 1.0:
-            raise InvalidParam(f"jump distance must stay below the {body} radius")
-    return x
-
-
-def _resolve_site(dom: LatticeDomain, start) -> int:
-    """Bulk index of a lattice start: an int index or a site's integer coordinates."""
-    if isinstance(start, (int, np.integer)) and not isinstance(start, bool):
-        index = _count(start, "bulk site index", 0)
-        if index >= dom.n_bulk:
-            raise InvalidParam(f"bulk site index {start} out of range")
-        return index
-    site = np.asarray(start).ravel()
-    integral = site.dtype.kind in "iu" or (
-        site.dtype.kind == "f" and not np.any(_nonnegative(np.abs(site), "|start|") % 1)
-    )
-    if not integral:  # a bool is no index, and a fractional coordinate no site
-        raise InvalidParam(f"lattice start {start!r} is neither a bulk index nor integer coordinates")
-    key = tuple(int(c) for c in site)
-    idx = dom.site_index(key)[0] if len(key) == dom.dimension else -1
-    if idx < 0:
-        raise InvalidParam(f"{key} is not a bulk site")
-    return int(idx)
 
 
 # -- vectorized ensembles ------------------------------------------------------
@@ -352,6 +256,23 @@ def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to, steady):
     return counts, source, censored, total_refl, refl_counts
 
 
+def _point(dom, start) -> np.ndarray:
+    """A canonical start as a float vector of dom's dimension, each coordinate a finite number."""
+    x = _numbers(start, InvalidParam, "start")
+    if x.dtype.kind not in "iuf" or x.shape != (dom.dimension,):
+        raise InvalidParam(f"start must be a point of {dom.dimension} numbers, not {start!r}")
+    _nonnegative(np.abs(x), "|start|")
+    return x.astype(float)
+
+
+def _round_side(r: float, interior: bool, params: JumpParams, body: str) -> None:
+    """Refuse a start radius r on the wrong side of the unit circle or sphere, or an interior jump of a >= 1."""
+    if not (r < 1.0 if interior else r > 1.0):
+        raise InvalidParam(f"start must lie strictly {'inside' if interior else 'outside'} the unit {body}")
+    if interior and not params.a < 1.0:
+        raise InvalidParam(f"jump distance must stay below the {body} radius")
+
+
 def _angle_bins(bins: int):
     """Edges and binning of uniform bins in the contact angle."""
 
@@ -362,7 +283,10 @@ def _angle_bins(bins: int):
     return np.linspace(0.0, _TWO_PI, bins + 1), to_bin
 
 
-def _halfspace_kernel(dom, x, params, bins, window):
+def _halfspace_kernel(dom, start, params, bins, window):
+    x = _point(dom, start)
+    if not x[-1] > 0:
+        raise InvalidParam("start must lie strictly above the boundary")
     d = dom.dimension
     if window is None:
         window = 10.0 * max(params.Lambda, params.a)
@@ -395,9 +319,11 @@ def _halfspace_kernel(dom, x, params, bins, window):
     return edges, bins + 1, hazard, init, hit, to_bin
 
 
-def _disk_kernel(dom, x, params, bins):
+def _disk_kernel(dom, start, params, bins):
+    x = _point(dom, start)
     interior = dom.kind is DomainKind.DISK_INTERIOR
     r0 = float(np.hypot(x[0], x[1]))
+    _round_side(r0, interior, params, "disk")
     rho0 = r0 if interior else 1.0 / r0
     rho = 1.0 - params.a if interior else 1.0 / (1.0 + params.a)
     hazard = params.hazard
@@ -413,9 +339,11 @@ def _disk_kernel(dom, x, params, bins):
     return edges, bins, hazard, init, hit, to_bin
 
 
-def _ball_kernel(dom, x, params, bins):
+def _ball_kernel(dom, start, params, bins):
+    x = _point(dom, start)
     interior = dom.kind is DomainKind.BALL_INTERIOR
     r0 = float(np.linalg.norm(x))
+    _round_side(r0, interior, params, "ball")
     axis0 = x / r0 if r0 > 0 else np.array([0.0, 0.0, 1.0])
     r1 = 1.0 - params.a if interior else 1.0 + params.a
     hazard = params.hazard
@@ -443,8 +371,15 @@ def _ball_kernel(dom, x, params, bins):
     return edges, bins, hazard if interior else None, init, hit, to_bin
 
 
-def _annulus_kernel(dom, x, params, bins):
+def _annulus_kernel(dom, start, params, bins):
+    x = _point(dom, start)
     R = dom.outer_radius
+    if R is None:
+        raise InvalidParam("annulus spec is missing its outer radius")
+    if not 1.0 < np.linalg.norm(x) < R:
+        raise InvalidParam("start must lie strictly between the circles")
+    if not params.a < R - 1.0:
+        raise InvalidParam("jump distance must fit inside the gap")
     shell = 1e-9 * (R - 1.0)
     a, hazard = params.a, params.hazard
     edges, angle_bin = _angle_bins(bins)
@@ -493,17 +428,14 @@ def _exit_law(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Exit law of the square lattice walk from the centre of a (2r - 1)^2 square.
 
     Returns the offsets of the ring sites at chessboard distance r and the
-    probability of leaving onto each: the mean number of visits to the inward
-    site of each face of an all-working box, divided by 2d = 4, from one
-    sparse solve of the bulk system. Cached per process, keyed by r.
+    probability of leaving onto each: the absorption law of an all-working
+    box at Lambda = 0 launched from its centre site, one sparse solve of the
+    bulk system. Cached per process, keyed by r.
     """
     law = _EXIT_LAWS.get(r)
     if law is None:
         box = lattice_box(2 * r - 1, 2 * r - 1, 1.0, source_side=None)
-        lu, inward = _factor(box)
-        start = np.zeros(box.n_bulk)
-        start[box.site_index([r - 1, r - 1])] = 1.0
-        prob = lu.solve(start, trans="T")[inward] / 4.0
+        prob = _absorbed_masses(box, np.zeros(box.n_faces), start=(r - 1, r - 1))
         law = _EXIT_LAWS[r] = (box.face_exterior - (r - 1), prob)
     return law
 
@@ -540,6 +472,9 @@ def _jump_levels(dom: LatticeDomain) -> np.ndarray:
 
 
 def _lattice_kernel(dom, start, params):
+    if abs(params.a - dom.mesh) > 1e-12 * max(params.a, dom.mesh):
+        raise InvalidParam("params.a must equal the lattice mesh")
+    launch = dom._launch(start)
     nb, nf = dom.n_bulk, dom.n_faces
     table = dom.neighbor_table()
     two_d = 2 * dom.dimension
@@ -555,7 +490,6 @@ def _lattice_kernel(dom, start, params):
         hazard_of[nb + working] = -np.log(_reflection_probabilities(dom, params.Lambda)[working])
     bin_of = np.zeros(nb + nf + 1, dtype=np.int64)
     bin_of[nb + working] = np.arange(len(working))
-    launch = dom.inward_indices()[np.flatnonzero(dom.source_mask())]
     # the exit laws of every level present, filled here before chunks fan
     # out; level L's CDF is shifted by L, so one searchsorted draws them all
     level = _jump_levels(dom)
@@ -571,9 +505,8 @@ def _lattice_kernel(dom, start, params):
     last = np.array(last)
 
     def init(gen, n):
-        if isinstance(start, str):
-            return launch[gen.integers(0, len(launch), size=n)]
-        return np.full(n, start, dtype=np.int64)
+        # one launch site draws nothing: integers(0, 1) takes no bits
+        return launch[gen.integers(0, len(launch), size=n)]
 
     def hit(gen, sites, first):
         code = table[sites, gen.integers(0, two_d, size=len(sites))]
@@ -590,9 +523,11 @@ def _lattice_kernel(dom, start, params):
 
 
 def _kernel(dom, start, params: JumpParams, bins: int, window: float | None):
-    """The kernel of dom for a start already checked by _check_start."""
+    """The kernel of dom launched from start; each kernel refuses a start its domain cannot use."""
     if isinstance(dom, LatticeDomain):
         return _lattice_kernel(dom, start, params)
+    if not isinstance(dom, DomainSpec):
+        raise InvalidParam("dom must be a DomainSpec or LatticeDomain")
     if dom.kind is DomainKind.HALF_SPACE:
         return _halfspace_kernel(dom, start, params, bins, window)
     if dom.kind is DomainKind.ANNULUS:
@@ -619,9 +554,11 @@ def estimate_spread_measure(
     """Ensemble estimate of the spread harmonic measure.
 
     dom is a canonical DomainSpec or a LatticeDomain. start is an interior
-    point for canonical domains; for lattices it is a bulk site or the
-    string "source", which launches walkers uniformly over the bulk
-    neighbours of source faces, the same law hitting_distribution uses.
+    point for canonical domains; for lattices it is a bulk index, a bulk
+    site's integer coordinates, or the string "source", which launches
+    walkers uniformly over the bulk neighbours of source faces. The kernel
+    of dom checks the start before any walker moves, a lattice start through
+    LatticeDomain._launch, which the exact solves of dtn share.
     Binning: signed lateral coordinate over [-window, window] plus an
     overflow bin for the half-plane (radius |s| for d > 2), uniform angle
     bins for disks and the annulus, cos(polar angle) for balls, one bin per
@@ -652,7 +589,6 @@ def estimate_spread_measure(
             raise InvalidParam(f"PRBM_THREADS must be an integer, got {raw!r}") from None
     threads = _count(threads, "threads", 1)
 
-    start = _check_start(dom, start, params)
     edges, n_bins, steady, init, hit, to_bin = _kernel(dom, start, params, bins, window)
 
     def run_chunk(ci: int, cn: int):

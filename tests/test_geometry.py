@@ -484,7 +484,8 @@ def test_site_index_matches_dict(sites):
     """Every lookup against a dict built in row order, where the last row wins.
 
     Queries are the members, their near misses one and two steps off along
-    each axis, and points outside the bounding box out to the int64 limits.
+    each axis, and points outside the bounding box out to the int64 limits
+    and one past them, which is off every set.
     A set whose box has more cells than an int64 counts must be refused.
     """
     d = len(sites[0])
@@ -500,6 +501,7 @@ def test_site_index_matches_dict(sites):
     steps = [tuple(v * (k == axis) for k in range(d)) for axis in range(d) for v in (-2, -1, 1, 2)]
     queries = list(sites) + [tuple(c + e for c, e in zip(s, step)) for s in sites for step in steps]
     queries += [tuple(l - 1 for l in lo), tuple(h + 1 for h in hi), (_INT64.min,) * d, (_INT64.max,) * d]
+    queries += [(2**63,) + tuple(lo[1:])]
     queries += [tuple(hi[:k]) + (lo[k] - 1,) + tuple(hi[k + 1:]) for k in range(d)]
     assert index(queries).tolist() == [row.get(q, -1) for q in queries]
 
@@ -667,9 +669,14 @@ def graph_calls(monkeypatch):
     return calls
 
 
-def test_compare_flux_builds_each_strip_graph_once(graph_calls):
+def test_compare_flux_builds_each_strip_graph_once(graph_calls, monkeypatch):
+    lookups = []
+    call = geo._SiteIndex.__call__
+    monkeypatch.setattr(geo._SiteIndex, "__call__", lambda self, sites: lookups.append(1) or call(self, sites))
     lsa.compare_flux(lsa.koch_polyline(2), 1.0, 0.25, 1.0 / 64.0)
     assert graph_calls == {"_site_neighbors": 2, "_components": 2}
+    # each strip looks its faces' inward sites and exterior sites up once each
+    assert len(lookups) == 2 * 2
 
 
 def test_operator_and_walker_chain_builds_the_graph_once(graph_calls):

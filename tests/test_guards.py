@@ -53,7 +53,6 @@ _CALLS = {
     "jump_params_inf_Lambda": lambda box, spec: walkers.JumpParams(Lambda=INF, a=0.1),
     "jump_params_nan_a": lambda box, spec: walkers.JumpParams(Lambda=1.0, a=NAN),
     "jump_params_inf_a": lambda box, spec: walkers.JumpParams(Lambda=1.0, a=INF),
-    "sample_threshold_nan": lambda box, spec: walkers.sample_threshold(NAN, RngStream(0).generator()),
     "absorption_law_nan": lambda box, spec: dtn.absorption_law(box, NAN),
     "absorption_law_inf": lambda box, spec: dtn.absorption_law(box, INF),
     "spreading_operator_nan": lambda box, spec: dtn.spreading_operator(spec[0], NAN),
@@ -72,7 +71,6 @@ _CALLS = {
     "disk_spread_density_inf": lambda box, spec: spectral.disk_spread_density(0.5, 0.1, INF),
     "ball_spread_density_inf": lambda box, spec: spectral.ball_spread_density(0.5, 0.1, INF),
     "disk_spreading_kernel_inf": lambda box, spec: spectral.disk_spreading_kernel(0.1, 0.5, INF),
-    "sample_threshold_inf": lambda box, spec: walkers.sample_threshold(INF, RngStream(0).generator()),
     # these returned NaN
     "eta_inf": lambda box, spec: halfspace.eta(INF),
     "absorption_probability_disk_inf_r": lambda box, spec: halfspace.absorption_probability_disk(INF, 1.0),

@@ -63,20 +63,6 @@ def test_rng_stream_replay_and_blocks():
         RngStream(2**64)
 
 
-def test_sample_threshold():
-    gen = RngStream(5).generator()
-    assert wk.sample_threshold(0.0, gen) == 0.0
-    draws = np.array([wk.sample_threshold(2.0, gen) for _ in range(20_000)])
-    # successive draws are fresh, not one restarted block
-    assert len(np.unique(draws)) == len(draws)
-    # exponential with mean 2: the sample mean sits within 4 sigma
-    assert abs(draws.mean() - 2.0) < 4.0 * 2.0 / math.sqrt(len(draws))
-    with pytest.raises(InvalidParam):
-        wk.sample_threshold(-1.0, gen)
-    with pytest.raises(InvalidParam, match=r"\.generator\(\)"):
-        wk.sample_threshold(2.0, RngStream(1))
-
-
 def test_run_jump_walker_guards():
     """A start on or outside a canonical boundary is refused by the one walker
     driver, `estimate_spread_measure`, before any walker moves."""
@@ -606,6 +592,37 @@ def test_lattice_walkers_match_absorption_law_on_random_blobs(seed, n_sites, p_s
         assert stats.binomtest(k, hist.total, p).pvalue > _P_4SIGMA
 
 
+@pytest.mark.parametrize("case", ["box_with_source", "sourceless_channel"])
+def test_site_launched_walkers_match_the_solve_from_that_site(case):
+    """Lattice walkers launched at one bulk site against the exact solve from it.
+
+    dtn._absorbed_masses resolves the start as the walkers do. The box's
+    centre is far enough from its faces for the walkers to jump; the channel
+    has no source, so every walker ends on a working face. Working faces
+    pool by the side of the domain they face, and the source share is one
+    more pool: each share passes the exact binomial test at the two-sided
+    4 sigma level, with no allowance.
+    """
+    dom, start, lam = {
+        "box_with_source": (lattice_box(40, 40, 0.05), (20, 20), 0.1),
+        "sourceless_channel": (lattice_channel(12, 0.1, width=3, source_top=False), 7, 0.3),
+    }[case]
+    masses = dtn._absorbed_masses(dom, dtn._reflection_probabilities(dom, lam), start=start)
+    hist = wk.estimate_spread_measure(dom, start, wk.JumpParams(Lambda=lam, a=dom.mesh), 100_000, RngStream(31))
+    assert hist.censored == 0
+    if case == "box_with_source":
+        assert wk._jump_levels(dom)[dom.site_index([start])[0]] >= 3
+    else:
+        assert masses.sum() == pytest.approx(1.0, rel=1e-12) and hist.source_absorbed == 0
+    # the outward step of each working face: +x, -x, +y or -y
+    step = (dom.face_exterior - dom.face_inward)[dom.working_mask()]
+    side = 2 * np.abs(step).argmax(axis=1) + (step.sum(axis=1) < 0)
+    expected = np.append(np.bincount(side, masses, 4), 1.0 - masses.sum())
+    counts = np.append(np.bincount(side, hist.counts, 4), hist.source_absorbed).astype(int)
+    for k, p in zip(counts, np.clip(expected, 0.0, 1.0)):
+        assert stats.binomtest(k, hist.total, p).pvalue > _P_4SIGMA
+
+
 def test_estimate_guards(monkeypatch):
     dom = lattice_channel(6, 0.1)
     p = wk.JumpParams(Lambda=0.2, a=0.1)
@@ -619,10 +636,11 @@ def test_estimate_guards(monkeypatch):
         wk.estimate_spread_measure(dom, "source", wk.JumpParams(Lambda=0.2, a=0.05), 10, RngStream(0))
     with pytest.raises(InvalidParam):
         wk.estimate_spread_measure(object(), (0.0, 0.5), p, 10, RngStream(0))
-    # a lattice start is a bulk index or integer coordinates, never truncated;
-    # (3, 2) and index 1 are bulk sites of this box
+    # a lattice start is a bulk index or integer coordinates, never truncated,
+    # and coordinates past the int64 range name no site; (3, 2) and index 1
+    # are bulk sites of this box
     box = lattice_box(6, 6, 0.1)
-    for start in [(3.7, 2.2), np.array([3.5, 2.0]), True]:
+    for start in [(3.7, 2.2), np.array([3.5, 2.0]), True, (1e20, 0.0), (2**63, 0)]:
         with pytest.raises(InvalidParam):
             wk.estimate_spread_measure(box, start, p, 10, RngStream(0))
     # a canonical start must lie strictly inside its domain
