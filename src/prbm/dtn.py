@@ -132,20 +132,21 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
     probability 1/(2d); a step into a missing (reflecting) direction leaves
     it in place, which shows up as mass on the diagonal. Faces absorb, a
     working face f only with probability 1 - eps[f] when per-face
-    reflection probabilities eps are given.
+    reflection probabilities eps are given. validate(check_connected=False) gates it.
     """
-    table = dom.neighbor_table()
+    dom.validate(check_connected=False)
+    graph = dom._index().neighbors
     nb = dom.n_bulk
     two_d = 2 * dom.dimension
     inward = dom.inward_indices()
-    bulk_mask = (table >= 0) & (table < nb)
-    stay = (table == -1).sum(axis=1)
+    # a wall is an off-set neighbour that holds no face
+    stay = (graph < 0).sum(axis=1) - np.bincount(inward, minlength=nb)
     if eps is not None:
         working = dom.working_mask()
         stay = stay + np.bincount(inward[working], weights=eps[working], minlength=nb)
-    r, k = np.nonzero(bulk_mask)
+    r, k = np.nonzero(graph >= 0)
     P = sparse.coo_matrix(
-        (np.full(len(r), 1.0 / two_d), (r, table[r, k])), shape=(nb, nb)
+        (np.full(len(r), 1.0 / two_d), (r, graph[r, k])), shape=(nb, nb)
     ).tocsr()
     P = P + sparse.diags(stay / two_d)
     # a component with no absorbing face leaves I - P singular
@@ -156,7 +157,7 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
     dry = np.flatnonzero(np.bincount(labels[absorbing], minlength=len(sizes)) == 0)
     if len(dry):
         raise SingularSystem(f"bulk component of {int(sizes[dry[0]])} sites has no absorbing face")
-    return (sparse.eye(nb, format="csc") - P.tocsc()), inward
+    return sparse.eye(nb, format="csc") - P.tocsc()
 
 
 def _splu(system, permc_spec: str):
@@ -171,9 +172,8 @@ def _splu(system, permc_spec: str):
 
 
 def _factor(dom: LatticeDomain, eps: np.ndarray | None = None):
-    """Sparse LU of the bulk system under minimum degree, with each face's inward bulk index."""
-    system, inward = _bulk_system(dom, eps)
-    return _splu(system, "MMD_AT_PLUS_A"), inward
+    """Sparse LU of the bulk system under minimum degree."""
+    return _splu(_bulk_system(dom, eps), "MMD_AT_PLUS_A")
 
 
 def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
@@ -189,16 +189,15 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     last. The first LU also solves the Lambda = 0 source launch, whose masses
     the domain keeps for hitting_distribution.
     """
-    dom.validate(check_connected=False)
     working = np.flatnonzero(dom.working_mask())
     if len(working) == 0:
         raise InvalidParam("domain has no working faces")
-    system, inward = _bulk_system(dom)
+    system = _bulk_system(dom)
     lu = _splu(system, "MMD_AT_PLUS_A")
     has_source = bool(dom.source_mask().any())
     if has_source:
-        dom._hitting_masses = (dom.face_tag.copy(), _absorbed_masses(dom, np.zeros(dom.n_faces), (lu, inward)))
-    sites, face_site = np.unique(inward[working], return_inverse=True)
+        dom._hitting_masses = (dom.face_tag.copy(), _absorbed_masses(dom, np.zeros(dom.n_faces), lu=lu))
+    sites, face_site = np.unique(dom.inward_indices()[working], return_inverse=True)
     # the minimum-degree order (perm_c[i] is the position of site i) with S
     # moved last; the first factor is freed before the second is made
     order = np.argsort(lu.perm_c)
@@ -262,14 +261,14 @@ def spreading_operator(M: np.ndarray, Lambda: float, weight: np.ndarray | None =
     return T
 
 
-def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, factor=None, start="source") -> np.ndarray:
+def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, lu=None, start="source") -> np.ndarray:
     """Per-working-face absorption masses of a launch from start under reflection probabilities eps.
 
     start is resolved by LatticeDomain._launch, as the lattice walkers resolve
-    theirs. Solved on factor = (lu, inward) when given, else on a fresh _factor(dom, eps).
+    theirs. Solved on lu when given, else on a fresh _factor(dom, eps).
     """
     launch = dom._launch(start)
-    lu, inward = factor if factor is not None else _factor(dom, eps)
+    lu = lu if lu is not None else _factor(dom, eps)
     working = np.flatnonzero(dom.working_mask())
     # walkers start uniformly on the launch sites
     pi = np.zeros(dom.n_bulk)
@@ -278,7 +277,7 @@ def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, factor=None, start="so
     # each visit steps into the face with probability 1/(2d) and is
     # absorbed there with probability 1 - eps
     g = lu.solve(pi, trans="T")
-    return g[inward[working]] * (1.0 - eps[working]) / (2 * dom.dimension)
+    return g[dom.inward_indices()[working]] * (1.0 - eps[working]) / (2 * dom.dimension)
 
 
 def absorption_law(dom: LatticeDomain, Lambda: float) -> FluxVector:

@@ -7,7 +7,8 @@ check lengths, scales, times and coordinates through _nonnegative (finite,
 _signed, and counts, dimensions and indices through _count (an integer >=
 low, never a bool, float or string, never truncated); each raises
 InvalidParam naming the parameter. A list must hold non-bool numbers in a
-regular shape (_numbers). Range checks such as r < 1 follow the guard.
+regular shape (_numbers), a point one flat list of finite ones (_point).
+Range checks such as r < 1 follow the guard.
 """
 
 import numpy as np
@@ -116,6 +117,15 @@ def _signed(value, name: str) -> None:
     if not _is_number(value):
         raise InvalidParam(f"{name} must be a number, not {value!r}")
     _nonnegative(abs(value), f"|{name}|")
+
+
+def _point(value, name: str, length: int | None = None) -> np.ndarray:
+    """value as a float vector of finite non-bool numbers (a scalar is one), of length entries when given."""
+    x = _numbers(value, InvalidParam, name)
+    if x.dtype.kind not in "iuf" or x.ndim > 1 or (length is not None and x.size != length):
+        raise InvalidParam(f"{name} must be a point of {length or 'finite'} numbers, not {value!r}")
+    _nonnegative(np.abs(x), f"|{name}|")
+    return np.atleast_1d(x.astype(float))
 
 
 def _count(value, name: str, low: int) -> int:

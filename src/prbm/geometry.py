@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _count, _nonnegative, _numbers, _positive
+from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _count, _nonnegative, _numbers, _point, _positive
 
 __all__ = [
     "rasterize_loop",
@@ -132,7 +132,8 @@ class LatticeDomain:
     its unique bulk neighbour, i.e. the reflection target s + a n(s). The
     site graph belongs to the site index _lookup: a builder passes the index
     it built the faces with, and a hand-built domain makes one when first read.
-    The faces' inward sites are looked up in it once, when first read, and kept.
+    Nothing writes into that graph. A face is located in one place, _slots:
+    the slot of the graph, inward site and direction, that the face fills.
     """
 
     mesh: float
@@ -143,9 +144,8 @@ class LatticeDomain:
     face_tag: np.ndarray        # (nf,) uint8, BoundaryTag values
     face_weight: np.ndarray     # (nf,) float64 in (0, 1]
     face_arclength: np.ndarray | None = None  # (nf,) coordinate along the source polyline
-    _neighbors: np.ndarray | None = field(default=None, repr=False)
     _lookup: _SiteIndex | None = field(default=None, repr=False)
-    _inward: np.ndarray | None = field(default=None, repr=False)
+    _slot: np.ndarray | None = field(default=None, repr=False)
     # (face_tag solved for, per-working-face hitting masses of the source
     # launch), filled by dtn.build_Q and dtn.hitting_distribution
     _hitting_masses: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -187,19 +187,27 @@ class LatticeDomain:
         """Bulk index of each site (rows of d integer coordinates), -1 off the bulk."""
         return self._index()(sites)
 
-    def _inward_sites(self) -> np.ndarray:
-        """Bulk index of each face's inward site, -1 off the bulk; read-only and kept."""
-        if self._inward is None:
-            self._inward = self.site_index(self.face_inward)
-            self._inward.flags.writeable = False
-        return self._inward
+    def _slots(self) -> np.ndarray:
+        """Each face's slot inward_site * 2d + direction in the site graph; read-only and kept.
+
+        The direction is the face's column in _axis_offsets order. A face
+        that does not step from a bulk site to an adjacent site has slot -1.
+        """
+        if self._slot is None:
+            step = self.face_exterior - self.face_inward
+            site = self.site_index(self.face_inward)
+            adjacent = (np.abs(step).sum(axis=1) == 1) & (site >= 0)
+            direction = 2 * np.abs(step).argmax(axis=1) + (step.min(axis=1) < 0)
+            self._slot = np.where(adjacent, site * 2 * self.dimension + direction, -1)
+            self._slot.flags.writeable = False
+        return self._slot
 
     def inward_indices(self) -> np.ndarray:
         """Bulk index of each face's inward neighbour."""
-        index = self._inward_sites()
-        if np.any(index < 0):
-            raise DegenerateGeometry("face inward neighbour is not a bulk site")
-        return index
+        slot = self._slots()
+        if np.any(slot < 0):
+            raise DegenerateGeometry("a face does not step from a bulk site to an adjacent site")
+        return slot // (2 * self.dimension)
 
     def _launch(self, start) -> np.ndarray:
         """Bulk sites a walk from start begins at, each equally likely.
@@ -221,6 +229,8 @@ class LatticeDomain:
         site = np.asarray(start).ravel()
         integral = site.dtype.kind in "iu" or (
             site.dtype.kind == "f" and not np.any(_nonnegative(np.abs(site), "|start|") % 1)
+        ) or (  # Python integers past the uint64 range
+            site.dtype.kind == "O" and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in site)
         )
         if not integral:  # a bool is no index, and a fractional coordinate no site
             raise InvalidParam(f"lattice start {start!r} is neither a bulk index nor integer coordinates")
@@ -230,36 +240,25 @@ class LatticeDomain:
         return np.asarray(index, dtype=np.int64)
 
     def neighbor_table(self) -> np.ndarray:
-        """(n_bulk, 2d) table of neighbour codes for walks and solves.
+        """(n_bulk, 2d) table of neighbour codes for the lattice walk, a fresh copy.
 
         Entry values: 0 <= v < n_bulk is a bulk neighbour; n_bulk <= v is the
         boundary face v - n_bulk; MISSING_NEIGHBOR marks a reflecting wall
         (possible only in hand-built domains; rasterize seals the region).
-        Columns follow _axis_offsets: +x, -x, +y, -y, ... It is the site
-        index's table with the face codes written into its off-set slots.
+        Columns follow _axis_offsets: +x, -x, +y, -y, ... It is a copy of the
+        site graph with each face's code put at its slot; the codes mean what
+        they say on a domain that validate() accepts.
         """
-        if self._neighbors is not None:
-            return self._neighbors
-        nb, two_d = self.n_bulk, 2 * self.dimension
-        # a missing site indexes as -1, which is MISSING_NEIGHBOR
-        table = self._index().neighbors
-        # a face fills its inward site's slot in its direction unless a bulk
-        # neighbour holds it; of faces sharing a slot the last one wins
-        step = self.face_exterior - self.face_inward
-        owner = self._inward_sites()
-        f = np.flatnonzero((np.abs(step).sum(axis=1) == 1) & (owner >= 0))
-        axis = np.abs(step[f]).argmax(axis=1)
-        slot = owner[f] * two_d + 2 * axis + (step[f, axis] < 0)
-        slot, last = np.unique(slot[::-1], return_index=True)
-        free = table.flat[slot] == MISSING_NEIGHBOR
-        np.put(table, slot[free], nb + f[::-1][last[free]])
-        self._neighbors = table
+        slot = self._slots()
+        table = self._index().neighbors.copy()
+        f = np.flatnonzero(slot >= 0)
+        np.put(table, slot[f], self.n_bulk + f)
         return table
 
     # -- consistency ---------------------------------------------------------
 
     def validate(self, *, check_connected: bool = True) -> None:
-        """Check the structural invariants; raises on violation."""
+        """Check the structural invariants, each face in its own off-bulk slot; raises on violation."""
         _positive(self.mesh, "mesh")
         _count(self.dimension, "dimension", 2)
         if self.n_bulk == 0:
@@ -269,12 +268,12 @@ class LatticeDomain:
         tags = set(int(t) for t in np.unique(self.face_tag))
         if not tags <= {int(BoundaryTag.WORKING), int(BoundaryTag.SOURCE)}:
             raise InvalidParam("face tags must be Working or Source")
-        diff = np.abs(self.face_exterior - self.face_inward).sum(axis=1)
-        if self.n_faces and not np.all(diff == 1):
-            raise DegenerateGeometry("each face must join an adjacent site pair")
         self.inward_indices()
-        if np.any(self.site_index(self.face_exterior) >= 0):
+        slot = self._slots()
+        if np.any(self._index().neighbors.flat[slot] >= 0):
             raise DegenerateGeometry("face exterior site lies in the bulk")
+        if len(np.unique(slot)) < len(slot):
+            raise DegenerateGeometry("two faces fill one slot of the site graph")
         if self.n_faces and not np.all(_positive(self.face_weight, "face weights") <= 1.0 + 1e-12):
             raise InvalidParam("face weights must lie in (0, 1]")
         if check_connected and self._index().components[0] != 1:
@@ -301,8 +300,8 @@ class _SiteIndex:
 
     The index owns the set's graph: the (n, 2d) neighbour table and the
     component labels, each computed on first use and kept. A LatticeDomain
-    built from the set holds its index and writes its face codes into the
-    table's off-set slots in place, so a domain keeps one table.
+    built from the set holds its index and reads the graph; nothing writes
+    into it. Its faces sit at off-set slots, which LatticeDomain._slots locates.
     """
 
     def __init__(self, sites: np.ndarray) -> None:
@@ -345,12 +344,13 @@ class _SiteIndex:
 
     @functools.cached_property
     def neighbors(self) -> np.ndarray:
-        """(n, 2d) index of each site's neighbours in _axis_offsets order.
+        """(n, 2d) index of each site's neighbours in _axis_offsets order, read-only.
 
-        Entries in [0, n) are sites of the set; -1 (or, once a LatticeDomain
-        has filled it, a face code n + f) is off it.
+        Entries in [0, n) are sites of the set; -1 is off it.
         """
-        return _site_neighbors(self)
+        table = _site_neighbors(self)
+        table.flags.writeable = False
+        return table
 
     @functools.cached_property
     def components(self) -> tuple[int, np.ndarray]:
@@ -377,13 +377,13 @@ def _site_neighbors(index: _SiteIndex) -> np.ndarray:
 
 
 def _components(table: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of n sites from an (n, 2d) neighbour table.
+    """Connected components of n sites from their (n, 2d) site graph.
 
-    Entries in [0, n) are neighbouring sites; anything else (faces, -1) is
-    ignored. Returns the component count and each site's label.
+    Entries in [0, n) are neighbouring sites and -1 is off the set, where a
+    face or a wall sits. Returns the component count and each site's label.
     """
     n = len(table)
-    r, k = np.nonzero((table >= 0) & (table < n))
+    r, k = np.nonzero(table >= 0)
     adjacency = sparse.coo_matrix((np.ones(len(r)), (r, table[r, k])), shape=(n, n))
     return connected_components(adjacency, directed=False)
 
@@ -393,11 +393,11 @@ def _boundary_faces(index: _SiteIndex, keep=None) -> tuple[np.ndarray, np.ndarra
 
     One face per bulk site and axis step that leaves the set, bulk-site-major
     and in _axis_offsets order within a site. keep(exterior) -> bool mask
-    drops faces; a side wall with no faces reflects. A table slot is off the
-    set whether it still holds -1 or a domain has written a face code there.
+    drops faces; a side wall with no faces reflects. Each face is an off-set
+    slot (-1) of the index's site graph, the slot LatticeDomain._slots gives it.
     """
     table = index.neighbors
-    s, k = np.nonzero((table < 0) | (table >= len(table)))
+    s, k = np.nonzero(table < 0)
     inward = index.sites[s]
     exterior = inward + _axis_offsets(index.dimension)[k]
     if keep is not None:
@@ -518,9 +518,9 @@ def load_polyline(source: str | Path | list) -> np.ndarray:
 def circle_polyline(radius: float, n: int = 2048, center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
     """Closed regular n-gon approximating a circle, last point == first."""
     _positive(radius, "radius")
-    _nonnegative(np.abs(center), "|center|")
+    c = _point(center, "center", 2)
     th = np.linspace(0.0, 2.0 * np.pi, _count(n, "n", 3) + 1)
-    return np.column_stack((center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)))
+    return np.column_stack((c[0] + radius * np.cos(th), c[1] + radius * np.sin(th)))
 
 
 def _is_closed(poly: np.ndarray) -> bool:

@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 from scipy import integrate, special
 
-from .errors import InvalidParam, NumericOverflowWarning, SlowConvergence, _count, _nonnegative, _positive
+from .errors import InvalidParam, NumericOverflowWarning, SlowConvergence, _count, _nonnegative, _point, _positive
 
 __all__ = [
     "stopping_time_density",
@@ -179,7 +179,7 @@ def spread_kernel_t(s, Lambda: float, d: int = 2) -> float:
     """
     lam = _positive(Lambda, "Lambda")
     d = _count(d, "d", 2)
-    r = math.hypot(*np.atleast_1d(_nonnegative(np.abs(s), "|s|")))
+    r = math.hypot(*_point(s, "s"))
     if r == 0.0:
         return math.inf
     return _in_range(_omega(lam, r, d, _climb(0.0, r / lam, d)), "spread_kernel_t")
@@ -203,17 +203,13 @@ def absorption_probability_disk(r: float, Lambda: float, d: int = 2) -> float:
 
 def _interior(x, s, d: int | None):
     """(d, height, lateral distance) of interior point x from boundary point s, both checked."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _point(x, "x")
     d = _count(len(x) if d is None else d, "d", 2)
     if len(x) != d:
         raise InvalidParam("x must be a d-vector")
-    _nonnegative(np.abs(x), "|x|")
     if not x[-1] > 0:
         raise InvalidParam("x must lie strictly inside the half-space (x_d > 0)")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    _nonnegative(np.abs(s), "|s|")
-    if len(s) != d - 1:
-        raise InvalidParam("s must have d-1 lateral coordinates")
+    s = _point(s, "s", d - 1)
     return d, float(x[-1]), math.hypot(*(x[:-1] - s))
 
 

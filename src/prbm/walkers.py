@@ -40,7 +40,7 @@ import numpy as np
 from scipy import special
 
 from .dtn import _absorbed_masses, _reflection_probabilities
-from .errors import ExcessiveCensoring, InvalidParam, _count, _nonnegative, _numbers, _positive
+from .errors import ExcessiveCensoring, InvalidParam, _count, _nonnegative, _point, _positive
 from .geometry import DomainKind, DomainSpec, LatticeDomain, lattice_box
 from .rng import RngStream
 
@@ -256,15 +256,6 @@ def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to, steady):
     return counts, source, censored, total_refl, refl_counts
 
 
-def _point(dom, start) -> np.ndarray:
-    """A canonical start as a float vector of dom's dimension, each coordinate a finite number."""
-    x = _numbers(start, InvalidParam, "start")
-    if x.dtype.kind not in "iuf" or x.shape != (dom.dimension,):
-        raise InvalidParam(f"start must be a point of {dom.dimension} numbers, not {start!r}")
-    _nonnegative(np.abs(x), "|start|")
-    return x.astype(float)
-
-
 def _round_side(r: float, interior: bool, params: JumpParams, body: str) -> None:
     """Refuse a start radius r on the wrong side of the unit circle or sphere, or an interior jump of a >= 1."""
     if not (r < 1.0 if interior else r > 1.0):
@@ -284,7 +275,7 @@ def _angle_bins(bins: int):
 
 
 def _halfspace_kernel(dom, start, params, bins, window):
-    x = _point(dom, start)
+    x = _point(start, "start", dom.dimension)
     if not x[-1] > 0:
         raise InvalidParam("start must lie strictly above the boundary")
     d = dom.dimension
@@ -320,7 +311,7 @@ def _halfspace_kernel(dom, start, params, bins, window):
 
 
 def _disk_kernel(dom, start, params, bins):
-    x = _point(dom, start)
+    x = _point(start, "start", dom.dimension)
     interior = dom.kind is DomainKind.DISK_INTERIOR
     r0 = float(np.hypot(x[0], x[1]))
     _round_side(r0, interior, params, "disk")
@@ -340,7 +331,7 @@ def _disk_kernel(dom, start, params, bins):
 
 
 def _ball_kernel(dom, start, params, bins):
-    x = _point(dom, start)
+    x = _point(start, "start", dom.dimension)
     interior = dom.kind is DomainKind.BALL_INTERIOR
     r0 = float(np.linalg.norm(x))
     _round_side(r0, interior, params, "ball")
@@ -372,7 +363,7 @@ def _ball_kernel(dom, start, params, bins):
 
 
 def _annulus_kernel(dom, start, params, bins):
-    x = _point(dom, start)
+    x = _point(start, "start", dom.dimension)
     R = dom.outer_radius
     if R is None:
         raise InvalidParam("annulus spec is missing its outer radius")
@@ -444,17 +435,17 @@ def _jump_levels(dom: LatticeDomain) -> np.ndarray:
     """Per bulk site, the level L of its jumps (r = 2^L sites), 0 for a plain step.
 
     The chessboard distance c to the nearest special site comes from
-    8-neighbourhood erosion over the neighbour table, stopped at _JUMP_TOP:
-    the diagonals are the +-y neighbours of the +-x neighbours, and a non-bulk
-    code counts as distance 0, so no bounding-box grid is needed. Only the
+    8-neighbourhood erosion over the site graph, stopped at _JUMP_TOP: the
+    diagonals are the +-y neighbours of the +-x neighbours, and a face or wall
+    (-1) counts as distance 0, so no bounding-box grid is needed. Only the
     square lattice has exit laws; in other dimensions every level is 0.
     """
     nb = dom.n_bulk
     if dom.dimension != 2:
         return np.zeros(nb, dtype=np.int64)
-    table = dom.neighbor_table()
+    graph = dom._index().neighbors
     # faces and walls all map to the extra index nb, at distance 0
-    code = np.vstack([np.where((table >= 0) & (table < nb), table, nb), np.full(4, nb)])
+    code = np.vstack([np.where(graph >= 0, graph, nb), np.full(4, nb)])
     around = np.column_stack([code[:nb], code[code[:nb, 0], 2:], code[code[:nb, 1], 2:]])
     special = (code[:nb] == nb).any(axis=1)
     dist = np.where(np.append(special, True), 0, _JUMP_TOP)
@@ -472,6 +463,7 @@ def _jump_levels(dom: LatticeDomain) -> np.ndarray:
 
 
 def _lattice_kernel(dom, start, params):
+    dom.validate(check_connected=False)
     if abs(params.a - dom.mesh) > 1e-12 * max(params.a, dom.mesh):
         raise InvalidParam("params.a must equal the lattice mesh")
     launch = dom._launch(start)

@@ -47,7 +47,7 @@ def test_build_q_against_dense_inverse():
 
 def _chunked_Q_oracle(dom):
     """Q as build_Q made it before the Schur-complement route: G[S, S] column by column from _factor."""
-    lu, inward = dtn._factor(dom)
+    lu, inward = dtn._factor(dom), dom.inward_indices()
     working = np.flatnonzero(dom.working_mask())
     sites, face_site = np.unique(inward[working], return_inverse=True)
     ns = len(sites)
@@ -260,7 +260,7 @@ def test_absorption_distribution_monotone_mass(box16, box16_Q):
 
 def _hitting_oracle(dom):
     """The hitting law from its own Lambda = 0 solve, whatever build_Q left on the domain."""
-    lu, inward = dtn._factor(dom)
+    lu, inward = dtn._factor(dom), dom.inward_indices()
     working = np.flatnonzero(dom.working_mask())
     source = np.flatnonzero(dom.source_mask())
     start = np.zeros(dom.n_bulk)

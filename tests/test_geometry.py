@@ -459,6 +459,65 @@ def test_validate_catches_misplaced_faces():
         inside.validate()
 
 
+def _box_with_faces(faces=None, exterior=None):
+    """A 4x4 box with its faces taken in the order faces, or with new exterior sites."""
+    box = geo.lattice_box(4, 4, 0.25)
+    faces = np.arange(box.n_faces) if faces is None else faces
+    return geo.LatticeDomain(
+        mesh=box.mesh,
+        dimension=2,
+        bulk_sites=box.bulk_sites,
+        face_exterior=(box.face_exterior if exterior is None else exterior)[faces],
+        face_inward=box.face_inward[faces],
+        face_tag=box.face_tag[faces],
+        face_weight=box.face_weight[faces],
+    )
+
+
+def _face_listed_twice():
+    box = geo.lattice_box(4, 4, 0.25)
+    return _box_with_faces(faces=np.append(np.arange(box.n_faces), np.flatnonzero(box.working_mask())[0]))
+
+
+def _face_into_the_bulk():
+    box = geo.lattice_box(4, 4, 0.25)
+    exterior = box.face_exterior.copy()
+    exterior[0] = 2 * box.face_inward[0] - exterior[0]  # the bulk site across its inward site
+    return _box_with_faces(exterior=exterior)
+
+
+@pytest.mark.parametrize("build", [_face_listed_twice, _face_into_the_bulk], ids=["listed_twice", "into_the_bulk"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(geo.LatticeDomain.validate, id="validate"),
+        pytest.param(dtn.build_Q, id="build_Q"),
+        pytest.param(lambda dom: dtn.absorption_law(dom, 0.5), id="absorption_law"),
+        pytest.param(dtn.hitting_distribution, id="hitting_distribution"),
+        pytest.param(
+            lambda dom: walkers.estimate_spread_measure(
+                dom, "source", walkers.JumpParams(Lambda=0.5, a=dom.mesh), 100, RngStream(0)
+            ),
+            id="estimate_spread_measure",
+        ),
+    ],
+)
+def test_every_lattice_solve_and_walk_refuses_misplaced_faces(build, call):
+    """A face that shares its slot or sits on a bulk neighbour is refused by validate and by every solve and walk."""
+    with pytest.raises(DegenerateGeometry):
+        call(build())
+
+
+def test_solves_and_walks_leave_the_site_graph_unwritten():
+    dom = geo.rasterize(geo.circle_polyline(1.0, 256), geo.circle_polyline(3.0, 256), 1.0 / 8.0)
+    table = dom.neighbor_table()
+    assert np.any(table >= dom.n_bulk)
+    dtn.absorption_law(dom, 0.5)
+    walkers.estimate_spread_measure(dom, "source", walkers.JumpParams(Lambda=0.5, a=dom.mesh), 2_000, RngStream(0))
+    graph = dom._index().neighbors
+    assert np.array_equal(graph, geo._site_neighbors(geo._SiteIndex(dom.bulk_sites)))
+
+
 _INT64 = np.iinfo(np.int64)
 
 
@@ -675,8 +734,8 @@ def test_compare_flux_builds_each_strip_graph_once(graph_calls, monkeypatch):
     monkeypatch.setattr(geo._SiteIndex, "__call__", lambda self, sites: lookups.append(1) or call(self, sites))
     lsa.compare_flux(lsa.koch_polyline(2), 1.0, 0.25, 1.0 / 64.0)
     assert graph_calls == {"_site_neighbors": 2, "_components": 2}
-    # each strip looks its faces' inward sites and exterior sites up once each
-    assert len(lookups) == 2 * 2
+    # each strip looks its faces' inward sites up once; no exterior site is looked up
+    assert len(lookups) == 2
 
 
 def test_operator_and_walker_chain_builds_the_graph_once(graph_calls):

@@ -121,6 +121,14 @@ _CALLS = {
     # scipy's eigh raised its own ValueError
     "spectrum_nan_M": lambda box, spec: dtn.spectrum(np.full((2, 2), NAN), None, [1, 1]),
     "spectrum_inf_M": lambda box, spec: dtn.spectrum(np.full((2, 2), INF), None, [1, 1]),
+    # a coordinate list of strings or bools was read as numbers, or raised
+    # numpy's UFuncTypeError
+    "harmonic_density_halfspace_string_x": lambda box, spec: halfspace.harmonic_density_halfspace(["0", "1"], 0.0),
+    "harmonic_density_halfspace_bool_x_s": lambda box, spec: halfspace.harmonic_density_halfspace([True, True], False),
+    "spread_density_halfspace_string_x_s": lambda box, spec: halfspace.spread_density_halfspace(["0", "1"], "0.5", 1.0),
+    "spread_kernel_t_string_s": lambda box, spec: halfspace.spread_kernel_t(["1"], 1.0),
+    "circle_polyline_string_center": lambda box, spec: geo.circle_polyline(1.0, 16, ("0", "0")),
+    "circle_polyline_bool_center": lambda box, spec: geo.circle_polyline(1.0, 16, (True, 0)),
 }
 
 
