@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _count, _nonnegative, _numbers, _point, _positive
+from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _count, _numbers, _point, _positive
 
 __all__ = [
     "rasterize_loop",
@@ -226,13 +227,9 @@ class LatticeDomain:
             if _count(start, "bulk site index", 0) >= self.n_bulk:
                 raise InvalidParam(f"bulk site index {start} out of range")
             return np.array([start], dtype=np.int64)
-        site = np.asarray(start).ravel()
-        integral = site.dtype.kind in "iu" or (
-            site.dtype.kind == "f" and not np.any(_nonnegative(np.abs(site), "|start|") % 1)
-        ) or (  # Python integers past the uint64 range
-            site.dtype.kind == "O" and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in site)
-        )
-        if not integral:  # a bool is no index, and a fractional coordinate no site
+        # a bool anywhere is no coordinate, and a fractional coordinate no site
+        site = _numbers(start, InvalidParam, "lattice start").ravel()
+        if not _integral(site):
             raise InvalidParam(f"lattice start {start!r} is neither a bulk index nor integer coordinates")
         index = self.site_index(site) if len(site) == self.dimension else [-1]
         if index[0] < 0:
@@ -261,6 +258,11 @@ class LatticeDomain:
         """Check the structural invariants, each face in its own off-bulk slot; raises on violation."""
         _positive(self.mesh, "mesh")
         _count(self.dimension, "dimension", 2)
+        for name in ("bulk_sites", "face_inward", "face_exterior"):
+            # checked before any site index casts them to int64, which drops a fraction
+            sites = np.asarray(getattr(self, name))
+            if sites.dtype.kind == "O" or not _integral(sites) or np.any(np.abs(sites) >= 2**63):
+                raise DegenerateGeometry(f"{name} must hold int64 coordinates, no fractions, NaNs, infinities or bools")
         if self.n_bulk == 0:
             raise DegenerateGeometry("no bulk sites")
         if self._index().n_distinct != self.n_bulk:
@@ -278,6 +280,15 @@ class LatticeDomain:
             raise InvalidParam("face weights must lie in (0, 1]")
         if check_connected and self._index().components[0] != 1:
             raise MeshTooCoarse("bulk sites do not form a connected set")
+
+
+def _integral(values: np.ndarray) -> bool:
+    """Whether values holds integers: an integer dtype, finite integral floats or Python ints, never bools."""
+    if values.dtype.kind == "f":
+        return bool(np.all(np.isfinite(values))) and not np.any(values % 1)
+    if values.dtype.kind == "O":  # Python integers past the uint64 range
+        return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values.flat)
+    return values.dtype.kind in "iu"
 
 
 def _axis_offsets(d: int) -> np.ndarray:
@@ -750,6 +761,50 @@ def rasterize_loop(polyline, mesh: float) -> LatticeDomain:
     return _rasterize([poly], [poly], mesh, "polyline encloses no lattice sites at this mesh")
 
 
+def _channel_domain(profile: np.ndarray, source_height: float, mesh: float, source_top: bool = True) -> LatticeDomain:
+    """Strip between an open working curve and a flat source overhead.
+
+    Bulk sites fill the region between the curve and the source line, and
+    only the components that touch the source are kept: a pocket the curve
+    seals off carries no flux. The side columns get no faces, so they
+    reflect. Working faces take weight and arclength from the nearest curve
+    segment; source faces (the top row's, unless source_top is False) have
+    weight 1 and arclength 0 and sort last. The fill and the face geometry
+    run in site units, on profile / mesh, so any positive mesh builds the
+    strip it names.
+    """
+    if not source_height > profile[:, 1].max():
+        raise InvalidParam("source must sit above the whole working curve")
+    if profile[-1, 0] <= profile[0, 0]:
+        raise InvalidParam("profile must run left to right")
+    curve, top = profile / mesh, source_height / mesh
+    x0, x1 = float(curve[0, 0]), float(curve[-1, 0])
+    i_lo, i_hi, j_top = int(round(x0)), int(round(x1)), int(round(top))
+    j_lo = int(np.floor(curve[:, 1].min())) - 1
+    loop = np.vstack((curve, [[x1, top], [x0, top]], curve[:1]))
+    bulk = _sites_inside([loop], (i_lo, j_lo), (i_hi, j_top), 1.0)
+    if len(bulk) == 0:
+        raise DegenerateGeometry("no bulk sites between the curve and the source")
+    # the top row's +y steps are the source faces
+    top_row = bulk[:, 1] == j_top - 1
+    if not top_row.any():
+        raise DegenerateGeometry("no bulk site touches the source")
+    index = _SiteIndex(bulk)
+    n_comp, label = index.components
+    if n_comp > 1:
+        index = _SiteIndex(bulk[np.isin(label, label[top_row])])
+    # reflecting side walls get no faces at all
+    inward, exterior = _boundary_faces(index, keep=lambda t: (t[:, 0] >= i_lo) & (t[:, 0] < i_hi))
+    tags = np.where((exterior[:, 1] >= j_top) & source_top, BoundaryTag.SOURCE, BoundaryTag.WORKING)
+    weight = np.ones(len(tags))
+    arc = np.zeros(len(tags))
+    working = tags == BoundaryTag.WORKING
+    if not working.any():
+        raise DegenerateGeometry("the curve produced no working faces")
+    _, arc[working], weight[working] = _face_geometry(inward[working], exterior[working], 1.0, curve)
+    return _assemble(mesh, index, inward, exterior, tags, weight, arc * mesh)
+
+
 def lattice_channel(
     n_rows: int,
     mesh: float,
@@ -758,16 +813,17 @@ def lattice_channel(
 ) -> LatticeDomain:
     """Vertical channel with reflecting side walls (quasi-1D test geometry).
 
-    Bulk is a width-by-n_rows column; bottom faces are Working, top faces are
-    Source (or Working when source_top is False). Side neighbours are simply
-    absent, which walk and solve code treats as reflecting.
+    The _channel_domain strip under the flat profile (0, 0)-(width * mesh, 0)
+    with its source at n_rows * mesh: a width-by-n_rows block of bulk sites,
+    x-major, whose bottom faces, with arclength (i + 0.5) * mesh, are
+    Working and whose top faces are Source (Working when source_top is
+    False). A height or width that overflows a float raises InvalidParam.
     """
     n_rows, width = _count(n_rows, "n_rows", 2), _count(width, "width", 1)
     if not isinstance(source_top, (bool, np.bool_)):
         raise InvalidParam(f"source_top must be a bool, not {source_top!r}")
-    bulk = _grid_sites((0, 0), (width, n_rows))
-    index = _SiteIndex(bulk)
-    inward, exterior = _boundary_faces(index, keep=lambda t: (t[:, 0] >= 0) & (t[:, 0] < width))
-    source = (exterior[:, 1] >= n_rows) & source_top
-    tags = np.where(source, BoundaryTag.SOURCE, BoundaryTag.WORKING)
-    return _assemble(mesh, index, inward, exterior, tags, np.ones(len(tags)))
+    mesh = _positive(mesh, "mesh")
+    size = max(n_rows, width)  # compared as an int first: a count past the float range cannot convert
+    if size > sys.float_info.max or not math.isfinite(size * mesh):
+        raise InvalidParam(f"a {width} x {n_rows} channel at mesh {mesh} overflows a float")
+    return _channel_domain(np.array([[0.0, 0.0], [width * mesh, 0.0]]), n_rows * mesh, mesh, source_top)

@@ -5,7 +5,8 @@ arclength intervals of length Lambda, replace each interval by its endpoint
 chord, and impose a perfect-absorption condition on the chorded curve. Its
 total diffusive flux should then track the semi-permeable flux across the
 original curve at that Lambda. Both fluxes are computed on lattice strips
-with a flat source overhead and reflecting side walls.
+with a flat source overhead and reflecting side walls, built by
+geometry._channel_domain, the one strip builder, which lattice_channel uses too.
 
 Each flux is one sparse solve: the partially reflected lattice walk's
 absorption law from the source (dtn.absorption_law) at Lambda on the
@@ -22,17 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dtn
-from .errors import DegenerateGeometry, InvalidParam, PerimeterTooSmall, _count, _positive, _signed
-from .geometry import (
-    BoundaryTag,
-    LatticeDomain,
-    _assemble,
-    _boundary_faces,
-    _face_geometry,
-    _SiteIndex,
-    _sites_inside,
-    load_polyline,
-)
+from .errors import InvalidParam, PerimeterTooSmall, _count, _positive, _signed
+from .geometry import LatticeDomain, _channel_domain, load_polyline
 
 __all__ = ["CoarseGrainReport", "coarse_grain", "koch_polyline", "compare_flux"]
 
@@ -54,11 +46,6 @@ class CoarseGrainReport:
     note: str = _ANCHOR_NOTE
 
 
-def _arclengths(poly: np.ndarray) -> np.ndarray:
-    steps = np.linalg.norm(np.diff(poly, axis=0), axis=1)
-    return np.concatenate(([0.0], np.cumsum(steps)))
-
-
 def coarse_grain(curve, Lambda: float) -> np.ndarray:
     """Replace consecutive arclength-Lambda intervals of the curve by chords.
 
@@ -69,7 +56,7 @@ def coarse_grain(curve, Lambda: float) -> np.ndarray:
     """
     Lambda = _positive(Lambda, "Lambda")
     poly = load_polyline(curve)
-    arc = _arclengths(poly)
+    arc = np.concatenate(([0.0], np.cumsum(np.linalg.norm(np.diff(poly, axis=0), axis=1))))
     perimeter = float(arc[-1])
     if perimeter <= Lambda:
         raise PerimeterTooSmall(
@@ -108,51 +95,6 @@ def koch_polyline(generation: int) -> np.ndarray:
         ).reshape(-1, 2)
         pts = np.vstack((pts[:1], new))
     return pts
-
-
-def _channel_domain(profile: np.ndarray, source_height: float, mesh: float) -> LatticeDomain:
-    """Strip between an open working curve and a flat source overhead.
-
-    Bulk sites fill the region bounded below by the curve and above by the
-    source line; the side columns get no faces, which the walk and solve
-    machinery treats as reflecting walls. Only the bulk components that
-    touch the source are kept: a pocket the curve seals off from it carries
-    no flux. Working faces take their weight and arclength from the nearest
-    curve segment, like rasterize does.
-    """
-    if not source_height > profile[:, 1].max():
-        raise InvalidParam("source must sit above the whole working curve")
-    x0, x1 = float(profile[0, 0]), float(profile[-1, 0])
-    if x1 <= x0:
-        raise InvalidParam("profile must run left to right")
-    i_lo = int(round(x0 / mesh))
-    i_hi = int(round(x1 / mesh))
-    j_top = int(round(source_height / mesh))
-    j_lo = int(np.floor(profile[:, 1].min() / mesh)) - 1
-    loop = np.vstack(
-        (profile, [[x1, source_height], [x0, source_height]], profile[:1])
-    )
-    bulk = _sites_inside([loop], (i_lo, j_lo), (i_hi, j_top), mesh)
-    if len(bulk) == 0:
-        raise DegenerateGeometry("no bulk sites between the curve and the source")
-    # the top row's +y steps are the source faces
-    top = bulk[:, 1] == j_top - 1
-    if not top.any():
-        raise DegenerateGeometry("no bulk site touches the source")
-    index = _SiteIndex(bulk)
-    n_comp, label = index.components
-    if n_comp > 1:
-        index = _SiteIndex(bulk[np.isin(label, label[top])])
-    # reflecting side walls get no faces at all
-    inward, exterior = _boundary_faces(index, keep=lambda t: (t[:, 0] >= i_lo) & (t[:, 0] < i_hi))
-    tags = np.where(exterior[:, 1] >= j_top, BoundaryTag.SOURCE, BoundaryTag.WORKING)
-    weight = np.ones(len(tags))
-    arc = np.zeros(len(tags))
-    working = tags == BoundaryTag.WORKING
-    if not working.any():
-        raise DegenerateGeometry("the curve produced no working faces")
-    _, arc[working], weight[working] = _face_geometry(inward[working], exterior[working], mesh, profile)
-    return _assemble(mesh, index, inward, exterior, tags, weight, arc)
 
 
 def _total_flux(dom: LatticeDomain, Lambda: float, D: float) -> float:

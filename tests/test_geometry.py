@@ -486,7 +486,23 @@ def _face_into_the_bulk():
     return _box_with_faces(exterior=exterior)
 
 
-@pytest.mark.parametrize("build", [_face_listed_twice, _face_into_the_bulk], ids=["listed_twice", "into_the_bulk"])
+def _fractional_box():
+    """A 3x3 box with every coordinate moved by 0.4, which an int64 cast would move back."""
+    box = geo.lattice_box(3, 3, 0.25)
+    return geo.LatticeDomain(
+        mesh=box.mesh,
+        dimension=2,
+        bulk_sites=box.bulk_sites + 0.4,
+        face_exterior=box.face_exterior + 0.4,
+        face_inward=box.face_inward + 0.4,
+        face_tag=box.face_tag,
+        face_weight=box.face_weight,
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [_face_listed_twice, _face_into_the_bulk, _fractional_box], ids=["listed_twice", "into_the_bulk", "fractional"]
+)
 @pytest.mark.parametrize(
     "call",
     [
@@ -506,6 +522,23 @@ def test_every_lattice_solve_and_walk_refuses_misplaced_faces(build, call):
     """A face that shares its slot or sits on a bulk neighbour is refused by validate and by every solve and walk."""
     with pytest.raises(DegenerateGeometry):
         call(build())
+
+
+def test_validate_wants_integer_coordinates():
+    """Integral floats pass; a fraction, a non-finite value, a bool or a float past int64 is refused."""
+    box = geo.lattice_box(3, 3, 0.25)
+    arrays = {name: getattr(box, name) for name in ("bulk_sites", "face_inward", "face_exterior")}
+
+    def domain(**changed):
+        return geo.LatticeDomain(
+            mesh=box.mesh, dimension=2, face_tag=box.face_tag, face_weight=box.face_weight, **{**arrays, **changed}
+        )
+
+    domain(**{name: a.astype(float) for name, a in arrays.items()}).validate()
+    for name, a in arrays.items():
+        for bad in (a + 0.4, np.where(a == 0, np.inf, a), np.where(a == 0, np.nan, a), a != 0, a * 1e19):
+            with pytest.raises(DegenerateGeometry, match=name):
+                domain(**{name: bad}).validate()
 
 
 def test_solves_and_walks_leave_the_site_graph_unwritten():
@@ -755,3 +788,57 @@ def test_operator_and_walker_chain_builds_the_graph_once(graph_calls):
     dtn.absorption_law(dom, 0.5)
     walk(dom)
     assert graph_calls == {"_site_neighbors": 1, "_components": 1}
+
+
+# -- the strip builder -----------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_rows=st.integers(2, 101),
+    width=st.integers(1, 5),
+    mesh=st.sampled_from([1e-3, 0.05, 0.07, 0.1, 1.0 / 3.0, 7.0, 5e-324, 1e-310, 1e300, 1e306]) | st.floats(1e-3, 10.0),
+    source_top=st.booleans(),
+    Lambda=st.sampled_from([0.0, 1e3]) | st.floats(0.0, 1e3),
+)
+def test_lattice_channel_is_the_flat_strip(n_rows, width, mesh, source_top, Lambda):
+    """The width x n_rows grid, x-major, with weight-1 faces only above and below.
+
+    Working faces come in bulk-site order with arclength (i + 0.5) mesh to
+    two ulps, and the absorption law from the source is the flat-strip
+    Robin law a / (n_rows a + Lambda + a) that the koch-coarse-grain
+    benchmark holds compare_flux to.
+    """
+    ch = geo.lattice_channel(n_rows, mesh, width, source_top)
+    assert np.array_equal(ch.bulk_sites, geo._grid_sites((0, 0), (width, n_rows)))
+    x, y = ch.face_exterior.T
+    assert np.array_equal(x, ch.face_inward[:, 0])
+    below = y < 0
+    assert np.array_equal(y, np.where(below, -1, n_rows))
+    assert np.array_equal(ch.face_inward[:, 1], np.where(below, 0, n_rows - 1))
+    assert ch.n_faces == 2 * width and np.all(ch.face_weight == 1.0)
+    assert np.array_equal(ch.source_mask(), ~below & source_top)
+    working = ch.working_mask()
+    # the strip's right end is width * mesh / mesh, which may sit an ulp off width
+    np.testing.assert_allclose(ch.face_arclength[working], (x[working] + 0.5) * mesh, rtol=4.5e-16, atol=0)
+    assert np.all(np.diff(ch.site_index(ch.face_inward[working])) >= 0)
+    if source_top and 1e-3 <= mesh <= 10.0:
+        law = dtn.absorption_law(ch, Lambda)
+        assert law.absorbed_fraction == pytest.approx(mesh / (n_rows * mesh + Lambda + mesh), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("mesh", [5e-324, 1e-310, 1e300, 1e306])
+@pytest.mark.parametrize("n_rows, width", [(3, 1), (7, 3), (40, 2)])
+def test_lattice_channel_at_extreme_meshes(mesh, n_rows, width):
+    """The fill runs in site units, so a mesh near either end of the float range
+    builds the width x n_rows grid, without a warning (pytest makes one an error)."""
+    ch = geo.lattice_channel(n_rows, mesh, width)
+    assert np.array_equal(ch.bulk_sites, geo._grid_sites((0, 0), (width, n_rows)))
+    assert np.array_equal(ch.face_exterior[ch.working_mask(), 1], np.full(width, -1))
+    assert np.array_equal(ch.face_exterior[ch.source_mask(), 1], np.full(width, n_rows))
+
+
+@pytest.mark.parametrize("n_rows, width, mesh", [(40, 1, 1e307), (2, 40, 1e307), (10**400, 1, 1e-3)])
+def test_lattice_channel_refuses_a_float_overflow(n_rows, width, mesh):
+    with pytest.raises(InvalidParam, match="overflows a float"):
+        geo.lattice_channel(n_rows, mesh, width)

@@ -640,7 +640,7 @@ def test_estimate_guards(monkeypatch):
     # and coordinates past the int64 range name no site; (3, 2) and index 1
     # are bulk sites of this box
     box = lattice_box(6, 6, 0.1)
-    for start in [(3.7, 2.2), np.array([3.5, 2.0]), True]:
+    for start in [(3.7, 2.2), np.array([3.5, 2.0]), True, (True, 0)]:
         with pytest.raises(InvalidParam):
             wk.estimate_spread_measure(box, start, p, 10, RngStream(0))
     for start in [(1e20, 0.0), (2**63, 0), (2**64, 0)]:
