@@ -8,7 +8,9 @@ boundary is represented by *faces*, the lattice edges separating a bulk site
 from an exterior site. Each face therefore has exactly one inward neighbour
 (the bulk site of its edge), which is what makes the self-transport matrix
 built on faces exactly symmetric even on staircase boundaries; an exterior
-site shared by two bulk neighbours simply appears in two faces.
+site shared by two bulk neighbours simply appears in two faces. Every
+lattice builder checks, fills and measures in site units, coordinates / a,
+and scales only the face arclengths back by a.
 
 Faces carry a surface weight w in (0, 1], the alignment |n_face . n_curve|
 between the lattice face normal and the underlying smooth interface normal.
@@ -417,17 +419,19 @@ def _boundary_faces(index: _SiteIndex, keep=None) -> tuple[np.ndarray, np.ndarra
     return inward, exterior
 
 
-def _face_geometry(inward: np.ndarray, exterior: np.ndarray, mesh: float, curve: np.ndarray):
-    """Distance, arclength and weight of each face from its nearest curve segment.
+def _face_geometry(inward: np.ndarray, exterior: np.ndarray, curves: list[np.ndarray]):
+    """Nearest curve, arclength along it and weight of each face, in site units.
 
-    The weight is the alignment |n_face . n_segment|, clipped below at
-    _MIN_WEIGHT.
+    Ties go to the earlier curve, so for a (working, source) pair the index
+    of the nearest curve is the face's tag. The weight is the alignment
+    |n_face . n_segment| with the nearest segment, clipped below at _MIN_WEIGHT.
     """
-    mids = 0.5 * mesh * (inward + exterior + 1.0)
-    dist, arc, seg_normal = _nearest_on_polyline(mids, curve)
-    face_normal = (exterior - inward).astype(float)
-    weight = np.clip(np.abs((face_normal * seg_normal).sum(axis=1)), _MIN_WEIGHT, 1.0)
-    return dist, arc, weight
+    mids = 0.5 * (inward + exterior + 1.0)
+    dist, arc, normal = (np.array(x) for x in zip(*(_nearest_on_polyline(mids, c) for c in curves)))
+    nearest = dist.argmin(axis=0)
+    face = np.arange(len(mids))
+    weight = np.abs(((exterior - inward) * normal[nearest, face]).sum(axis=1))
+    return nearest, arc[nearest, face], np.clip(weight, _MIN_WEIGHT, 1.0)
 
 
 def _grid_sites(lo, hi) -> np.ndarray:
@@ -454,8 +458,8 @@ def _blocks(count: np.ndarray):
         start = stop
 
 
-def _sites_inside(loops: list[np.ndarray], lo, hi, mesh: float) -> np.ndarray:
-    """Sites of the box lo <= site < hi whose cell centers the loops enclose, x-major.
+def _sites_inside(loops: list[np.ndarray], lo, hi) -> np.ndarray:
+    """Sites of the box lo <= site < hi whose cell centers the site-unit loops enclose, x-major.
 
     Even-odd scanline fill. A segment (x0, y0)-(x1, y1) crosses the row of
     cell centers at height Y when (y0 <= Y) != (y1 <= Y), at
@@ -466,8 +470,8 @@ def _sites_inside(loops: list[np.ndarray], lo, hi, mesh: float) -> np.ndarray:
     decided by exactly those comparisons: the cost is the number of
     crossings plus the box, not points times segments.
     """
-    X = (np.arange(lo[0], hi[0]) + 0.5) * mesh
-    Y = (np.arange(lo[1], hi[1]) + 0.5) * mesh
+    X = np.arange(lo[0], hi[0]) + 0.5
+    Y = np.arange(lo[1], hi[1]) + 0.5
     a = np.vstack([loop[:-1] for loop in loops])
     b = np.vstack([loop[1:] for loop in loops])
     # y <= Y holds from row searchsorted(Y, y) on
@@ -534,12 +538,18 @@ def circle_polyline(radius: float, n: int = 2048, center: tuple[float, float] = 
     return np.column_stack((c[0] + radius * np.cos(th), c[1] + radius * np.sin(th)))
 
 
+def _site_units(poly: np.ndarray, mesh: float) -> np.ndarray:
+    """poly / mesh, the coordinates every lattice builder works in; InvalidParam if one overflows a float."""
+    with np.errstate(over="ignore"):
+        curve = poly / mesh
+    if not np.all(np.isfinite(curve)):
+        raise InvalidParam(f"a polyline at mesh {mesh} overflows a float in site units")
+    return curve
+
+
 def _is_closed(poly: np.ndarray) -> bool:
-    return bool(np.allclose(poly[0], poly[-1]))
-
-
-def _segments(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return poly[:-1], poly[1:]
+    """Whether the ends of a site-unit polyline meet, to 1e-9 of its largest coordinate (at least 1)."""
+    return bool(np.abs(poly[-1] - poly[0]).max() <= 1e-9 * max(1.0, np.abs(poly).max()))
 
 
 def _crossing_pairs(a: np.ndarray, b: np.ndarray, skip) -> bool:
@@ -578,7 +588,7 @@ def _crossing_pairs(a: np.ndarray, b: np.ndarray, skip) -> bool:
 
 def _self_intersects(poly: np.ndarray) -> bool:
     """Proper crossing of two non-adjacent segments (first and last adjoin when closed)."""
-    a, b = _segments(poly)
+    a, b = poly[:-1], poly[1:]
     last = len(a) - 1
     closed = _is_closed(poly)
     return _crossing_pairs(a, b, lambda i, j: (j - i < 2) | (closed & (i == 0) & (j == last)))
@@ -586,7 +596,7 @@ def _self_intersects(poly: np.ndarray) -> bool:
 
 def _polylines_cross(p: np.ndarray, q: np.ndarray) -> bool:
     """Proper crossing of a segment of p with a segment of q."""
-    (ap, bp), (aq, bq) = _segments(p), _segments(q)
+    ap, bp, aq, bq = p[:-1], p[1:], q[:-1], q[1:]
     n = len(ap)
     return _crossing_pairs(np.vstack((ap, aq)), np.vstack((bp, bq)), lambda i, j: (i < n) == (j < n))
 
@@ -601,7 +611,7 @@ def _nearest_on_polyline(points: np.ndarray, poly: np.ndarray) -> tuple[np.ndarr
     slack above the rounding of the distances, and of equally near
     segments the lowest index wins.
     """
-    a, b = _segments(poly)
+    a, b = poly[:-1], poly[1:]
     d = b - a
     seg_len = np.hypot(d[:, 0], d[:, 1])
     keep = seg_len > 0
@@ -648,10 +658,11 @@ def rasterize(
     other); two open polylines are joined end-to-end into a single loop.
     Faces are tagged Working/Source by the nearer polyline and weighted by
     the alignment between the face normal and the local polyline normal.
+    Every check, the fill and the face geometry run in site units, on polyline / mesh.
     """
     mesh = _positive(mesh, "mesh")
-    work = load_polyline(polyline_working)
-    src = load_polyline(polyline_source)
+    work = _site_units(load_polyline(polyline_working), mesh)
+    src = _site_units(load_polyline(polyline_source), mesh)
     for poly, label in ((work, "working"), (src, "source")):
         if _self_intersects(poly):
             raise DegenerateGeometry(f"{label} polyline self-intersects")
@@ -672,36 +683,22 @@ def rasterize(
 
 
 def _rasterize(loops, curves, mesh: float, empty: str) -> LatticeDomain:
-    """Bulk sites inside the loops and their faces, tagged by the curves.
-
-    With one curve every face is working; with a (working, source) pair each
-    face takes the tag of the nearer curve, ties going to working. Weights
-    and arclengths come from the curve that tags the face.
-    """
+    """Bulk sites inside the site-unit loops and their faces, tagged and measured by the nearest curve."""
     allpts = np.vstack(curves)
-    lo = np.floor(allpts.min(axis=0) / mesh).astype(int) - 2
-    hi = np.ceil(allpts.max(axis=0) / mesh).astype(int) + 2
+    lo = np.floor(allpts.min(axis=0)).astype(int) - 2
+    hi = np.ceil(allpts.max(axis=0)).astype(int) + 2
     extent = (allpts.max(axis=0) - allpts.min(axis=0)).min()
-    if mesh > extent / 4:
-        raise MeshTooCoarse(f"mesh {mesh} exceeds a quarter of the region extent {extent}")
-    bulk = _sites_inside(loops, lo, hi, mesh)
+    if extent < 4:
+        raise MeshTooCoarse(f"mesh {mesh} exceeds a quarter of the region extent {extent * mesh}")
+    bulk = _sites_inside(loops, lo, hi)
     if len(bulk) == 0:
         raise DegenerateGeometry(empty)
     index = _SiteIndex(bulk)
     inward, exterior = _boundary_faces(index)
-    if len(curves) == 1:
-        _, arc, weight = _face_geometry(inward, exterior, mesh, curves[0])
-        tags = np.full(len(arc), int(BoundaryTag.WORKING))
-    else:
-        dist_w, arc_w, weight_w = _face_geometry(inward, exterior, mesh, curves[0])
-        dist_s, arc_s, weight_s = _face_geometry(inward, exterior, mesh, curves[1])
-        working = dist_w <= dist_s
-        if working.all() or not working.any():
-            raise MeshTooCoarse("rasterization left no working or no source faces")
-        tags = np.where(working, BoundaryTag.WORKING, BoundaryTag.SOURCE)
-        arc = np.where(working, arc_w, arc_s)
-        weight = np.where(working, weight_w, weight_s)
-    return _assemble(mesh, index, inward, exterior, tags, weight, arc)
+    tags, arc, weight = _face_geometry(inward, exterior, curves)
+    if len(np.unique(tags)) < len(curves):
+        raise MeshTooCoarse("rasterization left no working or no source faces")
+    return _assemble(mesh, index, inward, exterior, tags, weight, arc * mesh)
 
 
 def _join_open(work: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -753,7 +750,7 @@ def rasterize_loop(polyline, mesh: float) -> LatticeDomain:
     interfaces. InvalidParam if the polyline is not closed.
     """
     mesh = _positive(mesh, "mesh")
-    poly = load_polyline(polyline)
+    poly = _site_units(load_polyline(polyline), mesh)
     if not _is_closed(poly):
         raise InvalidParam("rasterize_loop needs a closed polyline")
     if _self_intersects(poly):
@@ -770,19 +767,20 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float, sour
     reflect. Working faces take weight and arclength from the nearest curve
     segment; source faces (the top row's, unless source_top is False) have
     weight 1 and arclength 0 and sort last. The fill and the face geometry
-    run in site units, on profile / mesh, so any positive mesh builds the
-    strip it names.
+    run in site units, on profile / mesh, so any mesh at which those fit a
+    float builds the strip it names.
     """
     if not source_height > profile[:, 1].max():
         raise InvalidParam("source must sit above the whole working curve")
     if profile[-1, 0] <= profile[0, 0]:
         raise InvalidParam("profile must run left to right")
-    curve, top = profile / mesh, source_height / mesh
+    ends = [[profile[-1, 0], source_height], [profile[0, 0], source_height]]
+    loop = _site_units(np.vstack((profile, ends, profile[:1])), mesh)
+    curve, top = loop[:-3], loop[-2, 1]
     x0, x1 = float(curve[0, 0]), float(curve[-1, 0])
     i_lo, i_hi, j_top = int(round(x0)), int(round(x1)), int(round(top))
     j_lo = int(np.floor(curve[:, 1].min())) - 1
-    loop = np.vstack((curve, [[x1, top], [x0, top]], curve[:1]))
-    bulk = _sites_inside([loop], (i_lo, j_lo), (i_hi, j_top), 1.0)
+    bulk = _sites_inside([loop], (i_lo, j_lo), (i_hi, j_top))
     if len(bulk) == 0:
         raise DegenerateGeometry("no bulk sites between the curve and the source")
     # the top row's +y steps are the source faces
@@ -801,7 +799,7 @@ def _channel_domain(profile: np.ndarray, source_height: float, mesh: float, sour
     working = tags == BoundaryTag.WORKING
     if not working.any():
         raise DegenerateGeometry("the curve produced no working faces")
-    _, arc[working], weight[working] = _face_geometry(inward[working], exterior[working], 1.0, curve)
+    _, arc[working], weight[working] = _face_geometry(inward[working], exterior[working], [curve])
     return _assemble(mesh, index, inward, exterior, tags, weight, arc * mesh)
 
 

@@ -231,10 +231,10 @@ def _proper_cross(a, b, i, js):
 
 
 def _self_intersects(poly):
-    """Every non-adjacent segment pair, O(n^2)."""
+    """Every non-adjacent segment pair, O(n^2); the ends meet to 1e-9 of the largest coordinate (at least 1)."""
     a, b = poly[:-1], poly[1:]
     n = len(a)
-    closed = bool(np.allclose(poly[0], poly[-1]))
+    closed = bool(np.abs(poly[-1] - poly[0]).max() <= 1e-9 * max(1.0, np.abs(poly).max()))
     for i in range(n):
         js = np.arange(i + 2, n)
         if closed and i == 0 and len(js):
@@ -276,21 +276,21 @@ def _bits(x):
 
 @st.composite
 def _star_loops(draw):
-    """A star-shaped polygon, or a ring of two, with vertices and edges on center rows.
+    """A star-shaped polygon, or a ring of two, in site units, with vertices and edges on center rows.
 
-    Some vertices snap to cell-center rows (j + 0.5) * mesh or columns, and
-    some edges become horizontal along a center row, so the fill meets
-    every tie of its predicates.
+    Some vertices snap to cell-center rows j + 0.5 or columns, and some
+    edges become horizontal along a center row, so the fill meets every
+    tie of its predicates.
     """
     mesh = draw(st.sampled_from([0.25, 0.1, 1.0 / 8.0, 0.3]))
     n = draw(st.integers(3, 24))
     angles = np.sort(draw(st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=n, max_size=n, unique=True)))
     radii = np.array(draw(st.lists(st.floats(0.6, 3.0), min_size=n, max_size=n)))
     cx, cy = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-    snap = lambda v: (np.round(v / mesh - 0.5) + 0.5) * mesh
+    snap = lambda v: np.round(v - 0.5) + 0.5
     loops = []
     for scale in [1.0] + ([draw(st.floats(0.2, 0.5))] if draw(st.booleans()) else []):
-        pts = np.column_stack((cx + scale * radii * np.cos(angles), cy + scale * radii * np.sin(angles)))
+        pts = np.column_stack((cx + scale * radii * np.cos(angles), cy + scale * radii * np.sin(angles))) / mesh
         rows = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         cols = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         pts[rows, 1] = snap(pts[rows, 1])
@@ -298,19 +298,18 @@ def _star_loops(draw):
         for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
             pts[(k + 1) % n, 1] = pts[k, 1] = snap(pts[k, 1])
         loops.append(np.vstack((pts, pts[:1])))
-    return loops, mesh
+    return loops
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_star_loops())
-def test_scanline_fill_matches_brute_force(case):
-    loops, mesh = case
+@given(loops=_star_loops())
+def test_scanline_fill_matches_brute_force(loops):
     pts = np.vstack(loops)
-    lo = np.floor(pts.min(axis=0) / mesh).astype(int) - 2
-    hi = np.ceil(pts.max(axis=0) / mesh).astype(int) + 2
+    lo = np.floor(pts.min(axis=0)).astype(int) - 2
+    hi = np.ceil(pts.max(axis=0)).astype(int) + 2
     grid = geo._grid_sites(lo, hi)
-    expected = grid[_inside_even_odd((grid + 0.5) * mesh, loops)]
-    assert _bits(geo._sites_inside(loops, lo, hi, mesh)) == _bits(expected)
+    expected = grid[_inside_even_odd(grid + 0.5, loops)]
+    assert _bits(geo._sites_inside(loops, lo, hi)) == _bits(expected)
 
 
 @st.composite
@@ -842,3 +841,67 @@ def test_lattice_channel_at_extreme_meshes(mesh, n_rows, width):
 def test_lattice_channel_refuses_a_float_overflow(n_rows, width, mesh):
     with pytest.raises(InvalidParam, match="overflows a float"):
         geo.lattice_channel(n_rows, mesh, width)
+
+
+def _scaled_disk(scale):
+    return geo.rasterize_loop(geo.circle_polyline(scale, 256), scale / 16.0)
+
+
+def _scaled_annulus(scale):
+    return geo.rasterize(geo.circle_polyline(scale, 256), geo.circle_polyline(3.0 * scale, 256), scale / 16.0)
+
+
+_SITE_FIELDS = ("bulk_sites", "face_inward", "face_exterior", "face_tag")
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e300])
+@pytest.mark.parametrize("build", [_scaled_disk, _scaled_annulus], ids=["loop", "two_loops"])
+def test_rasterize_at_extreme_scales(build, scale):
+    """Every check, the fill and the face geometry run in site units, so curves and
+    mesh scaled together near either end of the float range build the unit-scale
+    lattice, without a warning (pytest makes one an error)."""
+    ref, dom = build(1.0), build(scale)
+    for name in _SITE_FIELDS:
+        assert np.array_equal(getattr(dom, name), getattr(ref, name)), name
+    np.testing.assert_allclose(dom.face_arclength / scale, ref.face_arclength, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 2.0**600])
+@pytest.mark.parametrize("build", [_scaled_disk, _scaled_annulus], ids=["loop", "two_loops"])
+def test_rasterize_scales_exactly_by_powers_of_two(build, scale):
+    ref, dom = build(1.0), build(scale)
+    for name in _SITE_FIELDS + ("face_weight",):
+        assert _bits(getattr(dom, name)) == _bits(getattr(ref, name)), name
+    assert _bits(dom.face_arclength) == _bits(ref.face_arclength * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e300])
+def test_rasterize_refuses_a_bowtie_at_any_scale(scale):
+    with pytest.raises(DegenerateGeometry, match="self-intersects"):
+        geo.rasterize_loop(_BOWTIE * scale, scale / 16.0)
+
+
+def test_rasterize_loop_judges_closedness_in_site_units():
+    """A 3/4 arc of radius 1e-10 is open, and so is a circle 1e5 off the origin
+    whose last point is dropped (a 0.025 gap, 0.4 sites at mesh 1/16)."""
+    th = np.linspace(0.0, 1.5 * np.pi, 97)
+    arc = 1e-10 * np.column_stack((np.cos(th), np.sin(th)))
+    far = geo.circle_polyline(1.0, 256, center=(1e5, 1e5))[:-1]
+    for poly, mesh in ((arc, 1e-10 / 16.0), (far, 1.0 / 16.0)):
+        with pytest.raises(InvalidParam, match="rasterize_loop needs a closed polyline"):
+            geo.rasterize_loop(poly, mesh)
+
+
+@pytest.mark.parametrize("mesh", [1e-310, 5e-324])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda mesh: geo.rasterize_loop(geo.circle_polyline(1.0, 256), mesh),
+        lambda mesh: geo.rasterize(geo.circle_polyline(1.0, 256), geo.circle_polyline(3.0, 256), mesh),
+        lambda mesh: geo._channel_domain(lsa.koch_polyline(2), 1.0, mesh),
+    ],
+    ids=["loop", "two_loops", "strip"],
+)
+def test_builders_refuse_a_float_overflow_in_site_units(build, mesh):
+    with pytest.raises(InvalidParam, match="overflows a float"):
+        build(mesh)
