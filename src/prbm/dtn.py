@@ -33,6 +33,7 @@ inflation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "spectrum",
     "impedance_curve",
 ]
+_hitting_masses = weakref.WeakKeyDictionary()  # domain -> its Lambda = 0 launch masses, from build_Q or hitting_distribution
 
 @dataclass
 class SelfTransportMatrix:
@@ -187,7 +189,7 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     the symmetry of G. G[S, S] over the distinct inward sites S is read off a
     second LU that keeps the minimum-degree order of the first and puts S
     last. The first LU also solves the Lambda = 0 source launch, whose masses
-    the domain keeps for hitting_distribution.
+    are kept for hitting_distribution on the same domain.
     """
     working = np.flatnonzero(dom.working_mask())
     if len(working) == 0:
@@ -196,7 +198,7 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     lu = _splu(system, "MMD_AT_PLUS_A")
     has_source = bool(dom.source_mask().any())
     if has_source:
-        dom._hitting_masses = (dom.face_tag.copy(), _absorbed_masses(dom, np.zeros(dom.n_faces), lu=lu))
+        _hitting_masses[dom] = _absorbed_masses(dom, np.zeros(dom.n_faces), lu=lu)
     sites, face_site = np.unique(dom.inward_indices()[working], return_inverse=True)
     # the minimum-degree order (perm_c[i] is the position of site i) with S
     # moved last; the first factor is freed before the second is made
@@ -299,18 +301,16 @@ def hitting_distribution(dom: LatticeDomain) -> FluxVector:
     The absorption law at Lambda = 0, renormalized: the returned FluxVector
     holds the density phi_0^h (unit discrete integral), .probabilities the
     renormalized per-face hitting masses, and absorbed_fraction the mass
-    removed by renormalizing. The masses are kept on the domain until its
-    face tags change; build_Q fills them from its own factorization by the
+    removed by renormalizing. The masses are kept for the domain, which
+    cannot change; build_Q fills them from its own factorization by the
     same solve, bit for bit.
     """
-    kept = dom._hitting_masses
-    if kept is None or not np.array_equal(kept[0], dom.face_tag):  # retagged faces
-        dom._hitting_masses = (dom.face_tag.copy(), _absorbed_masses(dom, np.zeros(dom.n_faces)))
-    hits = dom._hitting_masses[1]
-    total = hits.sum()
+    if dom not in _hitting_masses:
+        _hitting_masses[dom] = _absorbed_masses(dom, np.zeros(dom.n_faces))
+    total = _hitting_masses[dom].sum()
     if total <= 0:
         raise SingularSystem("no mass reaches the working interface")
-    p0 = hits / total
+    p0 = _hitting_masses[dom] / total
     measure = dom.measures()[dom.working_mask()]
     return FluxVector(density=p0 / measure, measure=measure, absorbed_fraction=float(total))
 

@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,10 @@ _MIN_WEIGHT = 0.05
 #: Candidate pairs (segment-segment, point-segment) evaluated at once; bounds
 #: the temporaries of the crossing test and the nearest-segment search.
 _PAIR_BLOCK = 1 << 20
+
+#: Most cells of the site box a lattice builder fills (about 40 bytes each at
+#: the fill's peak); a larger box raises InvalidParam before anything is allocated.
+_MAX_BOX_CELLS = 1 << 24
 
 
 class DomainKind(enum.Enum):
@@ -126,17 +130,17 @@ class BoundaryTag(enum.IntEnum):
     SOURCE = 1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LatticeDomain:
-    """Rasterized domain: bulk sites plus tagged boundary faces.
+    """Rasterized domain: bulk sites plus tagged boundary faces, fixed once built.
 
     Sites are integer lattice coordinates; physical position is site * mesh.
     face_exterior[i] is the boundary site (outside the bulk), face_inward[i]
     its unique bulk neighbour, i.e. the reflection target s + a n(s). The
-    site graph belongs to the site index _lookup: a builder passes the index
-    it built the faces with, and a hand-built domain makes one when first read.
-    Nothing writes into that graph. A face is located in one place, _slots:
-    the slot of the graph, inward site and direction, that the face fills.
+    domain holds read-only copies of its arrays and compares by identity; a
+    retag or a moved face is a new domain, made with dataclasses.replace. So
+    its kept records cannot go stale: the site index _lookup, which owns the
+    site graph (a builder's own index, else made when first read), and _slots.
     """
 
     mesh: float
@@ -147,11 +151,11 @@ class LatticeDomain:
     face_tag: np.ndarray        # (nf,) uint8, BoundaryTag values
     face_weight: np.ndarray     # (nf,) float64 in (0, 1]
     face_arclength: np.ndarray | None = None  # (nf,) coordinate along the source polyline
-    _lookup: _SiteIndex | None = field(default=None, repr=False)
-    _slot: np.ndarray | None = field(default=None, repr=False)
-    # (face_tag solved for, per-working-face hitting masses of the source
-    # launch), filled by dtn.build_Q and dtn.hitting_distribution
-    _hitting_masses: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:  # read-only copies of the arrays, which no array passed in can write into
+        for name in [f.name for f in fields(self)[2:] if getattr(self, f.name) is not None]:
+            object.__setattr__(self, name, np.array(getattr(self, name)))
+            getattr(self, name).flags.writeable = False
 
     # -- basic views ---------------------------------------------------------
 
@@ -182,32 +186,32 @@ class LatticeDomain:
         return self.mesh ** (self.dimension - 1) * self.face_weight
 
     def _index(self) -> _SiteIndex:
-        if self._lookup is None:
-            self._lookup = _SiteIndex(self.bulk_sites)
+        if "_lookup" not in vars(self):  # a builder attaches the index it made the faces with
+            object.__setattr__(self, "_lookup", _SiteIndex(self.bulk_sites))
         return self._lookup
 
     def site_index(self, sites) -> np.ndarray:
         """Bulk index of each site (rows of d integer coordinates), -1 off the bulk."""
         return self._index()(sites)
 
+    @functools.cached_property
     def _slots(self) -> np.ndarray:
         """Each face's slot inward_site * 2d + direction in the site graph; read-only and kept.
 
         The direction is the face's column in _axis_offsets order. A face
         that does not step from a bulk site to an adjacent site has slot -1.
         """
-        if self._slot is None:
-            step = self.face_exterior - self.face_inward
-            site = self.site_index(self.face_inward)
-            adjacent = (np.abs(step).sum(axis=1) == 1) & (site >= 0)
-            direction = 2 * np.abs(step).argmax(axis=1) + (step.min(axis=1) < 0)
-            self._slot = np.where(adjacent, site * 2 * self.dimension + direction, -1)
-            self._slot.flags.writeable = False
-        return self._slot
+        step = self.face_exterior - self.face_inward
+        site = self.site_index(self.face_inward)
+        adjacent = (np.abs(step).sum(axis=1) == 1) & (site >= 0)
+        direction = 2 * np.abs(step).argmax(axis=1) + (step.min(axis=1) < 0)
+        slot = np.where(adjacent, site * 2 * self.dimension + direction, -1)
+        slot.flags.writeable = False
+        return slot
 
     def inward_indices(self) -> np.ndarray:
         """Bulk index of each face's inward neighbour."""
-        slot = self._slots()
+        slot = self._slots
         if np.any(slot < 0):
             raise DegenerateGeometry("a face does not step from a bulk site to an adjacent site")
         return slot // (2 * self.dimension)
@@ -248,7 +252,7 @@ class LatticeDomain:
         site graph with each face's code put at its slot; the codes mean what
         they say on a domain that validate() accepts.
         """
-        slot = self._slots()
+        slot = self._slots
         table = self._index().neighbors.copy()
         f = np.flatnonzero(slot >= 0)
         np.put(table, slot[f], self.n_bulk + f)
@@ -273,7 +277,7 @@ class LatticeDomain:
         if not tags <= {int(BoundaryTag.WORKING), int(BoundaryTag.SOURCE)}:
             raise InvalidParam("face tags must be Working or Source")
         self.inward_indices()
-        slot = self._slots()
+        slot = self._slots
         if np.any(self._index().neighbors.flat[slot] >= 0):
             raise DegenerateGeometry("face exterior site lies in the bulk")
         if len(np.unique(slot)) < len(slot):
@@ -434,6 +438,13 @@ def _face_geometry(inward: np.ndarray, exterior: np.ndarray, curves: list[np.nda
     return nearest, arc[nearest, face], np.clip(weight, _MIN_WEIGHT, 1.0)
 
 
+def _check_box(lo, hi) -> None:
+    """InvalidParam if the box lo <= site < hi has more than _MAX_BOX_CELLS cells, counted in Python ints."""
+    cells = math.prod(max(int(h) - int(l), 0) for l, h in zip(lo, hi))
+    if cells > _MAX_BOX_CELLS:
+        raise InvalidParam(f"a lattice box of more than {_MAX_BOX_CELLS} sites is past the fill ceiling")
+
+
 def _grid_sites(lo, hi) -> np.ndarray:
     """Sites of the 2D box lo <= site < hi, x-major."""
     ii, jj = np.meshgrid(np.arange(lo[0], hi[0]), np.arange(lo[1], hi[1]), indexing="ij")
@@ -468,8 +479,10 @@ def _sites_inside(loops: list[np.ndarray], lo, hi) -> np.ndarray:
     row heights and column abscissae are sorted, so the rows a segment
     straddles and the columns left of a crossing are searchsorted ranges
     decided by exactly those comparisons: the cost is the number of
-    crossings plus the box, not points times segments.
+    crossings plus the box, not points times segments. A box past
+    _MAX_BOX_CELLS raises InvalidParam.
     """
+    _check_box(lo, hi)
     X = np.arange(lo[0], hi[0]) + 0.5
     Y = np.arange(lo[1], hi[1]) + 0.5
     a = np.vstack([loop[:-1] for loop in loops])
@@ -503,8 +516,8 @@ def _assemble(mesh, index, inward, exterior, tag, weight, arc=None) -> LatticeDo
         face_tag=tag.astype(np.uint8),
         face_weight=weight,
         face_arclength=arc,
-        _lookup=index,
     )
+    object.__setattr__(dom, "_lookup", index)  # the index the faces were built with
     dom.validate()
     return dom
 
@@ -685,8 +698,9 @@ def rasterize(
 def _rasterize(loops, curves, mesh: float, empty: str) -> LatticeDomain:
     """Bulk sites inside the site-unit loops and their faces, tagged and measured by the nearest curve."""
     allpts = np.vstack(curves)
-    lo = np.floor(allpts.min(axis=0)).astype(int) - 2
-    hi = np.ceil(allpts.max(axis=0)).astype(int) + 2
+    # Python ints, which no bound overflows before the fill checks the box
+    lo = [math.floor(v) - 2 for v in allpts.min(axis=0)]
+    hi = [math.ceil(v) + 2 for v in allpts.max(axis=0)]
     extent = (allpts.max(axis=0) - allpts.min(axis=0)).min()
     if extent < 4:
         raise MeshTooCoarse(f"mesh {mesh} exceeds a quarter of the region extent {extent * mesh}")
@@ -728,11 +742,13 @@ def lattice_box(
     """nx-by-ny block of bulk sites, faces on all four sides.
 
     One side is tagged Source; pass source_side=None for an all-working box.
+    A box of more than _MAX_BOX_CELLS sites raises InvalidParam.
     """
     nx, ny = _count(nx, "nx", 1), _count(ny, "ny", 1)
     sides = {"left", "right", "bottom", "top"}
     if source_side is not None and source_side not in sides:
         raise InvalidParam(f"source_side must be one of {sorted(sides)}")
+    _check_box((0, 0), (nx, ny))
     bulk = _grid_sites((0, 0), (nx, ny))
     index = _SiteIndex(bulk)
     inward, exterior = _boundary_faces(index)

@@ -1,5 +1,6 @@
 """Domain construction: canonical specs, hand lattices, rasterization."""
 
+import dataclasses
 import json
 import math
 
@@ -550,6 +551,70 @@ def test_solves_and_walks_leave_the_site_graph_unwritten():
     assert np.array_equal(graph, geo._site_neighbors(geo._SiteIndex(dom.bulk_sites)))
 
 
+
+# -- a domain is fixed once built ------------------------------------------------
+
+_ARRAYS = ("bulk_sites", "face_exterior", "face_inward", "face_tag", "face_weight", "face_arclength")
+
+
+def test_a_domain_holds_read_only_copies():
+    """No array of a built domain takes a write, no field can be rebound, and
+    writing into the arrays a domain was built from, or a view's base, leaves it as it was."""
+    built = geo.rasterize_loop(geo.circle_polyline(1.0, 256), 0.25)
+    for name in _ARRAYS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(built, name)[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, getattr(built, name).copy())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.mesh = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        built._slots[0] = -1
+
+    box = geo.lattice_box(6, 5, 0.2)
+    base = np.hstack([box.bulk_sites, box.bulk_sites])
+    given_arrays = {name: getattr(box, name).copy() for name in _ARRAYS[1:-1]}
+    given_arrays.update(bulk_sites=base[:, :2], face_arclength=np.arange(box.n_faces, dtype=float))
+    dom = geo.LatticeDomain(mesh=box.mesh, dimension=2, **given_arrays)
+    law = dtn.absorption_law(dom, 0.5).probabilities
+    for name in _ARRAYS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dom, name)[0] = 1
+    kept = {name: getattr(dom, name).copy() for name in _ARRAYS}
+    base[0] = (100, 100, 100, 100)
+    for a in given_arrays.values():
+        a[:2] = a[1::-1]
+    for name in _ARRAYS:
+        assert np.array_equal(getattr(dom, name), kept[name]), name
+    assert dtn.absorption_law(dom, 0.5).probabilities.tobytes() == law.tobytes()
+
+
+def test_a_moved_face_or_site_is_a_new_domain():
+    """Face 0 with its inward and exterior sites swapped, or bulk site 0 moved to
+    (100, 100), cannot be written into a built box; made with replace, each is a
+    new domain with records of its own, which every solve refuses, and the box's
+    law stays as it was."""
+    box = geo.lattice_box(6, 5, 0.2)
+    law = dtn.absorption_law(box, 0.5).absorbed_fraction
+    inward, exterior = box.face_inward.copy(), box.face_exterior.copy()
+    inward[0], exterior[0] = box.face_exterior[0], box.face_inward[0]
+    moved = box.bulk_sites.copy()
+    moved[0] = (100, 100)
+    with pytest.raises(ValueError, match="read-only"):
+        box.face_inward[0] = box.face_exterior[0]
+    with pytest.raises(ValueError, match="read-only"):
+        box.bulk_sites[0] = (100, 100)
+    for changed in (dict(face_inward=inward, face_exterior=exterior), dict(bulk_sites=moved)):
+        new = dataclasses.replace(box, **changed)
+        assert new._index() is not box._index()
+        with pytest.raises(DegenerateGeometry):
+            dtn.absorption_law(new, 0.5)
+    same = dataclasses.replace(box)
+    assert same._index() is not box._index() and same._slots is not box._slots
+    assert same != box and len({box, same}) == 2
+    assert dtn.absorption_law(box, 0.5).absorbed_fraction == law == dtn.absorption_law(same, 0.5).absorbed_fraction
+
+
 _INT64 = np.iinfo(np.int64)
 
 
@@ -905,3 +970,21 @@ def test_rasterize_loop_judges_closedness_in_site_units():
 def test_builders_refuse_a_float_overflow_in_site_units(build, mesh):
     with pytest.raises(InvalidParam, match="overflows a float"):
         build(mesh)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: geo.rasterize_loop(geo.circle_polyline(1e6, 256), 1.0),
+        lambda: geo.rasterize_loop(geo.circle_polyline(1e300, 256), 1.0),
+        lambda: geo.rasterize(geo.circle_polyline(1e6, 256), geo.circle_polyline(3e6, 256), 1.0),
+        lambda: geo.lattice_channel(2**40, 1.0),
+        lambda: geo.lattice_box(2**13, 2**12 + 1, 1.0),
+    ],
+    ids=["loop_1e6", "loop_1e300", "two_loops_3e6", "channel_2e40", "box_2x_ceiling"],
+)
+def test_builders_refuse_a_box_past_the_fill_ceiling(build):
+    """A site box far past the fill ceiling raises InvalidParam before anything is
+    allocated or cast: no MemoryError, and no warning (pytest makes one an error)."""
+    with pytest.raises(InvalidParam, match="fill ceiling"):
+        build()
