@@ -121,10 +121,9 @@ def _reflection_probabilities(dom: LatticeDomain, Lambda: float) -> np.ndarray:
     Zero everywhere at Lambda = 0. absorption_law reads it here, and the walker
     kernel spends -log eps_f of its threshold per contact, so both follow one law.
     """
-    eps = np.zeros(dom.n_faces)
     if Lambda > 0:
-        eps[:] = Lambda / (Lambda + dom.mesh * dom.face_weight)
-    return eps
+        return Lambda / (Lambda + dom.mesh * dom.face_weight)
+    return np.zeros(dom.face_weight.shape)
 
 
 def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
@@ -191,10 +190,10 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     last. The first LU also solves the Lambda = 0 source launch, whose masses
     are kept for hitting_distribution on the same domain.
     """
+    system = _bulk_system(dom)
     working = np.flatnonzero(dom.working_mask())
     if len(working) == 0:
         raise InvalidParam("domain has no working faces")
-    system = _bulk_system(dom)
     lu = _splu(system, "MMD_AT_PLUS_A")
     has_source = bool(dom.source_mask().any())
     if has_source:
@@ -267,10 +266,10 @@ def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, lu=None, start="source
     """Per-working-face absorption masses of a launch from start under reflection probabilities eps.
 
     start is resolved by LatticeDomain._launch, as the lattice walkers resolve
-    theirs. Solved on lu when given, else on a fresh _factor(dom, eps).
+    theirs, once the domain is gated: solved on lu when given, else on a fresh _factor(dom, eps).
     """
-    launch = dom._launch(start)
     lu = lu if lu is not None else _factor(dom, eps)
+    launch = dom._launch(start)
     working = np.flatnonzero(dom.working_mask())
     # walkers start uniformly on the launch sites
     pi = np.zeros(dom.n_bulk)

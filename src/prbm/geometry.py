@@ -263,7 +263,12 @@ class LatticeDomain:
     def validate(self, *, check_connected: bool = True) -> None:
         """Check the structural invariants, each face in its own off-bulk slot; raises on violation."""
         _positive(self.mesh, "mesh")
-        _count(self.dimension, "dimension", 2)
+        d = _count(self.dimension, "dimension", 2)
+        nb, nf = self.bulk_sites.shape[:1], self.face_exterior.shape[:1]
+        for f, shape in zip(fields(self)[2:], [nb + (d,), nf + (d,), nf + (d,), nf, nf, nf]):
+            a = getattr(self, f.name)
+            if a is not None and a.shape != shape:
+                raise DegenerateGeometry(f"{f.name} must have shape {shape}, not {a.shape}")
         for name in ("bulk_sites", "face_inward", "face_exterior"):
             # checked before any site index casts them to int64, which drops a fraction
             sites = np.asarray(getattr(self, name))
@@ -308,34 +313,29 @@ def _axis_offsets(d: int) -> np.ndarray:
 class _SiteIndex:
     """Bulk index of integer lattice sites, -1 for sites off the set, and their graph.
 
-    A site's key is its row-major offset (site - lo) @ stride in the
-    bounding box [lo, hi] of the set, computed from its coordinates; no
-    grid is allocated. The keys are sorted once, stably, so a duplicated
-    site maps to its last row, as a dict built in row order would. A lookup
-    is one box test and one searchsorted. A set whose bounding box has more
-    cells than an int64 can count raises DegenerateGeometry.
+    A read-only grid over the bounding box [lo, hi] of the set holds each
+    site's row and -1 elsewhere; a duplicated site keeps its last row, as a
+    dict built in row order would. A lookup is one box test and one gather.
+    A box of more than _MAX_BOX_CELLS cells raises InvalidParam before the
+    grid is allocated, 8 bytes per cell.
 
     The index owns the set's graph: the (n, 2d) neighbour table and the
-    component labels, each computed on first use and kept. A LatticeDomain
-    built from the set holds its index and reads the graph; nothing writes
-    into it. Its faces sit at off-set slots, which LatticeDomain._slots locates.
+    component labels, each computed on first use, kept and read-only. A
+    LatticeDomain built from the set holds its index and reads the graph;
+    nothing writes into it. Its faces sit at off-set slots, which
+    LatticeDomain._slots locates.
     """
 
     def __init__(self, sites: np.ndarray) -> None:
         self.sites = sites = np.asarray(sites, dtype=np.int64)
-        self.dimension = sites.shape[1]
-        self.n_distinct = 0
-        if not len(sites):
-            return
-        self._lo, self._hi = sites.min(axis=0), sites.max(axis=0)
-        extent = [int(hi) - int(lo) + 1 for lo, hi in zip(self._lo, self._hi)]
-        if math.prod(extent) > np.iinfo(np.int64).max:
-            raise DegenerateGeometry("lattice sites span too large a bounding box for an int64 key")
-        self._stride = np.array([math.prod(extent[k + 1:]) for k in range(len(extent))], dtype=np.int64)
-        key = (sites - self._lo) @ self._stride
-        self._order = np.argsort(key, kind="stable")
-        self._keys = key[self._order]
-        self.n_distinct = 1 + int(np.count_nonzero(np.diff(self._keys)))
+        self.dimension = d = sites.shape[1]
+        # an empty set gets a one-cell box that holds no site
+        self._lo, self._hi = (sites.min(axis=0), sites.max(axis=0)) if len(sites) else (np.zeros(d, np.int64),) * 2
+        _check_box(self._lo, [int(h) + 1 for h in self._hi])
+        self.grid = np.full(self._hi - self._lo + 1, -1, dtype=np.int64)
+        np.maximum.at(self.grid, tuple((sites - self._lo).T), np.arange(len(sites)))
+        self.grid.flags.writeable = False
+        self.n_distinct = int(np.count_nonzero(self.grid >= 0))
 
     def __call__(self, sites) -> np.ndarray:
         q = np.asarray(sites)
@@ -347,17 +347,9 @@ class _SiteIndex:
                 fits = np.all((q >= -(2**63)) & (q < 2**63), axis=1).astype(bool)
             return np.where(fits, self(np.where(fits[:, None], q, 0).astype(np.int64)), -1)
         q = q.reshape(-1, self.dimension)
-        if not self.n_distinct:
-            return np.full(len(q), -1, dtype=np.int64)
+        # tested against the bounds as given: q - lo could wrap past the int64 range
         inside = np.all((q >= self._lo) & (q <= self._hi), axis=1)
-        return self._find(np.where(inside, (q - self._lo) @ self._stride, -1))
-
-    def _find(self, key: np.ndarray) -> np.ndarray:
-        """Row of each key, -1 for a key off the set (or -1 itself)."""
-        # at is the last key <= key, the last row of a duplicated site; at = -1
-        # reads keys[-1], the largest key, which a key below them all never equals
-        at = np.searchsorted(self._keys, key, side="right") - 1
-        return np.where(self._keys[at] == key, self._order[at], -1)
+        return np.where(inside, self.grid[tuple((np.where(inside[:, None], q, self._lo) - self._lo).T)], -1)
 
     @functools.cached_property
     def neighbors(self) -> np.ndarray:
@@ -371,26 +363,26 @@ class _SiteIndex:
 
     @functools.cached_property
     def components(self) -> tuple[int, np.ndarray]:
-        """Component count of the set and each site's label."""
-        return _components(self.neighbors)
+        """Component count of the set and each site's label, read-only."""
+        count, labels = _components(self.neighbors)
+        labels.flags.writeable = False
+        return count, labels
 
 
 def _site_neighbors(index: _SiteIndex) -> np.ndarray:
     """(n, 2d) index of each site's neighbours in _axis_offsets order, -1 off the set.
 
-    A unit step along an axis moves a site's key by that axis's stride, and
-    only that coordinate can leave the bounding box, so no (n, 2d, d) array
-    of neighbour coordinates is formed.
+    A unit step along an axis can leave the box only along that axis, so
+    each column is one gather from the grid.
     """
-    sites, d = index.sites, index.dimension
-    table = np.full((len(sites), 2 * d), MISSING_NEIGHBOR, dtype=np.int64)
-    if index.n_distinct:
-        key = (sites - index._lo) @ index._stride
-        for col, (axis, step) in enumerate(itertools.product(range(d), (1, -1))):
-            c = sites[:, axis] + step
-            inside = (c >= index._lo[axis]) & (c <= index._hi[axis])
-            table[:, col] = index._find(np.where(inside, key + step * index._stride[axis], -1))
-    return table
+    at = list((index.sites - index._lo).T)
+    columns = []
+    for axis, step in itertools.product(range(index.dimension), (1, -1)):
+        c = at[axis] + step
+        inside = (c >= 0) & (c < index.grid.shape[axis])
+        row = index.grid[(*at[:axis], np.where(inside, c, 0), *at[axis + 1:])]
+        columns.append(np.where(inside, row, MISSING_NEIGHBOR))
+    return np.column_stack(columns)
 
 
 def _components(table: np.ndarray) -> tuple[int, np.ndarray]:

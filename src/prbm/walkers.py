@@ -406,7 +406,9 @@ def _annulus_kernel(dom, start, params, bins):
 # chessboard distance r, the largest power of two with r <= min(c,
 # _JUMP_TOP), drawn from the exit law of the walk started at the centre of
 # the (2r - 1) x (2r - 1) square of sites. The square holds no special site
-# and the ring around it is all bulk, so a jump touches no face.
+# and the ring around it is all bulk, so a jump touches no face. Both read
+# the domain's site grid: c counts 3 x 3 erosions of its free sites, and the
+# ring site a jump lands on is one gather from it.
 
 # largest jump, in sites; bounds the exit-law solves (a 127 x 127 box)
 _JUMP_TOP = 64
@@ -434,30 +436,27 @@ def _exit_law(r: int) -> tuple[np.ndarray, np.ndarray]:
 def _jump_levels(dom: LatticeDomain) -> np.ndarray:
     """Per bulk site, the level L of its jumps (r = 2^L sites), 0 for a plain step.
 
-    The chessboard distance c to the nearest special site comes from
-    8-neighbourhood erosion over the site graph, stopped at _JUMP_TOP: the
-    diagonals are the +-y neighbours of the +-x neighbours, and a face or wall
-    (-1) counts as distance 0, so no bounding-box grid is needed. Only the
-    square lattice has exit laws; in other dimensions every level is 0.
+    The chessboard distance c to the nearest special site, stopped at
+    _JUMP_TOP, is the number of sets a site lies in among the free sites,
+    those with no face or wall (-1) among their neighbours, and their
+    repeated 3 x 3 erosions on the site grid. A site on the grid's edge has a
+    neighbour off the set, so it is never free and the grid needs no
+    padding. Only the square lattice has exit laws; in other dimensions
+    every level is 0.
     """
-    nb = dom.n_bulk
     if dom.dimension != 2:
-        return np.zeros(nb, dtype=np.int64)
-    graph = dom._index().neighbors
-    # faces and walls all map to the extra index nb, at distance 0
-    code = np.vstack([np.where(graph >= 0, graph, nb), np.full(4, nb)])
-    around = np.column_stack([code[:nb], code[code[:nb, 0], 2:], code[code[:nb, 1], 2:]])
-    special = (code[:nb] == nb).any(axis=1)
-    dist = np.where(np.append(special, True), 0, _JUMP_TOP)
-    alive = np.flatnonzero(~special)
-    while alive.size:
-        reach = 1 + dist[around[alive]].min(axis=1)
-        done = reach < _JUMP_TOP
-        if not done.any():
+        return np.zeros(dom.n_bulk, dtype=np.int64)
+    index = dom._index()
+    at = tuple((index.sites - index._lo).T)
+    free = np.zeros(index.grid.shape, dtype=bool)
+    free[at] = (index.neighbors >= 0).all(axis=1)
+    c = np.zeros(dom.n_bulk, dtype=np.int64)
+    for _ in range(_JUMP_TOP):
+        if not free.any():  # none left; a grid under 3 sites wide never has one
             break
-        dist[alive[done]] = reach[done]
-        alive = alive[~done]
-    c = dist[:nb]
+        c += free[at]
+        rows = free[:-2] & free[1:-1] & free[2:]
+        free = np.pad(rows[:, :-2] & rows[:, 1:-1] & rows[:, 2:], 1)
     # floor(log2 c) from the binary exponent
     return np.where(c >= 2, np.frexp(c)[1] - 1, 0)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,8 +501,27 @@ def _fractional_box():
     )
 
 
+def _misshapen_box(**changed):
+    """lattice_box(6, 5, 0.2), whose 22 faces no longer fit the given field."""
+    box = geo.lattice_box(6, 5, 0.2)
+    changed = {name: value(box) if callable(value) else value for name, value in changed.items()}
+    return lambda: dataclasses.replace(box, **changed)
+
+
+_MISSHAPEN = {
+    "weight_23": _misshapen_box(face_weight=np.ones(23)),
+    "weight_21": _misshapen_box(face_weight=np.ones(21)),
+    "arclength_3": _misshapen_box(face_arclength=np.zeros(3)),
+    "short_tag": _misshapen_box(face_tag=lambda box: box.face_tag[:-1]),
+    "column_tag": _misshapen_box(face_tag=lambda box: box.face_tag[:, None]),
+    "dimension_3": _misshapen_box(dimension=3),
+}
+
+
 @pytest.mark.parametrize(
-    "build", [_face_listed_twice, _face_into_the_bulk, _fractional_box], ids=["listed_twice", "into_the_bulk", "fractional"]
+    "build",
+    [_face_listed_twice, _face_into_the_bulk, _fractional_box, *_MISSHAPEN.values()],
+    ids=["listed_twice", "into_the_bulk", "fractional", *_MISSHAPEN],
 )
 @pytest.mark.parametrize(
     "call",
@@ -519,7 +539,8 @@ def _fractional_box():
     ],
 )
 def test_every_lattice_solve_and_walk_refuses_misplaced_faces(build, call):
-    """A face that shares its slot or sits on a bulk neighbour is refused by validate and by every solve and walk."""
+    """A face that shares its slot or sits on a bulk neighbour, or a field of the wrong
+    shape, is refused by validate and by every solve and walk."""
     with pytest.raises(DegenerateGeometry):
         call(build())
 
@@ -558,8 +579,9 @@ _ARRAYS = ("bulk_sites", "face_exterior", "face_inward", "face_tag", "face_weigh
 
 
 def test_a_domain_holds_read_only_copies():
-    """No array of a built domain takes a write, no field can be rebound, and
-    writing into the arrays a domain was built from, or a view's base, leaves it as it was."""
+    """No array of a built domain, its site grid or its component labels takes a write, no
+    field can be rebound, and writing into the arrays a domain was built from, or a view's
+    base, leaves it as it was."""
     built = geo.rasterize_loop(geo.circle_polyline(1.0, 256), 0.25)
     for name in _ARRAYS:
         with pytest.raises(ValueError, match="read-only"):
@@ -572,6 +594,10 @@ def test_a_domain_holds_read_only_copies():
         built._slots[0] = -1
 
     box = geo.lattice_box(6, 5, 0.2)
+    for kept in (box._index().components[1], box._index().grid):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1
+    assert dtn.absorption_law(box, 0.5).absorbed_fraction == 0.2542330846982095
     base = np.hstack([box.bulk_sites, box.bulk_sites])
     given_arrays = {name: getattr(box, name).copy() for name in _ARRAYS[1:-1]}
     given_arrays.update(bulk_sites=base[:, :2], face_arclength=np.arange(box.n_faces, dtype=float))
@@ -622,13 +648,14 @@ _INT64 = np.iinfo(np.int64)
 def _site_sets(draw):
     """Random 2-D and 3-D site lists with duplicates, far apart on some axes.
 
-    Each axis adds its own far offset (0, 1,000,003 or 2^40) to a random
-    subset of the sites, so a set can reach past what an int64 key counts.
+    Each axis adds its own far offset (0, 1,003, 1,000,003 or 2^40) to a
+    random subset of the sites, so a set can reach past the box ceiling of
+    2^24 cells, and many sets inside it still hold sites far apart.
     """
     d = draw(st.sampled_from([2, 3]))
     small = st.tuples(*[st.integers(-4, 4)] * d)
     rows = draw(st.lists(st.tuples(small, st.tuples(*[st.booleans()] * d)), min_size=1, max_size=60))
-    far = draw(st.tuples(*[st.sampled_from([0, 1_000_003, 2**40])] * d))
+    far = draw(st.tuples(*[st.sampled_from([0, 1_003, 1_000_003, 2**40])] * d))
     sites = [tuple(c + f * j for c, f, j in zip(s, far, jump)) for s, jump in rows]
     repeat = draw(st.lists(st.integers(0, len(sites) - 1), max_size=8))
     return draw(st.permutations(sites + [sites[i] for i in repeat]))
@@ -642,13 +669,13 @@ def test_site_index_matches_dict(sites):
     Queries are the members, their near misses one and two steps off along
     each axis, and points outside the bounding box out to the int64 limits
     and one past them, which is off every set.
-    A set whose box has more cells than an int64 counts must be refused.
+    A set whose box has more than 2^24 cells must be refused.
     """
     d = len(sites[0])
     lo = [min(s[k] for s in sites) for k in range(d)]
     hi = [max(s[k] for s in sites) for k in range(d)]
-    if math.prod(h - l + 1 for l, h in zip(lo, hi)) > _INT64.max:
-        with pytest.raises(DegenerateGeometry):
+    if math.prod(h - l + 1 for l, h in zip(lo, hi)) > 2**24:
+        with pytest.raises(InvalidParam):
             geo._SiteIndex(np.array(sites, dtype=np.int64))
         return
     index = geo._SiteIndex(np.array(sites, dtype=np.int64))
@@ -662,20 +689,26 @@ def test_site_index_matches_dict(sites):
     assert index(queries).tolist() == [row.get(q, -1) for q in queries]
 
 
-@pytest.mark.parametrize("span, refused", [(_INT64.max - 1, False), (_INT64.max, True)])
+@pytest.mark.parametrize("span, refused", [(2**24 - 1, False), (2**24, True)])
 def test_site_index_box_limit(span, refused):
-    """A box of exactly int64-max cells is indexed; one cell more is refused."""
+    """A box of exactly 2^24 cells is indexed; one cell more is refused before anything is allocated."""
     sites = np.array([[0, 0], [span, 0]], dtype=np.int64)
     if refused:
-        with pytest.raises(DegenerateGeometry):
-            geo._SiteIndex(sites)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParam):
+                geo._SiteIndex(sites)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
     else:
         assert geo._SiteIndex(sites)([[span, 0], [0, 0], [1, 0], [0, 1]]).tolist() == [1, 0, -1, -1]
 
 
-def test_validate_refuses_a_box_beyond_int64_keys():
+def test_validate_refuses_a_box_past_the_ceiling():
     sites = np.array([[0, 0], [2**40, 2**40]], dtype=np.int64)
-    with pytest.raises(DegenerateGeometry):
+    with pytest.raises(InvalidParam):
         geo._SiteIndex(sites)
     far = geo.LatticeDomain(
         mesh=1.0,
@@ -686,7 +719,7 @@ def test_validate_refuses_a_box_beyond_int64_keys():
         face_tag=np.empty(0, dtype=np.uint8),
         face_weight=np.empty(0),
     )
-    with pytest.raises(DegenerateGeometry):
+    with pytest.raises(InvalidParam):
         far.validate()
 
 
@@ -705,10 +738,15 @@ def test_face_builder_matches_set_enumeration(cells, jump, wall):
     """Faces, face order, neighbour table and connectivity against plain sets.
 
     Cells with y >= 0 move jump columns right, so the bulk can hold sites far
-    apart; exterior sites left of wall get no face, as at a reflecting side
-    wall. The reference is the corridor fixture's loop plus a BFS.
+    apart; a 2^40 jump between cells on both sides of y = 0 spans a box past
+    2^24 cells and is refused. Exterior sites left of wall get no face, as at
+    a reflecting side wall. The reference is the corridor fixture's loop plus a BFS.
     """
     bulk = np.array([(x + jump if y >= 0 else x, y) for x, y in cells], dtype=np.int64)
+    if jump == 2**40 and len(np.unique(bulk[:, 1] >= 0)) == 2:
+        with pytest.raises(InvalidParam):
+            geo._SiteIndex(bulk)
+        return
     sites = [tuple(map(int, s)) for s in bulk]
     inset = set(sites)
     f_in, f_ext = [], []
