@@ -181,6 +181,13 @@ _CONFIG_TYPES = {bool: (bool, "true or false"), int: (int, "an integer"),
                  float: ((float, int), "a number"), str: (str, "a string")}
 _LIST_KEYS = ("lambda-grid", "start")
 
+# flags that apply to some domains only, by subcommand: a value other than the
+# default on any other --domain is a usage error
+_DOMAIN_FLAGS = {
+    "simulate": {"outer-radius": ("annulus",), "domain-file": ("lattice",), "window": ("halfplane", "halfspace3")},
+    "spectrum": {"outer-radius": ("annulus",), "variant": ("ball",)},
+}
+
 
 def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     params = _SPECS[args.cmd]
@@ -214,6 +221,11 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
         if prm.required and value is None:
             raise _ConfigError(f"--{prm.key} is required for '{args.cmd}'")
         cfg[prm.key] = value
+    defaults = {prm.key: prm.default for prm in params}
+    for key, names in _DOMAIN_FLAGS.get(args.cmd, {}).items():
+        if cfg[key] != defaults[key] and cfg["domain"] not in names:
+            hint = "" if defaults[key] is None else f"; {cfg['domain']} takes --{key} {defaults[key]}"
+            raise _ConfigError(f"--{key} only applies to --domain {' or '.join(names)}{hint}")
     return cfg
 
 
@@ -391,16 +403,16 @@ def _cmd_simulate(cfg: dict) -> dict:
         dom: Any = _domain_from_file(cfg["domain-file"])
         jump = cfg["jump"] if cfg["jump"] is not None else dom.mesh
         start: Any = "source" if cfg["start"] in (None, "source") else _parse_start(cfg["start"], None)
-    elif name == "annulus":
-        if cfg["outer-radius"] is None:
-            raise _ConfigError("--domain annulus needs --outer-radius")
-        R = cfg["outer-radius"]
-        dom = make_canonical("annulus", outer_radius=R)
-        jump = cfg["jump"] if cfg["jump"] is not None else 0.01 * max(lam, 1.0)
-        start = _parse_start(cfg["start"], (0.5 * (1 + R), 0.0))
     else:
-        kind, dim, default_start = _CANONICAL[name]
-        dom = make_canonical(kind, dimension=dim)
+        if name == "annulus":
+            if cfg["outer-radius"] is None:
+                raise _ConfigError("--domain annulus needs --outer-radius")
+            R = cfg["outer-radius"]
+            dom = make_canonical("annulus", outer_radius=R)
+            dim, default_start = 2, (0.5 * (1 + R), 0.0)
+        else:
+            kind, dim, default_start = _CANONICAL[name]
+            dom = make_canonical(kind, dimension=dim)
         jump = cfg["jump"] if cfg["jump"] is not None else 0.01 * max(lam, 1.0)
         start = _parse_start(cfg["start"], default_start)
         if len(start) != dim:
@@ -458,8 +470,6 @@ def _cmd_spectrum(cfg: dict) -> dict:
         rows = [(l, ball_eigenvalue(l, cfg["variant"]), ball_degeneracy(l))
                 for l in range(count)]
     else:
-        if cfg["variant"] != "interior":
-            raise _ConfigError("disk spectrum is implemented for the interior only")
         rows = [(n, float(n), 1 if n == 0 else 2) for n in range(count)]
     meta = {"domain": name, "count": count, "outer_radius": cfg["outer-radius"],
             "variant": cfg["variant"]}

@@ -133,9 +133,11 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
     probability 1/(2d); a step into a missing (reflecting) direction leaves
     it in place, which shows up as mass on the diagonal. Faces absorb, a
     working face f only with probability 1 - eps[f] when per-face
-    reflection probabilities eps are given. validate(check_connected=False) gates it.
+    reflection probabilities eps are given. validate(check_connected=False)
+    and _refuse_faceless, over every site, gate it.
     """
     dom.validate(check_connected=False)
+    _refuse_faceless(dom)
     graph = dom._index().neighbors
     nb = dom.n_bulk
     two_d = 2 * dom.dimension
@@ -145,20 +147,28 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
     if eps is not None:
         working = dom.working_mask()
         stay = stay + np.bincount(inward[working], weights=eps[working], minlength=nb)
+    # one COO of the off-diagonal -1/(2d) and the diagonal 1 - stay/(2d), summed into canonical CSC
     r, k = np.nonzero(graph >= 0)
-    P = sparse.coo_matrix(
-        (np.full(len(r), 1.0 / two_d), (r, graph[r, k])), shape=(nb, nb)
-    ).tocsr()
-    P = P + sparse.diags(stay / two_d)
-    # a component with no absorbing face leaves I - P singular
-    absorbing = np.zeros(nb, dtype=bool)
-    absorbing[inward] = True
+    diag = np.arange(nb)
+    return sparse.coo_matrix(
+        (np.append(np.full(len(r), -1.0 / two_d), 1.0 - stay / two_d),
+         (np.append(r, diag), np.append(graph[r, k], diag))),
+        shape=(nb, nb),
+    ).tocsc()
+
+
+def _refuse_faceless(dom: LatticeDomain, sites=None) -> None:
+    """SingularSystem if a bulk component that holds no face holds one of sites (default: any site).
+
+    No walk in such a component ever ends, and it leaves I - P singular.
+    """
     _, labels = dom._index().components
-    sizes = np.bincount(labels)
-    dry = np.flatnonzero(np.bincount(labels[absorbing], minlength=len(sizes)) == 0)
+    has_face = np.zeros(labels.max() + 1, dtype=bool)
+    has_face[labels[dom.inward_indices()]] = True
+    held = labels if sites is None else labels[sites]
+    dry = held[~has_face[held]]
     if len(dry):
-        raise SingularSystem(f"bulk component of {int(sizes[dry[0]])} sites has no absorbing face")
-    return sparse.eye(nb, format="csc") - P.tocsc()
+        raise SingularSystem(f"bulk component of {np.count_nonzero(labels == dry[0])} sites has no absorbing face")
 
 
 def _splu(system, permc_spec: str):

@@ -191,7 +191,7 @@ class LatticeDomain:
         return self._lookup
 
     def site_index(self, sites) -> np.ndarray:
-        """Bulk index of each site (rows of d integer coordinates), -1 off the bulk."""
+        """Bulk index of each row of d coordinates, -1 off the bulk or for a row that names no site."""
         return self._index()(sites)
 
     @functools.cached_property
@@ -233,10 +233,8 @@ class LatticeDomain:
             if _count(start, "bulk site index", 0) >= self.n_bulk:
                 raise InvalidParam(f"bulk site index {start} out of range")
             return np.array([start], dtype=np.int64)
-        # a bool anywhere is no coordinate, and a fractional coordinate no site
+        # a bool anywhere is no coordinate; a row that names no site is off the bulk
         site = _numbers(start, InvalidParam, "lattice start").ravel()
-        if not _integral(site):
-            raise InvalidParam(f"lattice start {start!r} is neither a bulk index nor integer coordinates")
         index = self.site_index(site) if len(site) == self.dimension else [-1]
         if index[0] < 0:
             raise InvalidParam(f"lattice start {site.tolist()} is not a bulk site")
@@ -269,11 +267,8 @@ class LatticeDomain:
             a = getattr(self, f.name)
             if a is not None and a.shape != shape:
                 raise DegenerateGeometry(f"{f.name} must have shape {shape}, not {a.shape}")
-        for name in ("bulk_sites", "face_inward", "face_exterior"):
-            # checked before any site index casts them to int64, which drops a fraction
-            sites = np.asarray(getattr(self, name))
-            if sites.dtype.kind == "O" or not _integral(sites) or np.any(np.abs(sites) >= 2**63):
-                raise DegenerateGeometry(f"{name} must hold int64 coordinates, no fractions, NaNs, infinities or bools")
+        for name in ("face_inward", "face_exterior"):  # the site index checks bulk_sites
+            _site_rows(getattr(self, name), d, refuse=name)
         if self.n_bulk == 0:
             raise DegenerateGeometry("no bulk sites")
         if self._index().n_distinct != self.n_bulk:
@@ -293,13 +288,23 @@ class LatticeDomain:
             raise MeshTooCoarse("bulk sites do not form a connected set")
 
 
-def _integral(values: np.ndarray) -> bool:
-    """Whether values holds integers: an integer dtype, finite integral floats or Python ints, never bools."""
-    if values.dtype.kind == "f":
-        return bool(np.all(np.isfinite(values))) and not np.any(values % 1)
-    if values.dtype.kind == "O":  # Python integers past the uint64 range
-        return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values.flat)
-    return values.dtype.kind in "iu"
+def _site_rows(sites, dimension: int, refuse: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of coordinates as int64, and whether each names a site: every coordinate an integer inside int64.
+
+    A row that names none (a fraction, NaN, an infinity, a bool, a value past
+    int64) reads as zeros, never a rounded or wrapped site, or with refuse
+    raises DegenerateGeometry naming that field. The one place the rule lives.
+    """
+    q = np.asarray(sites).reshape(-1, dimension)
+    named = np.full(len(q), q.dtype.kind == "i")  # bools and strings name no site
+    if q.dtype.kind in "ufO":  # O: Python integers past the uint64 range
+        with np.errstate(invalid="ignore"):  # NaN and the infinities compare false
+            named = np.all((q % 1 == 0) & (q >= -(2**63)) & (q < 2**63), axis=1).astype(bool)
+    if not named.all():
+        if refuse is not None:
+            raise DegenerateGeometry(f"{refuse} must hold int64 coordinates, no fractions, NaNs, infinities or bools")
+        q = np.where(named[:, None], q, 0)
+    return q.astype(np.int64, copy=False), named
 
 
 def _axis_offsets(d: int) -> np.ndarray:
@@ -315,9 +320,10 @@ class _SiteIndex:
 
     A read-only grid over the bounding box [lo, hi] of the set holds each
     site's row and -1 elsewhere; a duplicated site keeps its last row, as a
-    dict built in row order would. A lookup is one box test and one gather.
-    A box of more than _MAX_BOX_CELLS cells raises InvalidParam before the
-    grid is allocated, 8 bytes per cell.
+    dict built in row order would. Rows are read by _site_rows, so a set with
+    a row that names no site raises DegenerateGeometry and a lookup of one is
+    -1; any other lookup is one box test and one gather. A box of more than
+    _MAX_BOX_CELLS cells raises InvalidParam before the grid is allocated.
 
     The index owns the set's graph: the (n, 2d) neighbour table and the
     component labels, each computed on first use, kept and read-only. A
@@ -326,9 +332,9 @@ class _SiteIndex:
     LatticeDomain._slots locates.
     """
 
-    def __init__(self, sites: np.ndarray) -> None:
-        self.sites = sites = np.asarray(sites, dtype=np.int64)
-        self.dimension = d = sites.shape[1]
+    def __init__(self, sites) -> None:
+        self.dimension = d = np.shape(sites)[1]
+        self.sites = sites = _site_rows(sites, d, refuse="bulk_sites")[0]
         # an empty set gets a one-cell box that holds no site
         self._lo, self._hi = (sites.min(axis=0), sites.max(axis=0)) if len(sites) else (np.zeros(d, np.int64),) * 2
         _check_box(self._lo, [int(h) + 1 for h in self._hi])
@@ -338,17 +344,9 @@ class _SiteIndex:
         self.n_distinct = int(np.count_nonzero(self.grid >= 0))
 
     def __call__(self, sites) -> np.ndarray:
-        q = np.asarray(sites)
-        if q.dtype != np.int64:
-            # read as Python numbers, so that no coordinate rounds or wraps; a row
-            # with one past the int64 range is off the set, like any row off the box
-            q = np.asarray(sites, dtype=object).reshape(-1, self.dimension)
-            with np.errstate(invalid="ignore"):  # NaN is off the set too
-                fits = np.all((q >= -(2**63)) & (q < 2**63), axis=1).astype(bool)
-            return np.where(fits, self(np.where(fits[:, None], q, 0).astype(np.int64)), -1)
-        q = q.reshape(-1, self.dimension)
+        q, named = _site_rows(sites, self.dimension)
         # tested against the bounds as given: q - lo could wrap past the int64 range
-        inside = np.all((q >= self._lo) & (q <= self._hi), axis=1)
+        inside = named & np.all((q >= self._lo) & (q <= self._hi), axis=1)
         return np.where(inside, self.grid[tuple((np.where(inside[:, None], q, self._lo) - self._lo).T)], -1)
 
     @functools.cached_property

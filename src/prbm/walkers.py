@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .dtn import _absorbed_masses, _reflection_probabilities
+from .dtn import _absorbed_masses, _reflection_probabilities, _refuse_faceless
 from .errors import ExcessiveCensoring, InvalidParam, _count, _nonnegative, _point, _positive
 from .geometry import DomainKind, DomainSpec, LatticeDomain, lattice_box
 from .rng import RngStream
@@ -186,8 +186,11 @@ def _zonal_point(axis: np.ndarray, cos_t, phi) -> np.ndarray:
 #   where    the raw contact coordinate, one row per walker;
 #   hazard   the share of the threshold the step spends, scalar or per walker:
 #            -log epsilon on the working boundary, 0 anywhere else;
-#   source   mask of walkers that left through the source (None: none);
-#   far      mask of walkers past the escape radius (None: none).
+#   source   mask of walkers that left through the source (None: none), read
+#            only where the hazard is not steady: the exterior ball, the
+#            annulus and lattices;
+#   far      mask of walkers past the escape radius (None: none), read only
+#            where it is steady: only the half-space reports it.
 # to_bin(where) maps the coordinates of absorbed walkers to histogram bins.
 # first is true on the first step only, when every walker is still at its
 # start height or radius; afterwards it sits at distance a off the boundary.
@@ -245,10 +248,6 @@ def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to, steady):
         if src is not None:
             source += int(src.sum())
             keep = keep & ~src
-        if far is not None:
-            far = far & keep
-            censored += int(far.sum())
-            keep = keep & ~far
         if count_to is not None:
             nrefl = (nrefl + reflected)[keep]
         rows, left = rows[keep], left[keep]
@@ -466,6 +465,7 @@ def _lattice_kernel(dom, start, params):
     if abs(params.a - dom.mesh) > 1e-12 * max(params.a, dom.mesh):
         raise InvalidParam("params.a must equal the lattice mesh")
     launch = dom._launch(start)
+    _refuse_faceless(dom, launch)
     nb, nf = dom.n_bulk, dom.n_faces
     table = dom.neighbor_table()
     two_d = 2 * dom.dimension
@@ -484,6 +484,7 @@ def _lattice_kernel(dom, start, params):
     # the exit laws of every level present, filled here before chunks fan
     # out; level L's CDF is shifted by L, so one searchsorted draws them all
     level = _jump_levels(dom)
+    at = dom._index().sites - dom._index()._lo  # each site's cell of the site grid, which jumps read
     cdf, ring = np.zeros(0), np.zeros((0, 2), dtype=np.int64)
     # last CDF index of each level, so that L + u rounded up to L + 1 stays in level L
     last = [-1]
@@ -506,7 +507,7 @@ def _lattice_kernel(dom, start, params):
         if jump.size:
             lev = lev[jump]
             k = np.minimum(np.searchsorted(cdf, lev + gen.random(jump.size), side="right"), last[lev])
-            code[jump] = dom.site_index(dom.bulk_sites[sites[jump]] + ring[k])
+            code[jump] = dom._index().grid[tuple((at[sites[jump]] + ring[k]).T)]
         moved = np.where(is_bulk[code], code, sites)
         return moved, code, hazard_of[code], is_source[code], None
 

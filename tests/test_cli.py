@@ -169,6 +169,59 @@ def test_simulate_checks_start_dimension(capsys):
     assert "coordinates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["simulate", "--domain", "disk", "--outer-radius", "3"], None),
+    (["simulate", "--domain", "disk"], {"outer-radius": 3}),
+    (["simulate", "--domain", "halfplane", "--domain-file", "x.json"], None),
+    (["simulate", "--domain", "halfplane"], {"domain-file": "x.json"}),
+    (["simulate", "--domain", "lattice", "--domain-file", "x.json", "--outer-radius", "3"], None),
+    (["simulate", "--domain", "ball", "--window", "2"], None),
+    (["simulate", "--domain", "annulus", "--outer-radius", "3", "--start", "1.5,0,0"], None),
+    (["simulate", "--domain", "annulus", "--outer-radius", "3"], {"start": [1.5, 0, 0]}),
+    (["spectrum", "--domain", "annulus", "--outer-radius", "3", "--variant", "exterior"], None),
+    (["spectrum", "--domain", "annulus", "--outer-radius", "3"], {"variant": "exterior"}),
+    (["spectrum", "--domain", "disk", "--outer-radius", "3"], None),
+])
+def test_a_flag_that_does_not_apply_is_a_usage_error(argv, config, capsys):
+    """A flag given on a --domain it does not apply to, or a start of the wrong
+    dimension, exits 2 and writes no manifest, also when it comes from --config."""
+    if config is not None:
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    assert cli.main(argv + ["--out", "x.csv"]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(Path.cwd().glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("argv, header, n_rows", [
+    # the half-plane table ends in its overflow bin, whose right edge is inf
+    (["simulate", "--domain", "halfplane", "--walkers", "2000", "--bins", "8", "--out", "t.csv"],
+     ["bin_left", "bin_right", "count", "probability", "stderr"], 9),
+    # the default ball start is the centre, where the first contact is uniform
+    (["simulate", "--domain", "ball", "--walkers", "2000", "--bins", "8", "--out", "t.csv"],
+     ["bin_left", "bin_right", "count", "probability", "stderr"], 8),
+    (["halfspace", "--table", "spread-kernel", "--points", "10", "--out", "t.csv"], ["s", "density"], 21),
+    (["halfspace", "--prob", "--ratio", "0.5", "--out", "t.csv"], ["d", "ratio", "probability"], 1),
+    (["halfspace", "--table", "absorption", "--points", "4"], ["ratio", "probability"], 5),
+])
+def test_tables_land_in_a_file_or_on_stdout(argv, header, n_rows, capsys):
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    if "--out" in argv:
+        meta, got, rows = _read_csv("t.csv")
+        assert _strict_json(Path("t.csv.manifest.json").read_text())["outputs"] == ["t.csv"]
+    else:
+        lines = printed.splitlines()
+        meta, got, rows = json.loads(lines[0][2:]), lines[1].split(","), [line.split(",") for line in lines[2:]]
+    assert got == header and len(rows) == n_rows
+    values = [[float(v) for v in row] for row in rows]
+    if argv[0] == "simulate":
+        assert sum(int(row[2]) for row in rows) == meta["working_absorbed"] == 2000 - meta["censored"]
+        assert (values[-1][1] == math.inf) == (argv[2] == "halfplane")
+    if "--prob" in argv:
+        assert values == [[2.0, 0.5, absorption_probability_disk(0.5, 1.0, 2)]]
+
+
 def test_ball_spectrum_lists_angular_modes():
     assert cli.main(["spectrum", "--domain", "ball", "--count", "5",
                      "--out", "ball.csv"]) == 0

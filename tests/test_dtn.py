@@ -2,15 +2,17 @@
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prbm import cli, dtn
+from prbm import cli, dtn, walkers
 from prbm import geometry as geo
 from prbm.errors import InvalidParam, SingularSystem, SolveFailure
+from prbm.rng import RngStream
 
 
 def test_corridor_matches_hand_green_function(corridor):
@@ -182,9 +184,10 @@ def test_build_q_wants_working_faces():
         dtn.build_Q(src_only)
 
 
-def test_isolated_component_raises():
+def _box_and_lone_site():
+    """lattice_box(2, 1, 1.0) plus a lone site at (7, 7) that holds no face."""
     main = geo.lattice_box(2, 1, 1.0)
-    dom = geo.LatticeDomain(
+    return geo.LatticeDomain(
         mesh=1.0,
         dimension=2,
         bulk_sites=np.vstack([main.bulk_sites, [[7, 7]]]),
@@ -193,9 +196,26 @@ def test_isolated_component_raises():
         face_tag=main.face_tag,
         face_weight=main.face_weight,
     )
+
+
+def test_isolated_component_raises():
     # the lone site at (7,7) has no faces, so its walk never terminates
     with pytest.raises(SingularSystem):
-        dtn.build_Q(dom)
+        dtn.build_Q(_box_and_lone_site())
+
+
+def test_a_walk_from_a_component_without_faces_is_refused_at_once():
+    """The walkers refuse the lone site before any step, as the exact solve does,
+    and still run from the source, which lies in the box."""
+    dom = _box_and_lone_site()
+    params = walkers.JumpParams(0.5, 1.0)
+    t0 = time.perf_counter()
+    with pytest.raises(SingularSystem, match="no absorbing face"):
+        walkers.estimate_spread_measure(dom, (7, 7), params, 10, RngStream(0))
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(SingularSystem):
+        dtn._absorbed_masses(dom, np.zeros(dom.n_faces), start=(7, 7))
+    assert walkers.estimate_spread_measure(dom, "source", params, 10, RngStream(0)).censored == 0
 
 
 def test_dtn_matrix_kernel_on_closed_boundary(corridor):

@@ -81,6 +81,27 @@ def test_neighbor_table_box_interior_and_corner():
     assert geo.MISSING_NEIGHBOR not in table[corner]
 
 
+@pytest.mark.parametrize(
+    "row, found",
+    [([1.5, 2.0], -1), ([1.9999, 2.0], -1), ([math.nan, 2.0], -1), ([math.inf, 2.0], -1), ([2**63, 0], -1),
+     ([1, 2], 7), ([1.0, 2.0], 7)],
+)
+def test_site_index_reads_only_rows_that_name_a_site(row, found):
+    """A row names a site when every coordinate is an integer inside int64; a
+    fraction is never rounded or truncated onto the site (1, 2), row 7."""
+    assert geo.lattice_box(6, 5, 0.2).site_index([row]).tolist() == [found]
+
+
+def test_a_fractional_bulk_site_is_refused_by_every_lookup():
+    box = geo.lattice_box(6, 5, 0.2)
+    bulk = box.bulk_sites.astype(float)
+    bulk[7] = (1.5, 2.0)
+    moved = dataclasses.replace(box, bulk_sites=bulk)
+    for lookup in (lambda: moved.site_index([[1, 2]]), moved.neighbor_table, moved.validate):
+        with pytest.raises(DegenerateGeometry, match="bulk_sites"):
+            lookup()
+
+
 def test_channel_side_walls_are_missing_neighbors():
     ch = geo.lattice_channel(4, 0.5)
     table = ch.neighbor_table()
