@@ -123,7 +123,7 @@ def _reflection_probabilities(dom: LatticeDomain, Lambda: float) -> np.ndarray:
     """
     if Lambda > 0:
         return Lambda / (Lambda + dom.mesh * dom.face_weight)
-    return np.zeros(dom.face_weight.shape)
+    return np.zeros(dom.n_faces)
 
 
 def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
@@ -133,11 +133,9 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
     probability 1/(2d); a step into a missing (reflecting) direction leaves
     it in place, which shows up as mass on the diagonal. Faces absorb, a
     working face f only with probability 1 - eps[f] when per-face
-    reflection probabilities eps are given. validate(check_connected=False)
-    and _refuse_faceless, over every site, gate it.
+    reflection probabilities eps are given. The domain's bulk is connected
+    and holds a face, which its constructor checks, so I - P is nonsingular.
     """
-    dom.validate(check_connected=False)
-    _refuse_faceless(dom)
     graph = dom._index().neighbors
     nb = dom.n_bulk
     two_d = 2 * dom.dimension
@@ -155,20 +153,6 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
          (np.append(r, diag), np.append(graph[r, k], diag))),
         shape=(nb, nb),
     ).tocsc()
-
-
-def _refuse_faceless(dom: LatticeDomain, sites=None) -> None:
-    """SingularSystem if a bulk component that holds no face holds one of sites (default: any site).
-
-    No walk in such a component ever ends, and it leaves I - P singular.
-    """
-    _, labels = dom._index().components
-    has_face = np.zeros(labels.max() + 1, dtype=bool)
-    has_face[labels[dom.inward_indices()]] = True
-    held = labels if sites is None else labels[sites]
-    dry = held[~has_face[held]]
-    if len(dry):
-        raise SingularSystem(f"bulk component of {np.count_nonzero(labels == dry[0])} sites has no absorbing face")
 
 
 def _splu(system, permc_spec: str):
@@ -200,10 +184,10 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     last. The first LU also solves the Lambda = 0 source launch, whose masses
     are kept for hitting_distribution on the same domain.
     """
-    system = _bulk_system(dom)
     working = np.flatnonzero(dom.working_mask())
     if len(working) == 0:
         raise InvalidParam("domain has no working faces")
+    system = _bulk_system(dom)
     lu = _splu(system, "MMD_AT_PLUS_A")
     has_source = bool(dom.source_mask().any())
     if has_source:
@@ -276,10 +260,10 @@ def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, lu=None, start="source
     """Per-working-face absorption masses of a launch from start under reflection probabilities eps.
 
     start is resolved by LatticeDomain._launch, as the lattice walkers resolve
-    theirs, once the domain is gated: solved on lu when given, else on a fresh _factor(dom, eps).
+    theirs. Solved on lu when given, else on a fresh _factor(dom, eps).
     """
-    lu = lu if lu is not None else _factor(dom, eps)
     launch = dom._launch(start)
+    lu = lu if lu is not None else _factor(dom, eps)
     working = np.flatnonzero(dom.working_mask())
     # walkers start uniformly on the launch sites
     pi = np.zeros(dom.n_bulk)

@@ -82,9 +82,10 @@ def _is_number(value) -> bool:
 
 
 def _numbers(value, error, name: str) -> np.ndarray:
-    """np.asarray(value); a list or tuple must nest non-bool numbers to a regular shape."""
+    """np.asarray(value); a list, a tuple or an object array must nest non-bool numbers to a regular shape."""
     try:
-        ragged = isinstance(value, (list, tuple)) and not all(map(_is_number, np.asarray(value, dtype=object).flat))
+        listed = isinstance(value, (list, tuple)) or getattr(value, "dtype", None) == object
+        ragged = listed and not all(map(_is_number, np.asarray(value, dtype=object).flat))
     except ValueError:  # arrays of different shapes
         ragged = True
     if ragged:

@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, _count, _numbers, _point, _positive
+from .errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, SingularSystem, _count, _numbers, _point, _positive
 
 __all__ = [
     "rasterize_loop",
@@ -132,15 +132,16 @@ class BoundaryTag(enum.IntEnum):
 
 @dataclass(frozen=True, eq=False)
 class LatticeDomain:
-    """Rasterized domain: bulk sites plus tagged boundary faces, fixed once built.
+    """Rasterized domain: bulk sites plus tagged boundary faces, checked and fixed once built.
 
     Sites are integer lattice coordinates; physical position is site * mesh.
     face_exterior[i] is the boundary site (outside the bulk), face_inward[i]
     its unique bulk neighbour, i.e. the reflection target s + a n(s). The
-    domain holds read-only copies of its arrays and compares by identity; a
-    retag or a moved face is a new domain, made with dataclasses.replace. So
-    its kept records cannot go stale: the site index _lookup, which owns the
-    site graph (a builder's own index, else made when first read), and _slots.
+    constructor runs validate() on read-only copies of the arrays, so every
+    domain is one connected bulk with a face, where the walk ends. It compares
+    by identity; a retag or a moved face is a new domain, made with
+    dataclasses.replace. So its kept records cannot go stale: the site index
+    _lookup, which owns the site graph (a builder's, passed as index), and _slots.
     """
 
     mesh: float
@@ -151,11 +152,15 @@ class LatticeDomain:
     face_tag: np.ndarray        # (nf,) uint8, BoundaryTag values
     face_weight: np.ndarray     # (nf,) float64 in (0, 1]
     face_arclength: np.ndarray | None = None  # (nf,) coordinate along the source polyline
+    index: InitVar[_SiteIndex | None] = None  # a builder's index of bulk_sites; replace never carries it
 
-    def __post_init__(self) -> None:  # read-only copies of the arrays, which no array passed in can write into
+    def __post_init__(self, index: _SiteIndex | None) -> None:  # read-only copies, then the one check
         for name in [f.name for f in fields(self)[2:] if getattr(self, f.name) is not None]:
             object.__setattr__(self, name, np.array(getattr(self, name)))
             getattr(self, name).flags.writeable = False
+        if index is not None:
+            object.__setattr__(self, "_lookup", index)
+        self.validate()
 
     # -- basic views ---------------------------------------------------------
 
@@ -186,7 +191,7 @@ class LatticeDomain:
         return self.mesh ** (self.dimension - 1) * self.face_weight
 
     def _index(self) -> _SiteIndex:
-        if "_lookup" not in vars(self):  # a builder attaches the index it made the faces with
+        if "_lookup" not in vars(self):
             object.__setattr__(self, "_lookup", _SiteIndex(self.bulk_sites))
         return self._lookup
 
@@ -211,10 +216,7 @@ class LatticeDomain:
 
     def inward_indices(self) -> np.ndarray:
         """Bulk index of each face's inward neighbour."""
-        slot = self._slots
-        if np.any(slot < 0):
-            raise DegenerateGeometry("a face does not step from a bulk site to an adjacent site")
-        return slot // (2 * self.dimension)
+        return self._slots // (2 * self.dimension)
 
     def _launch(self, start) -> np.ndarray:
         """Bulk sites a walk from start begins at, each equally likely.
@@ -247,19 +249,16 @@ class LatticeDomain:
         boundary face v - n_bulk; MISSING_NEIGHBOR marks a reflecting wall
         (possible only in hand-built domains; rasterize seals the region).
         Columns follow _axis_offsets: +x, -x, +y, -y, ... It is a copy of the
-        site graph with each face's code put at its slot; the codes mean what
-        they say on a domain that validate() accepts.
+        site graph with each face's code put at its slot.
         """
-        slot = self._slots
         table = self._index().neighbors.copy()
-        f = np.flatnonzero(slot >= 0)
-        np.put(table, slot[f], self.n_bulk + f)
+        np.put(table, self._slots, self.n_bulk + np.arange(self.n_faces))
         return table
 
     # -- consistency ---------------------------------------------------------
 
-    def validate(self, *, check_connected: bool = True) -> None:
-        """Check the structural invariants, each face in its own off-bulk slot; raises on violation."""
+    def validate(self) -> None:
+        """Raise on a broken invariant, from an array's shape to a misplaced face or a disconnected or faceless bulk."""
         _positive(self.mesh, "mesh")
         d = _count(self.dimension, "dimension", 2)
         nb, nf = self.bulk_sites.shape[:1], self.face_exterior.shape[:1]
@@ -276,26 +275,34 @@ class LatticeDomain:
         tags = set(int(t) for t in np.unique(self.face_tag))
         if not tags <= {int(BoundaryTag.WORKING), int(BoundaryTag.SOURCE)}:
             raise InvalidParam("face tags must be Working or Source")
-        self.inward_indices()
         slot = self._slots
+        if np.any(slot < 0):
+            raise DegenerateGeometry("a face does not step from a bulk site to an adjacent site")
         if np.any(self._index().neighbors.flat[slot] >= 0):
             raise DegenerateGeometry("face exterior site lies in the bulk")
         if len(np.unique(slot)) < len(slot):
             raise DegenerateGeometry("two faces fill one slot of the site graph")
         if self.n_faces and not np.all(_positive(self.face_weight, "face weights") <= 1.0 + 1e-12):
             raise InvalidParam("face weights must lie in (0, 1]")
-        if check_connected and self._index().components[0] != 1:
+        if self._index().components[0] != 1:
             raise MeshTooCoarse("bulk sites do not form a connected set")
+        if self.n_faces == 0:  # no walk on the bulk would ever end, and I - P would be singular
+            raise SingularSystem(f"bulk component of {self.n_bulk} sites has no absorbing face")
 
 
 def _site_rows(sites, dimension: int, refuse: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rows of coordinates as int64, and whether each names a site: every coordinate an integer inside int64.
 
     A row that names none (a fraction, NaN, an infinity, a bool, a value past
-    int64) reads as zeros, never a rounded or wrapped site, or with refuse
-    raises DegenerateGeometry naming that field. The one place the rule lives.
+    int64) reads as zeros, never a rounded or wrapped site. Input that is no
+    array of rows of numbers raises InvalidParam; with refuse, either raises
+    DegenerateGeometry naming that field. The one place the rule lives.
     """
-    q = np.asarray(sites).reshape(-1, dimension)
+    error, name = (DegenerateGeometry, refuse) if refuse else (InvalidParam, "lattice sites")
+    q = _numbers(sites, error, name)
+    if q.size and q.shape[-1:] != (dimension,):
+        raise error(f"{name} must be rows of {dimension} coordinates, not shape {q.shape}")
+    q = q.reshape(-1, dimension)
     named = np.full(len(q), q.dtype.kind == "i")  # bools and strings name no site
     if q.dtype.kind in "ufO":  # O: Python integers past the uint64 range
         with np.errstate(invalid="ignore"):  # NaN and the infinities compare false
@@ -497,7 +504,7 @@ def _assemble(mesh, index, inward, exterior, tag, weight, arc=None) -> LatticeDo
     if arc is not None:
         order = np.lexsort((arc, tag))
         inward, exterior, tag, weight, arc = (x[order] for x in (inward, exterior, tag, weight, arc))
-    dom = LatticeDomain(
+    return LatticeDomain(
         mesh=_positive(mesh, "mesh"),
         dimension=2,
         bulk_sites=index.sites,
@@ -506,10 +513,8 @@ def _assemble(mesh, index, inward, exterior, tag, weight, arc=None) -> LatticeDo
         face_tag=tag.astype(np.uint8),
         face_weight=weight,
         face_arclength=arc,
+        index=index,  # the index the faces were built with
     )
-    object.__setattr__(dom, "_lookup", index)  # the index the faces were built with
-    dom.validate()
-    return dom
 
 
 # -- polylines ---------------------------------------------------------------

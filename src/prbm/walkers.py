@@ -15,7 +15,8 @@ walkers by it once and steps only the live prefix; elsewhere it compacts the
 survivors by a mask at every step. Either way every contact is drawn. A domain
 supplies only its start rows and one step of its hitting law, and its kernel
 refuses a start the domain cannot use; the lattice kernel takes its launch
-sites from LatticeDomain._launch, as dtn's exact solves do. The laws are the
+sites from LatticeDomain._launch, as dtn's exact solves do, and no more checks
+a domain that its constructor checked. The laws are the
 jump to the wall of the half-space (the Cauchy inverse CDF of one uniform in
 the plane), the Mobius image of a uniform angle on the disk (one real scaling
 in the half-angle chart), the zonal inverse CDF in a per-walker frame on the
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .dtn import _absorbed_masses, _reflection_probabilities, _refuse_faceless
+from .dtn import _absorbed_masses, _reflection_probabilities
 from .errors import ExcessiveCensoring, InvalidParam, _count, _nonnegative, _point, _positive
 from .geometry import DomainKind, DomainSpec, LatticeDomain, lattice_box
 from .rng import RngStream
@@ -209,20 +210,22 @@ def _walk(gen, n, init, hit, to_bin, n_bins, max_steps, count_to, steady):
     """
     rows = init(gen, n)
     left = gen.standard_exponential(n)
-    if steady:
-        # minus the reflection counts, ascending; floor(E/inf) = 0 at Lambda = 0. A
-        # start row is independent of its threshold, so the rows need no reordering
-        left = -np.floor(left / steady)
+    if steady is not None:
+        # minus the reflection counts, ascending; floor(E/inf) = 0 at Lambda = 0 and
+        # floor(E/0) = inf where the hazard underflows. A start row is independent
+        # of its threshold, so the rows need no reordering
+        with np.errstate(divide="ignore"):
+            left = -np.floor(left / steady)
         left.sort()
     counts = np.zeros(n_bins, dtype=np.int64)
     source = censored = total_refl = 0
-    nrefl = np.zeros(n, dtype=np.int64) if count_to is not None and not steady else None
+    nrefl = np.zeros(n, dtype=np.int64) if count_to is not None and steady is None else None
     refl_counts = np.zeros(count_to + 2, dtype=np.int64) if count_to is not None else None
     for step in range(max_steps):
         if len(rows) == 0:
             break
         rows, where, hazard, src, far = hit(gen, rows, step == 0)
-        if steady:
+        if steady is not None:
             # the walkers whose count is step end now, the tail past cut
             cut = int(np.searchsorted(left, -step))
             counts += np.bincount(to_bin(where[cut:]), minlength=n_bins)
@@ -461,11 +464,9 @@ def _jump_levels(dom: LatticeDomain) -> np.ndarray:
 
 
 def _lattice_kernel(dom, start, params):
-    dom.validate(check_connected=False)
     if abs(params.a - dom.mesh) > 1e-12 * max(params.a, dom.mesh):
         raise InvalidParam("params.a must equal the lattice mesh")
     launch = dom._launch(start)
-    _refuse_faceless(dom, launch)
     nb, nf = dom.n_bulk, dom.n_faces
     table = dom.neighbor_table()
     two_d = 2 * dom.dimension

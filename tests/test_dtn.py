@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from prbm import cli, dtn, walkers
 from prbm import geometry as geo
-from prbm.errors import InvalidParam, SingularSystem, SolveFailure
+from prbm.errors import InvalidParam, MeshTooCoarse, SingularSystem, SolveFailure
 from prbm.rng import RngStream
 
 
@@ -199,23 +199,25 @@ def _box_and_lone_site():
 
 
 def test_isolated_component_raises():
-    # the lone site at (7,7) has no faces, so its walk never terminates
-    with pytest.raises(SingularSystem):
-        dtn.build_Q(_box_and_lone_site())
+    # the lone site at (7,7) has no faces, so its walk would never terminate
+    with pytest.raises(MeshTooCoarse, match="connected"):
+        _box_and_lone_site()
 
 
 def test_a_walk_from_a_component_without_faces_is_refused_at_once():
-    """The walkers refuse the lone site before any step, as the exact solve does,
-    and still run from the source, which lies in the box."""
-    dom = _box_and_lone_site()
-    params = walkers.JumpParams(0.5, 1.0)
+    """No domain holds a bulk component without faces: the box plus a lone site is
+    refused as it is made, as is a faceless box, so no walk or solve can start in
+    one; the box itself runs from its source with none censored."""
     t0 = time.perf_counter()
-    with pytest.raises(SingularSystem, match="no absorbing face"):
-        walkers.estimate_spread_measure(dom, (7, 7), params, 10, RngStream(0))
+    with pytest.raises(MeshTooCoarse):
+        _box_and_lone_site()
     assert time.perf_counter() - t0 < 1.0
-    with pytest.raises(SingularSystem):
-        dtn._absorbed_masses(dom, np.zeros(dom.n_faces), start=(7, 7))
-    assert walkers.estimate_spread_measure(dom, "source", params, 10, RngStream(0)).censored == 0
+    main = geo.lattice_box(2, 1, 1.0)
+    faceless = {name: getattr(main, name)[:0] for name in ("face_exterior", "face_inward", "face_tag", "face_weight")}
+    with pytest.raises(SingularSystem, match="no absorbing face"):
+        dataclasses.replace(main, **faceless)
+    params = walkers.JumpParams(0.5, 1.0)
+    assert walkers.estimate_spread_measure(main, "source", params, 10, RngStream(0)).censored == 0
 
 
 def test_dtn_matrix_kernel_on_closed_boundary(corridor):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from prbm import dtn, lsa, walkers
 from prbm import geometry as geo
-from prbm.errors import DegenerateGeometry, InvalidParam, MeshTooCoarse
+from prbm.errors import DegenerateGeometry, InvalidParam, MeshTooCoarse, SingularSystem
 from prbm.rng import RngStream
 
 
@@ -93,13 +93,31 @@ def test_site_index_reads_only_rows_that_name_a_site(row, found):
 
 
 def test_a_fractional_bulk_site_is_refused_by_every_lookup():
+    """The domain that would hold it is refused as it is made, so no lookup reads it."""
     box = geo.lattice_box(6, 5, 0.2)
     bulk = box.bulk_sites.astype(float)
     bulk[7] = (1.5, 2.0)
-    moved = dataclasses.replace(box, bulk_sites=bulk)
-    for lookup in (lambda: moved.site_index([[1, 2]]), moved.neighbor_table, moved.validate):
-        with pytest.raises(DegenerateGeometry, match="bulk_sites"):
-            lookup()
+    with pytest.raises(DegenerateGeometry, match="bulk_sites"):
+        dataclasses.replace(box, bulk_sites=bulk)
+
+
+@pytest.mark.parametrize("sites", [[[None, 1]], [1, 2, 3], [[1, 2, 3]], [["1", 2]], 5])
+def test_a_lookup_of_malformed_coordinates_is_invalid(sites):
+    """Rows that are no regular array of numbers, or not of 2 coordinates, name no lookup."""
+    with pytest.raises(InvalidParam, match="lattice sites"):
+        geo.lattice_box(6, 5, 0.2).site_index(sites)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bulk_sites", [[None, 1]]), ("bulk_sites", np.array([[0, None]], dtype=object)),
+     ("face_inward", [[0, None]]), ("face_exterior", [[-1, "0"]])],
+)
+def test_a_domain_of_malformed_coordinates_is_degenerate(field, value):
+    """The constructor refuses such rows naming the field, where numpy raised TypeError."""
+    arrays = dict(bulk_sites=[[0, 0]], face_inward=[[0, 0]], face_exterior=[[-1, 0]], face_tag=[0], face_weight=[1.0])
+    with pytest.raises(DegenerateGeometry, match=field):
+        geo.LatticeDomain(mesh=0.2, dimension=2, **{**arrays, field: value})
 
 
 def test_channel_side_walls_are_missing_neighbors():
@@ -438,47 +456,43 @@ def test_rasterize_open_pair_joins_into_strip():
 
 def test_validate_catches_duplicates_and_disconnection():
     box = geo.lattice_box(2, 2, 1.0)
-    dup = geo.LatticeDomain(
-        mesh=1.0,
-        dimension=2,
-        bulk_sites=np.vstack([box.bulk_sites, box.bulk_sites[:1]]),
-        face_exterior=box.face_exterior,
-        face_inward=box.face_inward,
-        face_tag=box.face_tag,
-        face_weight=box.face_weight,
-    )
     with pytest.raises(DegenerateGeometry):
-        dup.validate()
+        geo.LatticeDomain(
+            mesh=1.0,
+            dimension=2,
+            bulk_sites=np.vstack([box.bulk_sites, box.bulk_sites[:1]]),
+            face_exterior=box.face_exterior,
+            face_inward=box.face_inward,
+            face_tag=box.face_tag,
+            face_weight=box.face_weight,
+        )
 
     a = geo.lattice_box(2, 1, 1.0)
     shifted = a.bulk_sites + np.array([5, 0])
-    apart = geo.LatticeDomain(
-        mesh=1.0,
-        dimension=2,
-        bulk_sites=np.vstack([a.bulk_sites, shifted]),
-        face_exterior=np.vstack([a.face_exterior, a.face_exterior + np.array([5, 0])]),
-        face_inward=np.vstack([a.face_inward, a.face_inward + np.array([5, 0])]),
-        face_tag=np.concatenate([a.face_tag, a.face_tag]),
-        face_weight=np.concatenate([a.face_weight, a.face_weight]),
-    )
     with pytest.raises(MeshTooCoarse):
-        apart.validate()
-    apart.validate(check_connected=False)
+        geo.LatticeDomain(
+            mesh=1.0,
+            dimension=2,
+            bulk_sites=np.vstack([a.bulk_sites, shifted]),
+            face_exterior=np.vstack([a.face_exterior, a.face_exterior + np.array([5, 0])]),
+            face_inward=np.vstack([a.face_inward, a.face_inward + np.array([5, 0])]),
+            face_tag=np.concatenate([a.face_tag, a.face_tag]),
+            face_weight=np.concatenate([a.face_weight, a.face_weight]),
+        )
 
 
 def test_validate_catches_misplaced_faces():
     box = geo.lattice_box(2, 2, 1.0)
-    inside = geo.LatticeDomain(
-        mesh=1.0,
-        dimension=2,
-        bulk_sites=box.bulk_sites,
-        face_exterior=box.face_inward,  # exterior sites that are actually bulk
-        face_inward=box.face_inward,
-        face_tag=box.face_tag,
-        face_weight=box.face_weight,
-    )
     with pytest.raises(DegenerateGeometry):
-        inside.validate()
+        geo.LatticeDomain(
+            mesh=1.0,
+            dimension=2,
+            bulk_sites=box.bulk_sites,
+            face_exterior=box.face_inward,  # exterior sites that are actually bulk
+            face_inward=box.face_inward,
+            face_tag=box.face_tag,
+            face_weight=box.face_weight,
+        )
 
 
 def _box_with_faces(faces=None, exterior=None):
@@ -638,9 +652,9 @@ def test_a_domain_holds_read_only_copies():
 
 def test_a_moved_face_or_site_is_a_new_domain():
     """Face 0 with its inward and exterior sites swapped, or bulk site 0 moved to
-    (100, 100), cannot be written into a built box; made with replace, each is a
-    new domain with records of its own, which every solve refuses, and the box's
-    law stays as it was."""
+    (100, 100), cannot be written into a built box; made with replace, each is
+    refused as it is made, and the box's law stays as it was. An unchanged
+    replace is a new domain with records of its own."""
     box = geo.lattice_box(6, 5, 0.2)
     law = dtn.absorption_law(box, 0.5).absorbed_fraction
     inward, exterior = box.face_inward.copy(), box.face_exterior.copy()
@@ -652,10 +666,8 @@ def test_a_moved_face_or_site_is_a_new_domain():
     with pytest.raises(ValueError, match="read-only"):
         box.bulk_sites[0] = (100, 100)
     for changed in (dict(face_inward=inward, face_exterior=exterior), dict(bulk_sites=moved)):
-        new = dataclasses.replace(box, **changed)
-        assert new._index() is not box._index()
         with pytest.raises(DegenerateGeometry):
-            dtn.absorption_law(new, 0.5)
+            dataclasses.replace(box, **changed)
     same = dataclasses.replace(box)
     assert same._index() is not box._index() and same._slots is not box._slots
     assert same != box and len({box, same}) == 2
@@ -731,17 +743,16 @@ def test_validate_refuses_a_box_past_the_ceiling():
     sites = np.array([[0, 0], [2**40, 2**40]], dtype=np.int64)
     with pytest.raises(InvalidParam):
         geo._SiteIndex(sites)
-    far = geo.LatticeDomain(
-        mesh=1.0,
-        dimension=2,
-        bulk_sites=sites,
-        face_exterior=np.empty((0, 2), dtype=np.int64),
-        face_inward=np.empty((0, 2), dtype=np.int64),
-        face_tag=np.empty(0, dtype=np.uint8),
-        face_weight=np.empty(0),
-    )
     with pytest.raises(InvalidParam):
-        far.validate()
+        geo.LatticeDomain(
+            mesh=1.0,
+            dimension=2,
+            bulk_sites=sites,
+            face_exterior=np.empty((0, 2), dtype=np.int64),
+            face_inward=np.empty((0, 2), dtype=np.int64),
+            face_tag=np.empty(0, dtype=np.uint8),
+            face_weight=np.empty(0),
+        )
 
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -761,7 +772,9 @@ def test_face_builder_matches_set_enumeration(cells, jump, wall):
     Cells with y >= 0 move jump columns right, so the bulk can hold sites far
     apart; a 2^40 jump between cells on both sides of y = 0 spans a box past
     2^24 cells and is refused. Exterior sites left of wall get no face, as at
-    a reflecting side wall. The reference is the corridor fixture's loop plus a BFS.
+    a reflecting side wall. The reference is the corridor fixture's loop plus
+    a BFS: a disconnected set is refused as the domain is made, and so is a
+    connected one left with no face.
     """
     bulk = np.array([(x + jump if y >= 0 else x, y) for x, y in cells], dtype=np.int64)
     if jump == 2**40 and len(np.unique(bulk[:, 1] >= 0)) == 2:
@@ -782,16 +795,36 @@ def test_face_builder_matches_set_enumeration(cells, jump, wall):
     assert inward.tolist() == [list(s) for s in f_in]
     assert exterior.tolist() == [list(t) for t in f_ext]
 
-    dom = geo.LatticeDomain(
-        mesh=1.0,
-        dimension=2,
-        bulk_sites=bulk,
-        face_exterior=exterior.reshape(-1, 2),
-        face_inward=inward.reshape(-1, 2),
-        face_tag=np.zeros(len(f_in), dtype=np.uint8),
-        face_weight=np.ones(len(f_in)),
-    )
+    seen, queue = {sites[0]}, [sites[0]]
+    while queue:
+        x, y = queue.pop()
+        for dx, dy in _STEPS:
+            t = (x + dx, y + dy)
+            if t in inset and t not in seen:
+                seen.add(t)
+                queue.append(t)
+
+    def build():
+        return geo.LatticeDomain(
+            mesh=1.0,
+            dimension=2,
+            bulk_sites=bulk,
+            face_exterior=exterior.reshape(-1, 2),
+            face_inward=inward.reshape(-1, 2),
+            face_tag=np.zeros(len(f_in), dtype=np.uint8),
+            face_weight=np.ones(len(f_in)),
+        )
+
     nb = len(sites)
+    if len(seen) < nb:
+        with pytest.raises(MeshTooCoarse):
+            build()
+        return
+    if not f_in:
+        with pytest.raises(SingularSystem, match="no absorbing face"):
+            build()
+        return
+    dom = build()
     position = {s: i for i, s in enumerate(sites)}
     face_of = {pair: f for f, pair in enumerate(zip(f_in, f_ext))}
     expected = []
@@ -809,20 +842,6 @@ def test_face_builder_matches_set_enumeration(cells, jump, wall):
     assert dom.neighbor_table().tolist() == expected
     assert dom.inward_indices().tolist() == [position[s] for s in f_in]
     assert dom.site_index(f_ext).tolist() == [-1] * len(f_ext)
-
-    seen, queue = {sites[0]}, [sites[0]]
-    while queue:
-        x, y = queue.pop()
-        for dx, dy in _STEPS:
-            t = (x + dx, y + dy)
-            if t in inset and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    if len(seen) == nb:
-        dom.validate()
-    else:
-        with pytest.raises(MeshTooCoarse):
-            dom.validate()
 
 
 # -- one site graph per domain -------------------------------------------------
@@ -911,6 +930,26 @@ def test_operator_and_walker_chain_builds_the_graph_once(graph_calls):
     dtn.absorption_law(dom, 0.5)
     walk(dom)
     assert graph_calls == {"_site_neighbors": 1, "_components": 1}
+
+
+def test_solves_and_walks_do_not_validate_a_built_domain(monkeypatch):
+    """A domain is checked once, when it is made; nothing that reads it checks it again."""
+    dom = geo.rasterize(geo.circle_polyline(1.0, 256), geo.circle_polyline(3.0, 256), 1.0 / 8.0)
+
+    def walk():
+        walkers.estimate_spread_measure(dom, "source", walkers.JumpParams(Lambda=0.5, a=1.0 / 8.0), 2_000, RngStream(0))
+
+    walk()  # the walkers' jump exit laws are boxes of their own, built once per process
+    calls = []
+    validate = geo.LatticeDomain.validate
+    monkeypatch.setattr(geo.LatticeDomain, "validate", lambda self: calls.append(1) or validate(self))
+    dtn.build_Q(dom)
+    dtn.hitting_distribution(dom)
+    dtn.absorption_law(dom, 0.5)
+    walk()
+    assert calls == []
+    dataclasses.replace(dom)
+    assert calls == [1]
 
 
 # -- the strip builder -----------------------------------------------------------

@@ -426,6 +426,22 @@ def test_step_cap_censors_eps_to_the_k(where):
     assert hist.total_reflections == pytest.approx(n * sum(eps**k for k in range(1, K + 1)), rel=0.01)
 
 
+def test_an_underflowing_steady_hazard_reflects_every_contact():
+    """At a/Lambda = 1e-600 the hazard log1p(a/Lambda) is 0.0 and epsilon is 1.0.
+
+    A steady hazard of 0.0 is still steady: floor(E/0) = inf, so every contact
+    reflects and every walker is censored at the step cap. Read as "not
+    steady", the walk took the mask path and counted no reflection.
+    """
+    p = wk.JumpParams(Lambda=1e300, a=1e-300, max_steps=50)
+    assert p.hazard == 0.0
+    hist = wk.estimate_spread_measure(
+        make_canonical("half_space", dimension=2), (0.0, 1e300), p, 1_000, RngStream(0), censored_ceiling=1.0,
+    )
+    assert hist.censored == 1_000
+    assert hist.total_reflections == 50_000
+
+
 # -- multiscale lattice jumps --------------------------------------------------
 
 
