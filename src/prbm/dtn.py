@@ -116,11 +116,7 @@ class FluxVector:
 
 
 def _reflection_probabilities(dom: LatticeDomain, Lambda: float) -> np.ndarray:
-    """Per-face reflection probability eps_f = Lambda/(Lambda + a w_f) of the lattice walk.
-
-    Zero everywhere at Lambda = 0. absorption_law reads it here, and the walker
-    kernel spends -log eps_f of its threshold per contact, so both follow one law.
-    """
+    """Per-face reflection probability eps_f = Lambda/(Lambda + a w_f) of the lattice walk; zero at Lambda = 0."""
     if Lambda > 0:
         return Lambda / (Lambda + dom.mesh * dom.face_weight)
     return np.zeros(dom.n_faces)

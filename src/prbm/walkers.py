@@ -23,9 +23,9 @@ in the half-angle chart), the zonal inverse CDF in a per-walker frame on the
 ball, walk on circles in the annulus, and a nearest-neighbour step on a
 lattice. A square-lattice walker far from every face and wall instead crosses
 the largest free square of power-of-two half-width around it in one draw from
-the exact exit law of the lattice walk, solved once per size and cached for
-the process; faces are only ever met in plain steps, so the law of the walk is
-that of the plain nearest-neighbour walk. Chunks run on disjoint counter
+its exit law, the discrete Poisson kernel of the square in closed form, no dtn
+solve; faces are only ever met in plain steps, so the law of the walk is that of
+the plain nearest-neighbour walk. Chunks run on disjoint counter
 blocks of one stream and merge in fixed order, which makes every estimate a
 pure function of (seed, stream_id, chunk_size) regardless of thread count.
 """
@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .dtn import _absorbed_masses, _reflection_probabilities
 from .errors import ExcessiveCensoring, InvalidParam, _count, _nonnegative, _point, _positive
-from .geometry import DomainKind, DomainSpec, LatticeDomain, lattice_box
+from .geometry import DomainKind, DomainSpec, LatticeDomain, _axis_offsets
 from .rng import RngStream
 
 __all__ = [
@@ -53,6 +52,14 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# the least hazard a contact spends, so an underflowing one still reflects; it moves no threshold above 1e-292
+_LEAST_HAZARD = math.ulp(0.0)
+
+
+def _hazard(aw: float, Lambda: float) -> float:
+    """-log epsilon = log1p(a w/Lambda), the threshold a contact at face weight w spends; inf at Lambda = 0."""
+    return math.inf if Lambda == 0 else math.log1p(aw / Lambda)
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ class JumpParams:
 
     @property
     def hazard(self) -> float:
-        return math.inf if self.Lambda == 0 else math.log1p(self.a / self.Lambda)
+        return _hazard(self.a, self.Lambda)
 
     def escape_cap(self) -> float:
         return 1e4 * max(self.Lambda, self.a)
@@ -186,7 +193,8 @@ def _zonal_point(axis: np.ndarray, cos_t, phi) -> np.ndarray:
 #   rows     the walkers' rows after the step, as if every contact reflected;
 #   where    the raw contact coordinate, one row per walker;
 #   hazard   the share of the threshold the step spends, scalar or per walker:
-#            -log epsilon on the working boundary, 0 anywhere else;
+#            -log epsilon on the working boundary, 0 anywhere else; where it
+#            is not steady a contact spends at least _LEAST_HAZARD;
 #   source   mask of walkers that left through the source (None: none), read
 #            only where the hazard is not steady: the exterior ball, the
 #            annulus and lattices;
@@ -356,7 +364,7 @@ def _ball_kernel(dom, start, params, bins):
             escaped = gen.random(m) >= 1.0 / r
         cos_t = _ball_zonal_cos(r if interior else 1.0 / r, gen.random(m))
         s = _zonal_point(axis, cos_t, gen.uniform(0.0, _TWO_PI, m))
-        return s, s, hazard if interior else np.where(escaped, 0.0, hazard), escaped, None
+        return s, s, hazard if interior else np.where(escaped, 0.0, max(hazard, _LEAST_HAZARD)), escaped, None
 
     def to_bin(s):
         return np.clip(((s[:, 2] + 1.0) / 2.0 * bins).astype(np.int64), 0, bins - 1)
@@ -374,7 +382,7 @@ def _annulus_kernel(dom, start, params, bins):
     if not params.a < R - 1.0:
         raise InvalidParam("jump distance must fit inside the gap")
     shell = 1e-9 * (R - 1.0)
-    a, hazard = params.a, params.hazard
+    a, hazard = params.a, max(params.hazard, _LEAST_HAZARD)
     edges, angle_bin = _angle_bins(bins)
 
     def init(gen, n):
@@ -412,27 +420,30 @@ def _annulus_kernel(dom, start, params, bins):
 # the domain's site grid: c counts 3 x 3 erosions of its free sites, and the
 # ring site a jump lands on is one gather from it.
 
-# largest jump, in sites; bounds the exit-law solves (a 127 x 127 box)
+# largest jump, in sites
 _JUMP_TOP = 64
-
-# r -> (ring offsets (k, 2), probabilities (k,)), filled on first use
-_EXIT_LAWS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _exit_law(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Exit law of the square lattice walk from the centre of a (2r - 1)^2 square.
 
-    Returns the offsets of the ring sites at chessboard distance r and the
-    probability of leaving onto each: the absorption law of an all-working
-    box at Lambda = 0 launched from its centre site, one sparse solve of the
-    bulk system. Cached per process, keyed by r.
+    Returns the ring offsets at chessboard distance r in the face order of
+    lattice_box(2r - 1, 2r - 1) and the discrete Poisson kernel of the square on
+    them (Lawler and Limic, "Random Walk: A Modern Introduction", 2010): with
+    n = 2r and cosh b_k = 2 - cos(k pi/n), a side's mass at j from its midpoint
+    is the sum over odd k of cos(k pi j/n)/(n cosh(r b_k)). Dividing by the
+    total in place of n keeps r = 1 the plain step exactly.
     """
-    law = _EXIT_LAWS.get(r)
-    if law is None:
-        box = lattice_box(2 * r - 1, 2 * r - 1, 1.0, source_side=None)
-        prob = _absorbed_masses(box, np.zeros(box.n_faces), start=(r - 1, r - 1))
-        law = _EXIT_LAWS[r] = (box.face_exterior - (r - 1), prob)
-    return law
+    theta = np.pi * np.arange(1, 2 * r, 2) / (2 * r)
+    # sinh(b_k/2) = sin(theta/2) keeps b_k accurate where cosh b_k is near 1
+    side = np.cos(np.outer(np.arange(r), theta)) @ (1.0 / np.cosh(2.0 * r * np.arcsinh(np.sin(0.5 * theta))))
+    # step k leaves the square through side k of the ring
+    j, steps = np.arange(1 - r, r), _axis_offsets(2)
+    ring = (r * steps[:, None] + (steps == 0)[:, None] * j[:, None]).reshape(-1, 2)
+    site = ring - np.repeat(steps, len(j), axis=0)
+    order = np.lexsort((np.repeat(np.arange(4), len(j)), site[:, 1], site[:, 0]))
+    prob = side[np.abs(j)] / (4.0 * (2.0 * side.sum() - side[0]))
+    return ring[order], np.tile(prob, 4)[order]
 
 
 def _jump_levels(dom: LatticeDomain) -> np.ndarray:
@@ -473,29 +484,22 @@ def _lattice_kernel(dom, start, params):
     working = np.flatnonzero(dom.working_mask())
     # per-code tables: bulk sites, then faces, then a trailing entry that
     # MISSING_NEIGHBOR (-1) lands on, a reflecting wall that keeps the walker
-    is_bulk = np.zeros(nb + nf + 1, dtype=bool)
-    is_bulk[:nb] = True
-    is_source = np.zeros(nb + nf + 1, dtype=bool)
-    is_source[nb:nb + nf] = dom.source_mask()
+    is_bulk = np.arange(nb + nf + 1) < nb
+    is_source = np.concatenate([np.zeros(nb, dtype=bool), dom.source_mask(), [False]])
     hazard_of = np.zeros(nb + nf + 1)
-    with np.errstate(divide="ignore"):  # -log 0 = inf absorbs at Lambda = 0
-        hazard_of[nb + working] = -np.log(_reflection_probabilities(dom, params.Lambda)[working])
+    hazard_of[nb + working] = [max(_hazard(dom.mesh * w, params.Lambda), _LEAST_HAZARD) for w in dom.face_weight[working]]
     bin_of = np.zeros(nb + nf + 1, dtype=np.int64)
     bin_of[nb + working] = np.arange(len(working))
-    # the exit laws of every level present, filled here before chunks fan
-    # out; level L's CDF is shifted by L, so one searchsorted draws them all
+    # the exit laws of every level present; level L's CDF is shifted by L, so
+    # one searchsorted draws them all
     level = _jump_levels(dom)
     at = dom._index().sites - dom._index()._lo  # each site's cell of the site grid, which jumps read
-    cdf, ring = np.zeros(0), np.zeros((0, 2), dtype=np.int64)
+    laws = [_exit_law(2**L) for L in range(1, int(level.max(initial=0)) + 1)]
+    ring = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + [offsets for offsets, _ in laws])
+    c = [np.cumsum(prob) for _, prob in laws]
+    cdf = np.concatenate([np.zeros(0)] + [np.append(ci[:-1] / ci[-1], 1.0) + L for L, ci in enumerate(c, 1)])
     # last CDF index of each level, so that L + u rounded up to L + 1 stays in level L
-    last = [-1]
-    for L in range(1, int(level.max(initial=0)) + 1):
-        offsets, prob = _exit_law(2**L)
-        c = np.cumsum(prob)
-        cdf = np.append(cdf, np.append(c[:-1] / c[-1], 1.0) + L)
-        ring = np.vstack([ring, offsets])
-        last.append(len(cdf) - 1)
-    last = np.array(last)
+    last = np.cumsum([-1] + [len(ci) for ci in c])
 
     def init(gen, n):
         # one launch site draws nothing: integers(0, 1) takes no bits

@@ -360,6 +360,26 @@ def test_lattice_law_from_a_point_meets_the_disk_series(Lambda, point, order):
         assert all(coarse >= 1.5 * fine for coarse, fine in zip(errors, errors[1:]))
 
 
+def test_dtn_spectrum_meets_the_disk_series_at_first_order():
+    """The weighted DtN spectrum of the rasterized unit circle against the series.
+
+    The disk's DtN eigenvalues are 0, 1, 1, 2, 2, ...; at meshes 1/16, 1/32 and
+    1/64 the relative error of each of mu_1..mu_8 stays below k a, and the
+    largest falls at least 1.5x per halving of a. That fixes the order, not
+    the constant: an O(a) slip in the face weights or in the scaling of M
+    that one mesh alone would pass shows here.
+    """
+    k = np.array([1, 1, 2, 2, 3, 3, 4, 4])
+    errors = []
+    for a in (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0):
+        qm = dtn.build_Q(geo.rasterize_loop(geo.circle_polyline(1.0, 4096), a))
+        mu = dtn.spectrum(dtn.build_M(qm), None, qm.measure, qm.weight).mu
+        rel = np.abs(mu[1:9] - k) / k
+        assert np.all(rel < k * a)
+        errors.append(rel.max())
+    assert all(coarse >= 1.5 * fine for coarse, fine in zip(errors, errors[1:]))
+
+
 def test_absorption_law_guards(corridor, channel):
     with pytest.raises(InvalidParam):
         dtn.absorption_law(corridor, 0.5)

@@ -493,6 +493,14 @@ def test_validate_catches_misplaced_faces():
             face_tag=box.face_tag,
             face_weight=box.face_weight,
         )
+    # an empty bulk, a tag that is neither Working nor Source, a weight past 1
+    for changed, error, match in [
+        (dict(bulk_sites=np.zeros((0, 2), dtype=np.int64)), DegenerateGeometry, "no bulk sites"),
+        (dict(face_tag=np.full(box.n_faces, 7)), InvalidParam, "face tags must be Working or Source"),
+        (dict(face_weight=np.full(box.n_faces, 1.5)), InvalidParam, r"face weights must lie in \(0, 1\]"),
+    ]:
+        with pytest.raises(error, match=match):
+            dataclasses.replace(box, **changed)
 
 
 def _box_with_faces(faces=None, exterior=None):
@@ -914,39 +922,26 @@ def test_compare_flux_builds_each_strip_graph_once(graph_calls, monkeypatch):
 
 
 def test_operator_and_walker_chain_builds_the_graph_once(graph_calls):
-    def annulus():
-        return geo.rasterize(geo.circle_polyline(1.0, 256), geo.circle_polyline(3.0, 256), 1.0 / 8.0)
-
-    def walk(dom):
-        params = walkers.JumpParams(Lambda=0.5, a=1.0 / 8.0)
-        walkers.estimate_spread_measure(dom, "source", params, 2_000, RngStream(0))
-
-    # the walkers' jump exit laws are boxes of their own, solved once per process
-    walk(annulus())
-    graph_calls.update(dict.fromkeys(graph_calls, 0))
-    dom = annulus()
+    # the walkers' jump exit laws are closed forms that build no domain
+    dom = geo.rasterize(geo.circle_polyline(1.0, 256), geo.circle_polyline(3.0, 256), 1.0 / 8.0)
     dtn.build_Q(dom)
     dtn.hitting_distribution(dom)
     dtn.absorption_law(dom, 0.5)
-    walk(dom)
+    walkers.estimate_spread_measure(dom, "source", walkers.JumpParams(Lambda=0.5, a=1.0 / 8.0), 2_000, RngStream(0))
     assert graph_calls == {"_site_neighbors": 1, "_components": 1}
 
 
 def test_solves_and_walks_do_not_validate_a_built_domain(monkeypatch):
     """A domain is checked once, when it is made; nothing that reads it checks it again."""
     dom = geo.rasterize(geo.circle_polyline(1.0, 256), geo.circle_polyline(3.0, 256), 1.0 / 8.0)
-
-    def walk():
-        walkers.estimate_spread_measure(dom, "source", walkers.JumpParams(Lambda=0.5, a=1.0 / 8.0), 2_000, RngStream(0))
-
-    walk()  # the walkers' jump exit laws are boxes of their own, built once per process
     calls = []
     validate = geo.LatticeDomain.validate
     monkeypatch.setattr(geo.LatticeDomain, "validate", lambda self: calls.append(1) or validate(self))
     dtn.build_Q(dom)
     dtn.hitting_distribution(dom)
     dtn.absorption_law(dom, 0.5)
-    walk()
+    # the walkers' jump exit laws are closed forms that build no domain
+    walkers.estimate_spread_measure(dom, "source", walkers.JumpParams(Lambda=0.5, a=1.0 / 8.0), 2_000, RngStream(0))
     assert calls == []
     dataclasses.replace(dom)
     assert calls == [1]

@@ -442,6 +442,80 @@ def test_an_underflowing_steady_hazard_reflects_every_contact():
     assert hist.total_reflections == 50_000
 
 
+@pytest.mark.parametrize(
+    "case, dom, start, a, lams",
+    [
+        # hazards 2.5e-16 and 2.5e-301; -log epsilon would be 0.0 at Lambda =
+        # 1e300, where epsilon rounds to 1
+        ("lattice", lattice_box(4, 4, 0.25), "source", 0.25, (1e15, 1e300)),
+        # hazards 1e-320 (subnormal) and 0.0
+        ("lattice_subnormal", lattice_box(4, 4, 1e-300), "source", 1e-300, (1e20, 1e30)),
+        ("annulus", make_canonical("annulus", outer_radius=3.0), (2.0, 0.5), 1e-20, (1e289, 1e305)),
+    ],
+    ids=["lattice", "lattice_subnormal", "annulus"],
+)
+def test_a_contact_that_does_not_absorb_reflects_however_small_its_hazard(case, dom, start, a, lams):
+    """A working contact that does not absorb is a reflection, even where its hazard rounds to 0.0.
+
+    At these Lambdas no walker absorbs within the step cap, so two parameter
+    sets with the same jump a must give the same walk on the same stream: the
+    same histogram, censored count and reflection tally. The kernels whose
+    hazard is not steady floor a contact's hazard at the least subnormal,
+    which moves no threshold above 1e-292.
+    """
+    hists = [
+        wk.estimate_spread_measure(
+            dom, start, wk.JumpParams(Lambda=lam, a=a, max_steps=2000), 1_000, RngStream(0), censored_ceiling=1.0,
+        )
+        for lam in lams
+    ]
+    if case != "lattice":
+        assert wk.JumpParams(lams[0], a).hazard > 0.0 and wk.JumpParams(lams[1], a).hazard == 0.0
+    assert hists[0].working_absorbed == 0 and hists[0].total_reflections > 0
+    assert np.array_equal(hists[0].counts, hists[1].counts)
+    assert (hists[0].censored, hists[0].source_absorbed, hists[0].total_reflections) == (
+        hists[1].censored, hists[1].source_absorbed, hists[1].total_reflections
+    )
+
+
+def test_lattice_reflection_counts_follow_the_reflection_series():
+    """The lattice walkers' local-time tally against its exact law.
+
+    A walker's contacts form a chain on the working faces. The first has the
+    Lambda = 0 launch masses v_0; a reflection at face f, with probability
+    eps_f, restarts the walk at f's inward site, whose next contact has the
+    law of row f of Q. So v_{n+1} = (v_n eps) Q, and c_n = sum_f v_n(f)(1 -
+    eps_f) is the mass absorbed after exactly n reflections. The c_n sum to
+    the Robin solve's absorbed fraction (the Neumann series of T_Lambda), the
+    walkers' reflection_counts meet them with no allowance, and
+    total_reflections meets E[N] = sum_n P(N >= n), where P(N >= n + 1) =
+    sum_f v_n(f) eps_f counts walkers that go back to the source too.
+    """
+    dom, lam, K, n = lattice_box(8, 6, 0.125), 0.5, 12, 40_000
+    working = dom.working_mask()
+    eps = lam / (lam + dom.mesh * dom.face_weight[working])
+    Q = dtn.build_Q(dom).Q
+    v = dtn.absorption_law(dom, 0.0).probabilities
+    absorbed, reflected = [], []
+    while v.sum() > 1e-18:
+        absorbed.append(v @ (1.0 - eps))
+        reflected.append(v @ eps)
+        v = (v * eps) @ Q
+    absorbed = np.array(absorbed)
+    assert absorbed.sum() == pytest.approx(dtn.absorption_law(dom, lam).absorbed_fraction, rel=1e-14)
+    hist = wk.estimate_spread_measure(
+        dom, "source", wk.JumpParams(Lambda=lam, a=dom.mesh), n, RngStream(41), count_reflections_to=K,
+    )
+    assert hist.censored == 0
+    p = np.append(absorbed[:K + 1], absorbed[K + 1:].sum())
+    z = (hist.reflection_counts - n * p) / np.sqrt(n * p * (1.0 - p))
+    assert np.max(np.abs(z)) < 4.0
+    tail = np.array(reflected)  # P(N >= m) at m = 1, 2, ...
+    mean = tail.sum()
+    var = np.sum((2 * np.arange(1, len(tail) + 1) - 1) * tail) - mean**2
+    assert abs(hist.total_reflections - n * mean) < 4.0 * math.sqrt(n * var)
+
+
 # -- multiscale lattice jumps --------------------------------------------------
 
 
@@ -460,6 +534,12 @@ def test_exit_laws_are_normalized_and_square_symmetric(r):
     # a transpose and the two mirrors generate the 8 symmetries of the square
     for image in (grid.T, grid[::-1], grid[:, ::-1]):
         assert np.max(np.abs(image - grid)) <= 1e-15
+    # the closed form against the sparse solve of the all-working box from its
+    # centre, which it shares no code with: each is the other's oracle
+    box = lattice_box(2 * r - 1, 2 * r - 1, 1.0, source_side=None)
+    assert np.array_equal(box.face_exterior - (r - 1), offsets)
+    masses = dtn._absorbed_masses(box, np.zeros(box.n_faces), start=(r - 1, r - 1))
+    assert np.max(np.abs(masses - prob)) <= 1e-15
 
 
 def test_smallest_exit_law_is_the_plain_step():
@@ -654,9 +734,9 @@ def test_estimate_guards(monkeypatch):
         wk.estimate_spread_measure(object(), (0.0, 0.5), p, 10, RngStream(0))
     # a lattice start is a bulk index or integer coordinates, never truncated,
     # and coordinates past the int64 range name no site; (3, 2) and index 1
-    # are bulk sites of this box
+    # are bulk sites of this box, index 36 is one past its last
     box = lattice_box(6, 6, 0.1)
-    for start in [(3.7, 2.2), np.array([3.5, 2.0]), True, (True, 0)]:
+    for start in [(3.7, 2.2), np.array([3.5, 2.0]), True, (True, 0), 36]:
         with pytest.raises(InvalidParam):
             wk.estimate_spread_measure(box, start, p, 10, RngStream(0))
     for start in [(1e20, 0.0), (2**63, 0), (2**64, 0)]:
@@ -672,6 +752,8 @@ def test_estimate_guards(monkeypatch):
         (hp, "source", p),
         (disk, (0.2, 0.0), wk.JumpParams(Lambda=0.2, a=1.5)),
         (make_canonical("annulus", outer_radius=3.0), (5.0, 0.0), p),
+        (geo.DomainSpec(geo.DomainKind.ANNULUS, 2), (2.0, 0.0), p),  # no outer radius
+        (make_canonical("annulus", outer_radius=3.0), (2.0, 0.0), wk.JumpParams(Lambda=0.2, a=2.5)),
         (make_canonical("ball_exterior"), (0.1, 0.0, 0.0), p),
     ]:
         with pytest.raises(InvalidParam):
