@@ -20,7 +20,7 @@ a domain that its constructor checked. The laws are the
 jump to the wall of the half-space (the Cauchy inverse CDF of one uniform in
 the plane), the Mobius image of a uniform angle on the disk (one real scaling
 in the half-angle chart), the zonal inverse CDF in a per-walker frame on the
-ball, walk on circles in the annulus, and a nearest-neighbour step on a
+ball, the log-strip law in the annulus, and a nearest-neighbour step on a
 lattice. A square-lattice walker far from every face and wall instead crosses
 the largest free square of power-of-two half-width around it in one draw from
 its exit law, the discrete Poisson kernel of the square in closed form, no dtn
@@ -71,9 +71,9 @@ class JumpParams:
     log1p(a/Lambda) = -log epsilon of the walker's unit exponential
     threshold (inf at Lambda = 0: absorb on first contact). On the
     half-space a walker is censored once its lateral distance exceeds the
-    fixed cap 1e4 * max(Lambda, a). max_steps counts kernel steps: one draw
-    of a hitting law, one annulus contact, one lattice step, or one lattice
-    jump across a free square, however many sites it spans.
+    fixed cap 1e4 * max(Lambda, a). max_steps counts kernel steps: a draw of
+    a hitting law (in the annulus a contact or an exit), a lattice step, or
+    a lattice jump across a free square, however many sites it spans.
     """
 
     Lambda: float
@@ -160,9 +160,11 @@ def _mobius_angle(rho: float, phi):
 
 
 def _ball_zonal_cos(rho: float, v):
-    """Inverse CDF of cos(polar angle) for the sphere hit from radius rho."""
+    """Inverse CDF of cos(polar angle) for the sphere hit from radius rho; 1 at rho = 1, its a -> 0 limit."""
     if rho < 1e-12:
         return 2.0 * v - 1.0
+    if rho == 1.0:
+        return np.ones_like(v)
     q = v * 2.0 * rho / (1.0 - rho * rho) + 1.0 / (1.0 + rho)
     return (1.0 + rho * rho - q ** -2) / (2.0 * rho)
 
@@ -373,34 +375,37 @@ def _ball_kernel(dom, start, params, bins):
 
 
 def _annulus_kernel(dom, start, params, bins):
-    x = _point(start, "start", dom.dimension)
-    R = dom.outer_radius
+    x, R = _point(start, "start", dom.dimension), dom.outer_radius
     if R is None:
         raise InvalidParam("annulus spec is missing its outer radius")
-    if not 1.0 < np.linalg.norm(x) < R:
+    # log z maps the annulus onto the strip 0 < Re < L = ln R, and Brownian paths with it (Levy).
+    # From height h L a walker leaves through the source with probability h, else meets the working
+    # circle at offset (L/pi) log(sin(pi g t)/sin(pi g (1 - t))), g = 1 - h, t uniform on (0, 1): the
+    # strip's Poisson kernel inverted. t and 1 - t are exact where small, and each sine takes the
+    # smaller of its complementary arguments, so every offset is finite and keeps its digits
+    L, r0 = math.log(R), math.hypot(x[0], x[1])
+    if not (1.0 < r0 < R and math.log(r0) < L):
         raise InvalidParam("start must lie strictly between the circles")
-    if not params.a < R - 1.0:
+    h0, h1, g1 = math.log(r0) / L, math.log1p(params.a) / L, math.log(R / (1.0 + params.a)) / L
+    if not g1 > 0.0:
         raise InvalidParam("jump distance must fit inside the gap")
-    shell = 1e-9 * (R - 1.0)
-    a, hazard = params.a, max(params.hazard, _LEAST_HAZARD)
-    edges, angle_bin = _angle_bins(bins)
+    hazard = max(params.hazard, _LEAST_HAZARD)
+    edges, to_bin = _angle_bins(bins)
 
     def init(gen, n):
-        # positions as complex numbers, one flat row per walker
-        return np.full(n, complex(x[0], x[1]))
+        return np.full(n, math.atan2(x[1], x[0]))
 
-    def hit(gen, p, first):
-        # walk on circles; a walker within the shell of a circle touches it
-        r = np.abs(p)
-        free = np.minimum(r - 1.0, R - r)
-        near = free < shell
-        src = near & (R - r < r - 1.0)
-        contact = near & ~src
-        nxt = p + free * np.exp(1j * gen.uniform(0.0, _TWO_PI, len(p)))
-        nxt[contact] = p[contact] * ((1.0 + a) / r[contact])
-        return nxt, p, np.where(contact, hazard, 0.0), src, None
+    def hit(gen, ang, first):
+        h, g = (h0, 1.0 - h0) if first else (h1, g1)
+        src = gen.random(len(ang)) < h
+        u = gen.random(len(ang))
+        t, s = u + 2.0**-54, (1.0 - u) - 2.0**-54
+        up = np.sin(np.pi * np.minimum(g * t, h + g * s))
+        down = np.sin(np.pi * np.minimum(g * s, h + g * t))
+        theta = ang + L / np.pi * np.log(up / down)
+        return theta, theta, np.where(src, 0.0, hazard), src, None
 
-    return edges, bins, None, init, hit, lambda p: angle_bin(np.angle(p))
+    return edges, bins, None, init, hit, to_bin
 
 
 # -- multiscale lattice jumps --------------------------------------------------

@@ -274,6 +274,120 @@ def test_annulus_splits_by_log_radius():
     assert abs((1 - hist.source_fraction) - p_inner) < 4.0 * sigma
 
 
+def test_annulus_hits_the_harmonic_measure_series():
+    """At Lambda = 0 the contact angle follows the harmonic measure of the inner circle.
+
+    From (r0, 0) with outer radius R its mode coefficients are
+    c_0 = ln(R/r0)/ln R and c_k = (r0^-k - r0^k R^-2k)/(1 - R^-2k), so a bin
+    [lo, hi) holds (c_0 (hi - lo) + 2 sum_k c_k (sin k hi - sin k lo)/k)/(2 pi).
+    """
+    R, r0 = 3.0, 1.6
+    hist = wk.estimate_spread_measure(
+        make_canonical("annulus", outer_radius=R), np.array([r0, 0.0]),
+        wk.JumpParams(Lambda=0.0, a=0.01), 400_000, RngStream(51), bins=16, chunk_size=100_000,
+    )
+    k = np.arange(1, 201)[:, None]
+    ck = (r0**-k - r0**k * R ** (-2.0 * k)) / (1.0 - R ** (-2.0 * k))
+    e = hist.bin_edges
+    c0 = math.log(R / r0) / math.log(R)
+    probs = (c0 * np.diff(e) + 2.0 * np.sum(ck * np.diff(np.sin(k * e), axis=1) / k, axis=0)) / (2.0 * math.pi)
+    probs = np.append(probs, 1.0 - c0)
+    counts = np.append(hist.counts, hist.source_absorbed)
+    z = (counts - probs * hist.total) / np.sqrt(probs * (1.0 - probs) * hist.total)
+    assert hist.censored == 0
+    assert np.max(np.abs(z)) < 4.0
+
+
+@pytest.mark.parametrize("a", [0.02, 0.5])
+def test_annulus_working_share_meets_the_finite_a_law(a):
+    """The working share at finite a is p0 (1 - eps)/(1 - eps q), with no O(a) allowance.
+
+    A walker first meets the working circle with probability
+    p0 = ln(R/r0)/ln R; each contact absorbs with probability 1 - eps, and a
+    reflected walker, at radius 1 + a, returns with probability
+    q = ln(R/(1 + a))/ln R.
+    """
+    R, r0, lam = 3.0, 1.6, 0.5
+    hist = wk.estimate_spread_measure(
+        make_canonical("annulus", outer_radius=R), np.array([r0, 0.0]),
+        wk.JumpParams(Lambda=lam, a=a), 400_000, RngStream(52), chunk_size=100_000,
+    )
+    eps = lam / (lam + a)
+    p0, q = math.log(R / r0) / math.log(R), math.log(R / (1.0 + a)) / math.log(R)
+    share = p0 * (1.0 - eps) / (1.0 - eps * q)
+    assert hist.censored == 0
+    assert abs(hist.working_absorbed - share * hist.total) < 4.0 * math.sqrt(share * (1.0 - share) * hist.total)
+
+
+def test_annulus_strip_draw_meets_a_400_digit_reference():
+    """Each contact's angle offset is (L/pi) log(sin(pi g t)/sin(pi g (1 - t))) to 4e-15 rad.
+
+    L = ln R, h is the walker's height in the strip, g = 1 - h, and t is
+    u + 2^-54 for the kernel's uniform u, fed here at both extremes that
+    gen.random() can return and between. Heights come from the jump a after
+    a reflection (h = log1p(a)/L, down to 1e-300) and from the start radius
+    on the first step (h = ln r0/L, up to 1 - 2^-52). Every offset is finite.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    R = 3.0
+    L = math.log(R)
+    dom = make_canonical("annulus", outer_radius=R)
+    u = np.concatenate([
+        [0.0, 2.0**-53, 2.0**-40, 1e-6, 0.25, 0.5 - 2.0**-53, 0.5, 0.75, 1.0 - 1e-6, 1.0 - 2.0**-40, 1.0 - 2.0**-53],
+        np.random.default_rng(0).random(20),
+    ])
+
+    class Draws:
+        """Stands in for the generator: the source draws, then the uniforms u."""
+
+        def __init__(self):
+            self.calls = iter([np.ones(len(u)), u])
+
+        def random(self, n):
+            return next(self.calls)
+
+    cases = [((2.0, 0.0), a, False, math.log1p(a) / L) for a in (1.1e-300, 1e-20, 1e-3, 0.3, 1.9)]
+    cases += [((r0, 0.0), 0.01, True, math.log(r0) / L) for r0 in (1.0 + 2.0**-52, 2.0, math.nextafter(R, 0.0))]
+    heights = [h for *_, h in cases]
+    assert min(heights) < 1.01e-300 and max(heights) == 1.0 - 2.0**-52
+    for start, a, first, h in cases:
+        hit = wk._kernel(dom, start, wk.JumpParams(Lambda=1.0, a=a), 8, None)[4]
+        theta = hit(Draws(), np.zeros(len(u)), first)[0]
+        with mpmath.workdps(400):
+            g, t = 1 - mpmath.mpf(h), [mpmath.mpf(x) + mpmath.mpf(2) ** -54 for x in u]
+            ref = [float(mpmath.mpf(L) / mpmath.pi * mpmath.log(mpmath.sin(mpmath.pi * g * x) / mpmath.sin(mpmath.pi * g * (1 - x))))
+                   for x in t]
+        assert np.all(np.isfinite(theta))
+        assert np.max(np.abs(theta - np.array(ref))) <= 4e-15, h
+
+
+@pytest.mark.parametrize(
+    "kind, start, a",
+    [
+        ("ball_exterior", (2.0, 0.0, 0.0), 1e-17),
+        ("ball_exterior", (2.0, 0.0, 0.0), 6e-17),
+        ("ball_interior", (0.0, 0.0, 0.5), 1e-17),  # 1 - a rounds to 1.0
+    ],
+)
+def test_ball_step_where_the_jump_rounds_away(kind, start, a):
+    """Where 1 + a or 1 - a rounds to 1, a reflected walker stays where it touched the sphere.
+
+    The zonal law from radius 1 is its a -> 0 limit, cos theta = 1, so each
+    walker is absorbed where its first contact put it, and the histogram is
+    the first-contact one of Lambda = 0 on the same stream, now with
+    reflections. The step used to divide by 1 - rho^2 = 0.
+    """
+    dom = make_canonical(kind)
+
+    def run(lam):
+        return wk.estimate_spread_measure(dom, np.array(start), wk.JumpParams(Lambda=lam, a=a), 20_000, RngStream(53))
+
+    hist, first = run(a), run(0.0)
+    assert hist.total_reflections > 0 and hist.censored == 0
+    assert np.array_equal(hist.counts, first.counts)
+    assert hist.source_absorbed == first.source_absorbed
+
+
 @pytest.mark.parametrize("where", ["lattice", "ball_interior", "disk_interior", "disk_exterior"])
 def test_lattice_reflections_are_geometric(where):
     """Uniform-weight faces make the reflection count exactly geometric.
@@ -754,6 +868,9 @@ def test_estimate_guards(monkeypatch):
         (make_canonical("annulus", outer_radius=3.0), (5.0, 0.0), p),
         (geo.DomainSpec(geo.DomainKind.ANNULUS, 2), (2.0, 0.0), p),  # no outer radius
         (make_canonical("annulus", outer_radius=3.0), (2.0, 0.0), wk.JumpParams(Lambda=0.2, a=2.5)),
+        # ln r0 rounds to ln R, and 1 + a to R: the strip height would be 1, the gap below it 0
+        (make_canonical("annulus", outer_radius=1e300), (math.nextafter(1e300, 0.0), 0.0), p),
+        (make_canonical("annulus", outer_radius=3.0), (2.0, 0.0), wk.JumpParams(Lambda=0.2, a=math.nextafter(2.0, 0.0))),
         (make_canonical("ball_exterior"), (0.1, 0.0, 0.0), p),
     ]:
         with pytest.raises(InvalidParam):
