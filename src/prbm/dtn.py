@@ -21,13 +21,17 @@ column per face (faces that share an inward site share its column). G[S, S]
 is the inverse of the Schur complement of the bulk Laplacian onto S: one
 sparse LU whose ordering puts S last leaves that complement in its trailing
 blocks, G[S, S] = U22^{-1} L22^{-1}, so Q is exact to solver precision and,
-once symmetrized, exactly symmetric. On lattice-aligned boundaries that is
-the whole story. On rasterized smooth curves the faces carry alignment
-weights w <= 1 and every surface-aware object (inner products, the operator
-that T_Lambda inverts, flux totals) uses the face measure m = a^{d-1} w;
-with w == 1 everything reduces to the unweighted formulas. The weighting is
-what makes spectra and impedances of staircase-rasterized circles converge
-to the smooth-domain values instead of saturating at the lattice perimeter
+once symmetrized, exactly symmetric. That LU, in SuperLU's minimum-degree
+order with S moved last, is the only one build_Q makes, and it also solves
+the Lambda = 0 launch of hitting_distribution. absorption_law solves once
+per Lambda, so it factors in plain minimum degree, without the dense |S|^2
+fill. On lattice-aligned boundaries that is the whole story. On
+rasterized smooth curves the faces carry alignment weights w <= 1 and
+every surface-aware object (inner products, the operator that T_Lambda
+inverts, flux totals) uses the face measure m = a^{d-1} w; with w == 1
+everything reduces to the unweighted formulas. The weighting is what makes
+spectra and impedances of staircase-rasterized circles converge to the
+smooth-domain values instead of saturating at the lattice perimeter
 inflation.
 """
 
@@ -58,7 +62,7 @@ __all__ = [
     "spectrum",
     "impedance_curve",
 ]
-_hitting_masses = weakref.WeakKeyDictionary()  # domain -> its Lambda = 0 launch masses, from build_Q or hitting_distribution
+_hitting_masses = weakref.WeakKeyDictionary()  # domain -> its Lambda = 0 launch masses, solved on its S-last factor
 
 @dataclass
 class SelfTransportMatrix:
@@ -167,6 +171,55 @@ def _factor(dom: LatticeDomain, eps: np.ndarray | None = None):
     return _splu(_bulk_system(dom, eps), "MMD_AT_PLUS_A")
 
 
+def _mmd_order(system) -> np.ndarray:
+    """The perm_c of _splu(system, "MMD_AT_PLUS_A"), without making that factor.
+
+    SuperLU orders the columns before it factors, so an incomplete factor
+    that drops every off-diagonal entry reports the same order at a fifth of
+    the cost of the full LU; single-column supernodes and panels (relax and
+    panel_size 1) take a third off the cost of that throwaway factor.
+    """
+    try:
+        return spla.spilu(
+            system, drop_tol=np.inf, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, relax=1, panel_size=1, options=dict(SymmetricMode=True),
+        ).perm_c
+    except RuntimeError as exc:
+        raise SingularSystem(f"bulk system ordering failed: {exc}") from exc
+
+
+def _launch_density(dom: LatticeDomain, start) -> np.ndarray:
+    """Walkers start uniformly on the sites LatticeDomain._launch resolves start to."""
+    launch = dom._launch(start)
+    pi = np.zeros(dom.n_bulk)
+    np.add.at(pi, launch, 1.0 / len(launch))
+    return pi
+
+
+def _s_last_factor(dom: LatticeDomain, pi: np.ndarray | None):
+    """The one LU of a domain: its bulk system in minimum-degree order with S moved last.
+
+    S is the set of distinct inward sites of the working faces. Given the
+    source launch pi, the factor also solves its Lambda = 0 masses, which
+    are kept for hitting_distribution. Returns the factor and, per working
+    face, the index of its site in S.
+    """
+    sites, face_site = np.unique(dom.inward_indices()[dom.working_mask()], return_inverse=True)
+    system = _bulk_system(dom)
+    # perm_c[i] is the position of site i, so its inverse lists the sites in order
+    order = np.argsort(_mmd_order(system))
+    order = np.concatenate([order[~np.isin(order, sites)], sites])
+    lu = _splu(system[order][:, order].tocsc(), "NATURAL")
+    natural = np.arange(dom.n_bulk)
+    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+        raise SolveFailure("the S-last factorization permuted its rows or columns")
+    if pi is not None:
+        g = np.empty(dom.n_bulk)
+        g[order] = lu.solve(pi[order], trans="T")
+        _hitting_masses[dom] = g[dom.inward_indices()[dom.working_mask()]] / (2 * dom.dimension)
+    return lu, face_site
+
+
 def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     """Brownian self-transport matrix over the working faces.
 
@@ -175,33 +228,21 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     faces is dropped, which is exactly what makes row sums < 1 there. The
     probability of exiting through face k from bulk site x is
     G(x, inward(k)) / (2d) with G the lattice Green function, so Q inherits
-    the symmetry of G. G[S, S] over the distinct inward sites S is read off a
-    second LU that keeps the minimum-degree order of the first and puts S
-    last. The first LU also solves the Lambda = 0 source launch, whose masses
-    are kept for hitting_distribution on the same domain.
+    the symmetry of G. G[S, S] over the distinct inward sites S is read off
+    the one LU of the domain, made in SuperLU's minimum-degree order with S
+    moved last. The same factor solves the Lambda = 0 source launch, whose
+    masses are kept for hitting_distribution on the same domain.
     """
     working = np.flatnonzero(dom.working_mask())
     if len(working) == 0:
         raise InvalidParam("domain has no working faces")
-    system = _bulk_system(dom)
-    lu = _splu(system, "MMD_AT_PLUS_A")
     has_source = bool(dom.source_mask().any())
-    if has_source:
-        _hitting_masses[dom] = _absorbed_masses(dom, np.zeros(dom.n_faces), lu=lu)
-    sites, face_site = np.unique(dom.inward_indices()[working], return_inverse=True)
-    # the minimum-degree order (perm_c[i] is the position of site i) with S
-    # moved last; the first factor is freed before the second is made
-    order = np.argsort(lu.perm_c)
-    del lu
-    order = np.concatenate([order[~np.isin(order, sites)], sites])
-    lu = _splu(system[order][:, order].tocsc(), "NATURAL")
-    natural = np.arange(dom.n_bulk)
-    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
-        raise SolveFailure("the S-last factorization permuted its rows or columns")
+    lu, face_site = _s_last_factor(dom, _launch_density(dom, "source") if has_source else None)
     # (A^-1)[S, S] = U22^-1 L22^-1, the inverse of the Schur complement onto S
-    k = dom.n_bulk - len(sites)
+    ns = face_site.max() + 1
+    k = dom.n_bulk - ns
     L22, U22 = lu.L[k:, k:].toarray(), lu.U[k:, k:].toarray()
-    G = sla.solve_triangular(U22, sla.solve_triangular(L22, np.eye(len(sites)), lower=True, unit_diagonal=True))
+    G = sla.solve_triangular(U22, sla.solve_triangular(L22, np.eye(ns), lower=True, unit_diagonal=True))
     Q = G[np.ix_(face_site, face_site)] / (2 * dom.dimension)
     Q = 0.5 * (Q + Q.T)  # kill solver-level asymmetry (measured ~1e-15)
     weight = dom.face_weight[working]
@@ -252,22 +293,18 @@ def spreading_operator(M: np.ndarray, Lambda: float, weight: np.ndarray | None =
     return T
 
 
-def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, lu=None, start="source") -> np.ndarray:
+def _absorbed_masses(dom: LatticeDomain, eps: np.ndarray, start="source") -> np.ndarray:
     """Per-working-face absorption masses of a launch from start under reflection probabilities eps.
 
     start is resolved by LatticeDomain._launch, as the lattice walkers resolve
-    theirs. Solved on lu when given, else on a fresh _factor(dom, eps).
+    theirs, and solved on a fresh _factor(dom, eps).
     """
-    launch = dom._launch(start)
-    lu = lu if lu is not None else _factor(dom, eps)
+    pi = _launch_density(dom, start)
     working = np.flatnonzero(dom.working_mask())
-    # walkers start uniformly on the launch sites
-    pi = np.zeros(dom.n_bulk)
-    np.add.at(pi, launch, 1.0 / len(launch))
     # G^T pi at a face's inward site is the mean number of visits there;
     # each visit steps into the face with probability 1/(2d) and is
     # absorbed there with probability 1 - eps
-    g = lu.solve(pi, trans="T")
+    g = _factor(dom, eps).solve(pi, trans="T")
     return g[dom.inward_indices()[working]] * (1.0 - eps[working]) / (2 * dom.dimension)
 
 
@@ -290,12 +327,12 @@ def hitting_distribution(dom: LatticeDomain) -> FluxVector:
     The absorption law at Lambda = 0, renormalized: the returned FluxVector
     holds the density phi_0^h (unit discrete integral), .probabilities the
     renormalized per-face hitting masses, and absorbed_fraction the mass
-    removed by renormalizing. The masses are kept for the domain, which
-    cannot change; build_Q fills them from its own factorization by the
-    same solve, bit for bit.
+    removed by renormalizing. The masses are solved on the S-last factor
+    build_Q makes and kept for the domain, which cannot change, so they have
+    the same bits whether or not build_Q ran first.
     """
     if dom not in _hitting_masses:
-        _hitting_masses[dom] = _absorbed_masses(dom, np.zeros(dom.n_faces))
+        _s_last_factor(dom, _launch_density(dom, "source"))
     total = _hitting_masses[dom].sum()
     if total <= 0:
         raise SingularSystem("no mass reaches the working interface")

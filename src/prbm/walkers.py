@@ -345,7 +345,7 @@ def _disk_kernel(dom, start, params, bins):
 def _ball_kernel(dom, start, params, bins):
     x = _point(start, "start", dom.dimension)
     interior = dom.kind is DomainKind.BALL_INTERIOR
-    r0 = float(np.linalg.norm(x))
+    r0 = math.hypot(*x)
     _round_side(r0, interior, params, "ball")
     axis0 = x / r0 if r0 > 0 else np.array([0.0, 0.0, 1.0])
     r1 = 1.0 - params.a if interior else 1.0 + params.a

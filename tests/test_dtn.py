@@ -86,18 +86,26 @@ def _spy_splu(monkeypatch, wrap=lambda lu, spec: lu):
 
 @pytest.mark.parametrize("name", ["box16", "corridor", "channel", "disk64", "annulus32", "annulus128"])
 def test_s_last_factor_fill_stays_bounded(name, request, monkeypatch):
-    """The S-last LU keeps the minimum-degree fill, plus at most the dense |S| x |S| block.
+    """build_Q makes one LU, whose S-last order keeps the minimum-degree fill plus at most the dense |S| x |S| block.
 
     Ordering by perm_c instead of its inverse scrambles the order, and its
     fill took the annulus128 factor past 5.7 GB.
     """
     dom = request.getfixturevalue(name)
+    mmd = dtn._factor(dom)
     calls = _spy_splu(monkeypatch)
     Qm = dtn.build_Q(dom)
-    (mmd_spec, mmd), (last_spec, last) = calls
-    assert (mmd_spec, last_spec) == ("MMD_AT_PLUS_A", "NATURAL")
+    ((last_spec, last),) = calls
+    assert last_spec == "NATURAL"
     ns = len(np.unique(dom.inward_indices()[Qm.face_index]))
     assert last.nnz <= 2 * mmd.nnz + ns * ns
+
+
+@pytest.mark.parametrize("name", ["box16", "corridor", "channel", "disk64", "annulus32"])
+def test_mmd_order_is_the_order_of_the_mmd_factor(name, request):
+    """The ordering pass alone gives the column order the full minimum-degree LU uses."""
+    system = dtn._bulk_system(request.getfixturevalue(name))
+    assert np.array_equal(dtn._mmd_order(system), dtn._splu(system, "MMD_AT_PLUS_A").perm_c)
 
 
 class _Pivoted:
@@ -118,10 +126,19 @@ def test_build_q_refuses_a_permuted_s_last_factor(perm, monkeypatch):
         dtn.build_Q(geo.lattice_box(6, 5, 0.2))
 
 
-def test_build_q_and_hitting_law_share_one_factorization(tmp_path, monkeypatch):
-    """build_Q then hitting_distribution factor twice in all; the law keeps its bits.
+def test_build_q_maps_an_ordering_failure_to_singular_system(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
 
-    The cli dtn command makes the same two calls. On a fresh domain the
+    monkeypatch.setattr(dtn.spla, "spilu", fail)
+    with pytest.raises(SingularSystem, match="ordering failed"):
+        dtn.build_Q(geo.lattice_box(6, 5, 0.2))
+
+
+def test_build_q_and_hitting_law_share_one_factorization(tmp_path, monkeypatch):
+    """build_Q then hitting_distribution factor once in all; the law keeps its bits.
+
+    The cli dtn command makes the same one call. On a fresh domain the
     hitting law does its own solve, and matches the oracle bit for bit.
     """
     fresh = geo.lattice_box(16, 16, 1.0 / 16.0)
@@ -136,14 +153,52 @@ def test_build_q_and_hitting_law_share_one_factorization(tmp_path, monkeypatch):
     dom = geo.lattice_box(16, 16, 1.0 / 16.0)
     dtn.build_Q(dom)
     shared = dtn.hitting_distribution(dom)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert shared.density.tobytes() == density.tobytes()
     assert shared.absorbed_fraction == absorbed
     calls.clear()
     path = tmp_path / "box.json"
     path.write_text(json.dumps({"builder": "box", "nx": 8, "ny": 6, "mesh": 0.125}))
     assert cli.main(["dtn", "--domain-file", str(path), "--out", str(tmp_path / "box")]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_hitting_law_on_a_weighted_annulus_does_not_depend_on_build_q(monkeypatch):
+    """On the rasterized annulus32, whose faces weigh below 1, the law has the same bits with or without build_Q.
+
+    Each sequence, a fresh hitting_distribution or build_Q followed by it,
+    makes exactly one LU.
+    """
+    def annulus():
+        return geo.rasterize(geo.circle_polyline(1.0, 2048), geo.circle_polyline(3.0, 2048), 1.0 / 32.0)
+
+    alone, built = annulus(), annulus()
+    assert np.any(alone.face_weight < 1.0)
+    calls = _spy_splu(monkeypatch)
+    P0 = dtn.hitting_distribution(alone)
+    assert len(calls) == 1
+    calls.clear()
+    dtn.build_Q(built)
+    shared = dtn.hitting_distribution(built)
+    assert len(calls) == 1
+    assert shared.density.tobytes() == P0.density.tobytes()
+    assert shared.measure.tobytes() == P0.measure.tobytes()
+    assert shared.absorbed_fraction == P0.absorbed_fraction
+
+
+@pytest.mark.parametrize("name", ["box16", "channel", "annulus32"])
+def test_s_last_hitting_law_meets_the_mmd_solve(name, request):
+    """The hitting masses on the S-last factor against the same solve on the minimum-degree _factor.
+
+    The two orders round differently, so the masses agree to 1e-12 relative
+    per face, not bit for bit.
+    """
+    dom = request.getfixturevalue(name)
+    masses = dtn._absorbed_masses(dom, np.zeros(dom.n_faces))
+    P0 = dtn.hitting_distribution(dom)
+    law = P0.probabilities * P0.absorbed_fraction
+    assert np.all(np.abs(law - masses) <= 1e-12 * masses)
+    assert P0.absorbed_fraction == pytest.approx(masses.sum(), rel=1e-12)
 
 
 def test_hitting_law_follows_retagged_faces():
@@ -259,9 +314,13 @@ def test_hitting_distribution_gamblers_ruin(channel):
     assert P0.total == pytest.approx(1.0)
 
 
-def test_hitting_distribution_needs_source(corridor):
+def test_hitting_distribution_needs_source(corridor, monkeypatch):
+    """The missing source is refused before anything is ordered or factored."""
+    calls = _spy_splu(monkeypatch)
+    monkeypatch.setattr(dtn.spla, "spilu", lambda *args, **kwargs: calls.append("spilu"))
     with pytest.raises(InvalidParam):
         dtn.hitting_distribution(corridor)
+    assert calls == []
 
 
 def test_hitting_distribution_box_symmetry(box16, box16_Q):
@@ -291,13 +350,23 @@ def test_absorption_distribution_monotone_mass(box16, box16_Q):
 
 
 def _hitting_oracle(dom):
-    """The hitting law from its own Lambda = 0 solve, whatever build_Q left on the domain."""
-    lu, inward = dtn._factor(dom), dom.inward_indices()
+    """The hitting law from its own Lambda = 0 solve, whatever build_Q left on the domain.
+
+    The solve is made on an LU in the minimum-degree order with S moved
+    last, the one LU the law comes from.
+    """
+    inward, system = dom.inward_indices(), dtn._bulk_system(dom)
     working = np.flatnonzero(dom.working_mask())
+    sites = np.unique(inward[working])
+    order = np.argsort(dtn._mmd_order(system))
+    order = np.concatenate([order[~np.isin(order, sites)], sites])
+    lu = dtn._splu(system[order][:, order].tocsc(), "NATURAL")
     source = np.flatnonzero(dom.source_mask())
     start = np.zeros(dom.n_bulk)
     np.add.at(start, inward[source], 1.0 / len(source))
-    hits = lu.solve(start, trans="T")[inward[working]] / (2 * dom.dimension)
+    g = np.empty(dom.n_bulk)
+    g[order] = lu.solve(start[order], trans="T")
+    hits = g[inward[working]] / (2 * dom.dimension)
     total = hits.sum()
     measure = dom.measures()[working]
     return (hits / total) / measure, measure, float(total)

@@ -263,6 +263,26 @@ def test_ball_exterior_reaches_source():
     assert abs(hist.source_fraction - 0.5) < 4.0 * sigma
 
 
+@pytest.mark.parametrize(
+    "kind, start, ends",
+    [
+        ("disk_exterior", (1e200, 1e200), "working_absorbed"),
+        ("ball_exterior", (1e200, 1e200, 0.0), "source_absorbed"),
+    ],
+)
+def test_a_start_whose_squared_radius_overflows(kind, start, ends):
+    """|x|^2 is past the largest double, |x| is not: the start radius is taken without squaring.
+
+    From there every walker on the exterior of the circle comes back and is
+    absorbed, and every walker on the exterior of the sphere escapes to the
+    source at infinity. The ball's radius used to overflow in a dot product.
+    """
+    hist = wk.estimate_spread_measure(
+        make_canonical(kind), np.array(start), wk.JumpParams(1.0, 0.02), 1_000, RngStream(0),
+    )
+    assert getattr(hist, ends) == 1_000 and hist.censored == 0
+
+
 def test_annulus_splits_by_log_radius():
     R, r0 = 3.0, 1.7
     hist = wk.estimate_spread_measure(
