@@ -28,9 +28,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dtn import build_M, build_Q, hitting_distribution, impedance_curve
-from .dtn import spectrum as dtn_spectrum
-from .dtn import spreading_operator
+from .dtn import absorption_distribution, absorption_law, build_M, build_Q, hitting_distribution, impedance_curve
+from .dtn import spectrum as dtn_spectrum, spreading_operator
 from .errors import InvalidParam, PrbmError, _nonnegative
 from .geometry import (
     LatticeDomain,
@@ -587,6 +586,11 @@ def _cmd_validate(cfg: dict) -> dict:
     T = spreading_operator(M, 0.7)
     resid = float(np.max(np.abs((np.eye(qm.n) + 0.7 * M) @ T - np.eye(qm.n))))
     record("resolvent inverse", resid < 1e-9, f"max |(I + Lambda M) T - I| = {resid:.2e}")
+    # the Robin solve (minimum-degree LU) against absorbed_fraction T P_0 (the S-last LU behind Q and P_0)
+    P0 = hitting_distribution(box)
+    gap = float(np.max(np.abs(absorption_law(box, 0.7).probabilities
+                              - P0.absorbed_fraction * absorption_distribution(P0, T).probabilities)))
+    record("Robin solve meets the dense route", gap <= 1e-12, f"max |P_Lambda - absorbed T P_0| = {gap:.2e}")
 
     spec_d = dtn_spectrum(M, None, qm.measure)
     recon = spec_d.V @ np.diag(1.0 / (1.0 + 0.7 * spec_d.mu)) @ (spec_d.V.T * spec_d.measure)

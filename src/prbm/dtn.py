@@ -25,14 +25,18 @@ once symmetrized, exactly symmetric. That LU, in SuperLU's minimum-degree
 order with S moved last, is the only one build_Q makes, and it also solves
 the Lambda = 0 launch of hitting_distribution. absorption_law solves once
 per Lambda, so it factors in plain minimum degree, without the dense |S|^2
-fill. On lattice-aligned boundaries that is the whole story. On
-rasterized smooth curves the faces carry alignment weights w <= 1 and
-every surface-aware object (inner products, the operator that T_Lambda
-inverts, flux totals) uses the face measure m = a^{d-1} w; with w == 1
-everything reduces to the unweighted formulas. The weighting is what makes
-spectra and impedances of staircase-rasterized circles converge to the
-smooth-domain values instead of saturating at the lattice perimeter
-inflation.
+fill. Every SuperLU call takes one option set, _SUPERLU: the bulk system is
+symmetric and diagonally dominant, so it pivots on the diagonal in symmetric
+mode, and on its nearest-neighbour sparsity SuperLU's default relaxed
+supernodes and wide panels only add work: single columns (relax =
+panel_size = 1) keep every nnz and take 5-45% off the 2-D factor times. On
+lattice-aligned boundaries that is the whole story. On rasterized smooth
+curves the faces carry alignment weights w <= 1 and every surface-aware
+object (inner products, the operator that T_Lambda inverts, flux totals)
+uses the face measure m = a^{d-1} w; with w == 1 everything reduces to the
+unweighted formulas. The weighting is what makes spectra and impedances of
+staircase-rasterized circles converge to the smooth-domain values instead
+of saturating at the lattice perimeter inflation.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ __all__ = [
     "impedance_curve",
 ]
 _hitting_masses = weakref.WeakKeyDictionary()  # domain -> its Lambda = 0 launch masses, solved on its S-last factor
+# the one option set of every SuperLU factor of a bulk system (module docstring)
+_SUPERLU = dict(diag_pivot_thresh=0.0, relax=1, panel_size=1, options=dict(SymmetricMode=True))
 
 @dataclass
 class SelfTransportMatrix:
@@ -156,12 +162,9 @@ def _bulk_system(dom: LatticeDomain, eps: np.ndarray | None = None):
 
 
 def _splu(system, permc_spec: str):
-    """SuperLU of the symmetric, diagonally dominant bulk system, pivoting on the diagonal."""
+    """SuperLU of the bulk system: diagonal pivots, single-column supernodes and panels (_SUPERLU)."""
     try:
-        return spla.splu(
-            system, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        return spla.splu(system, permc_spec=permc_spec, **_SUPERLU)
     except RuntimeError as exc:
         raise SingularSystem(f"bulk system factorization failed: {exc}") from exc
 
@@ -175,14 +178,13 @@ def _mmd_order(system) -> np.ndarray:
     """The perm_c of _splu(system, "MMD_AT_PLUS_A"), without making that factor.
 
     SuperLU orders the columns before it factors, so an incomplete factor
-    that drops every off-diagonal entry reports the same order at a fifth of
-    the cost of the full LU; single-column supernodes and panels (relax and
-    panel_size 1) take a third off the cost of that throwaway factor.
+    under the same _SUPERLU that drops every off-diagonal entry reports the
+    same order at a fifth of the cost of the full LU; its single columns take
+    a third off the cost of this throwaway factor.
     """
     try:
         return spla.spilu(
-            system, drop_tol=np.inf, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0, relax=1, panel_size=1, options=dict(SymmetricMode=True),
+            system, drop_tol=np.inf, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A", **_SUPERLU,
         ).perm_c
     except RuntimeError as exc:
         raise SingularSystem(f"bulk system ordering failed: {exc}") from exc
@@ -245,16 +247,8 @@ def build_Q(dom: LatticeDomain) -> SelfTransportMatrix:
     G = sla.solve_triangular(U22, sla.solve_triangular(L22, np.eye(ns), lower=True, unit_diagonal=True))
     Q = G[np.ix_(face_site, face_site)] / (2 * dom.dimension)
     Q = 0.5 * (Q + Q.T)  # kill solver-level asymmetry (measured ~1e-15)
-    weight = dom.face_weight[working]
-    measure = dom.measures()[working]
-    return SelfTransportMatrix(
-        Q=Q,
-        mesh=dom.mesh,
-        weight=weight,
-        measure=measure,
-        face_index=working,
-        has_source=has_source,
-    )
+    return SelfTransportMatrix(Q=Q, mesh=dom.mesh, weight=dom.face_weight[working], measure=dom.measures()[working],
+                               face_index=working, has_source=has_source)
 
 
 def build_M(Qm: SelfTransportMatrix) -> np.ndarray:

@@ -413,9 +413,9 @@ def test_lsa_accepts_named_prefractals():
 def test_validate_passes_and_records_every_check(capsys):
     assert cli.main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
     assert "FAIL" not in out
     manifest = json.loads(Path("prbm-validate.manifest.json").read_text())
     checks = manifest["checks"]
-    assert len(checks) == 8
+    assert len(checks) == 9
     assert all(c["passed"] for c in checks)

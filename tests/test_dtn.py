@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prbm import cli, dtn, walkers
@@ -606,3 +606,34 @@ def test_operator_routes_agree_on_random_blobs(seed, n_sites, p_source):
         dense = P0.absorbed_fraction * dtn.absorption_distribution(P0, T).probabilities
         law = dtn.absorption_law(dom, lam)
         assert np.max(np.abs(law.probabilities - dense)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sites=st.integers(1, 200),
+    p_source=st.sampled_from([0.02, 0.3, 0.9]),
+)
+def test_reflection_series_meets_the_robin_solve_on_random_blobs(seed, n_sites, p_source):
+    """Per face, the reflection series on the S-last factor sums to the Robin solve on the minimum-degree one.
+
+    A walker's contacts form a chain on the working faces: the first has the
+    Lambda = 0 launch masses v_0, and a reflection at f, with probability
+    eps_f, restarts the walk at f's inward site, whose next contact has the
+    law of row f of Q. So v_{n+1} = (v_n eps) Q, and the mass absorbed at f
+    is sum_n v_n(f)(1 - eps_f). v_0 and Q come from build_Q's S-last LU,
+    absorption_law from a fresh minimum-degree LU of the Robin system.
+    """
+    dom, rng = _random_blob(seed, n_sites, p_source)
+    assume(dom.source_mask().any())
+    lam = 10.0 ** rng.uniform(-2.0, 0.0)
+    eps = dtn._reflection_probabilities(dom, lam)[dom.working_mask()]
+    Q = dtn.build_Q(dom).Q
+    P0 = dtn.hitting_distribution(dom)
+    v = P0.probabilities * P0.absorbed_fraction
+    absorbed = np.zeros_like(v)
+    while v.sum() > 1e-18 * P0.absorbed_fraction:
+        absorbed += v * (1.0 - eps)
+        v = (v * eps) @ Q
+    law = dtn.absorption_law(dom, lam).probabilities
+    assert np.all(np.abs(absorbed - law) <= 1e-12 * law)

@@ -201,6 +201,38 @@ def test_disk_spread_measure_matches_series():
     assert np.max(np.abs(z)) < 4.0
 
 
+@pytest.mark.parametrize("kind, r0", [("disk_interior", 0.5), ("disk_exterior", 2.0)])
+@pytest.mark.parametrize("a", [0.2, 0.5])
+def test_disk_moments_meet_the_finite_a_law(kind, r0, a):
+    """The first four Fourier moments of the hit angle at finite a, with no O(a) allowance.
+
+    A contact absorbs with probability 1 - eps, eps = Lambda/(Lambda + a),
+    and a reflected walker restarts at radius rho = 1 - a inside (1/(1 + a)
+    outside, by Kelvin transform), so the k-th moment of the absorbed angle
+    is rho0^k (1 - eps)/(1 - eps rho^k), rho0 = r0 inside and 1/r0 outside.
+    Each moment is read off the bin counts at the bin centres, divided by
+    the bin average sinc(k h/2 pi) of e^{ik theta} over a bin of width h.
+    """
+    lam, n, bins = 0.5, 200_000, 512
+    hist = wk.estimate_spread_measure(
+        make_canonical(kind), np.array([r0, 0.0]), wk.JumpParams(Lambda=lam, a=a),
+        n, RngStream(53), bins=bins, chunk_size=100_000,
+    )
+    assert hist.censored == 0 and hist.total == n
+    eps = lam / (lam + a)
+    rho0, rho = (r0, 1.0 - a) if kind == "disk_interior" else (1.0 / r0, 1.0 / (1.0 + a))
+    h = 2.0 * np.pi / bins
+    centres = hist.bin_edges[:-1] + h / 2
+    for k in range(1, 5):
+        x = np.exp(1j * k * centres) / np.sinc(k * h / (2.0 * np.pi))
+        mean = hist.counts @ x / n
+        var_re = hist.counts @ x.real**2 / n - mean.real**2
+        var_im = hist.counts @ x.imag**2 / n - mean.imag**2
+        exact = rho0**k * (1.0 - eps) / (1.0 - eps * rho**k)
+        assert abs(mean.real - exact) < 4.0 * math.sqrt(var_re / n)
+        assert abs(mean.imag) < 4.0 * math.sqrt(var_im / n)
+
+
 def _complex_mobius_angle(rho, phi):
     """Reference: the Mobius quotient (w + rho)/(1 + rho w) in complex arithmetic."""
     e = np.exp(1j * phi)
@@ -612,7 +644,12 @@ def test_a_contact_that_does_not_absorb_reflects_however_small_its_hazard(case, 
     )
 
 
-def test_lattice_reflection_counts_follow_the_reflection_series():
+@pytest.mark.parametrize(
+    "dom, lam",
+    [(lattice_box(8, 6, 0.125), 0.5), (lattice_box(4, 4, 0.25), 1e300)],
+    ids=["box8x6", "every_contact_reflects"],
+)
+def test_lattice_reflection_counts_follow_the_reflection_series(dom, lam):
     """The lattice walkers' local-time tally against its exact law.
 
     A walker's contacts form a chain on the working faces. The first has the
@@ -623,9 +660,11 @@ def test_lattice_reflection_counts_follow_the_reflection_series():
     the Robin solve's absorbed fraction (the Neumann series of T_Lambda), the
     walkers' reflection_counts meet them with no allowance, and
     total_reflections meets E[N] = sum_n P(N >= n), where P(N >= n + 1) =
-    sum_f v_n(f) eps_f counts walkers that go back to the source too.
+    sum_f v_n(f) eps_f counts walkers that go back to the source too. At
+    Lambda = 1e300 eps rounds to 1: no walker absorbs, and every working
+    contact is a reflection.
     """
-    dom, lam, K, n = lattice_box(8, 6, 0.125), 0.5, 12, 40_000
+    K, n = 12, 40_000
     working = dom.working_mask()
     eps = lam / (lam + dom.mesh * dom.face_weight[working])
     Q = dtn.build_Q(dom).Q
@@ -642,8 +681,10 @@ def test_lattice_reflection_counts_follow_the_reflection_series():
     )
     assert hist.censored == 0
     p = np.append(absorbed[:K + 1], absorbed[K + 1:].sum())
-    z = (hist.reflection_counts - n * p) / np.sqrt(n * p * (1.0 - p))
-    assert np.max(np.abs(z)) < 4.0
+    assert np.all(hist.reflection_counts[p == 0.0] == 0)
+    p, counts = p[p > 0.0], hist.reflection_counts[p > 0.0]
+    z = (counts - n * p) / np.sqrt(n * p * (1.0 - p))
+    assert np.max(np.abs(z), initial=0.0) < 4.0
     tail = np.array(reflected)  # P(N >= m) at m = 1, 2, ...
     mean = tail.sum()
     var = np.sum((2 * np.arange(1, len(tail) + 1) - 1) * tail) - mean**2
